@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation study for the design decisions called out in DESIGN.md §5.
+ * Ablation study of Ariadne's design decisions.
  *
  * Each row disables exactly one Ariadne mechanism and reruns the
  * standard target-relaunch scenario plus a three-cycle CPU

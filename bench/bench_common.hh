@@ -7,10 +7,9 @@
  * the standard evaluation scale, executes them through the
  * FleetRunner (a single-session fleet with the shared eval seed
  * reproduces the legacy hand-rolled bench loops bit-for-bit), prints
- * results side by side with the paper's reference values
- * (EXPERIMENTS.md records both), and — via BenchReport — emits a
- * machine-readable JSON report next to the table when invoked with
- * `--json FILE`.
+ * results side by side with the paper's reference values, and — via
+ * BenchReport — emits a machine-readable JSON report next to the
+ * table when invoked with `--json FILE`.
  *
  * Bench specs flow through the same pluggable workload layer as the
  * CLI (driver/workload_source.hh): the default `workload = profiles`
@@ -41,7 +40,8 @@ namespace ariadne::bench
 {
 
 /** Footprint scale all experiment harnesses run at (1/16 of the
- * paper's volumes; latencies are rescaled, see EXPERIMENTS.md). */
+ * paper's volumes; latencies are rescaled to full scale, see
+ * RelaunchStats::fullScaleNs). */
 constexpr double evalScale = 0.0625;
 
 /** Deterministic seed shared by all benches. */

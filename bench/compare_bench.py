@@ -22,9 +22,6 @@ after an intentional perf or behaviour change.
 Metrics the current run emits that the baseline lacks cannot gate —
 they print as WARN so a new rate or counter is never silently
 untracked; refreshing the baseline (--update) starts gating them.
-Counters matching VOLATILE_COUNTER_PREFIXES (per-worker scheduling
-artifacts like the compression memo's hit/miss split) are
-informational only.
 
 Wall time, RSS, and duration accumulators are machine-dependent and
 reported for information only. Exit status: 0 pass, 1 fail, 2 usage
@@ -35,17 +32,6 @@ import argparse
 import json
 import shutil
 import sys
-
-# Counters whose values depend on host-side scheduling rather than on
-# simulated work: the compression memo is per worker thread, and which
-# worker claims which session is a race, so cross-session hit/miss
-# totals legitimately vary run to run (report bytes do not). They are
-# reported for information and never gate.
-VOLATILE_COUNTER_PREFIXES = ("compressor.memo.",)
-
-
-def is_volatile(name):
-    return name.startswith(VOLATILE_COUNTER_PREFIXES)
 
 
 def fail_usage(msg):
@@ -141,11 +127,6 @@ def main():
     cur_counters = cur.get("counters", {})
     for name, base_val in base.get("counters", {}).items():
         cur_val = cur_counters.get(name)
-        if is_volatile(name):
-            rows.append(("counter", name,
-                         "missing" if cur_val is None else str(cur_val),
-                         str(base_val), "n/a", "volatile"))
-            continue
         if cur_val is None:
             failures.append(f"counter '{name}' missing from current run")
             rows.append(("counter", name, "missing", str(base_val),
@@ -163,14 +144,12 @@ def main():
 
     for name in cur_counters:
         if name not in base.get("counters", {}):
-            status = "volatile" if is_volatile(name) else "WARN"
             rows.append(("counter", name, str(cur_counters[name]),
-                         "absent", "new", status))
-            if not is_volatile(name):
-                warnings.append(
-                    f"counter '{name}' absent from baseline — new "
-                    f"instrumentation is not gated; refresh the "
-                    f"baseline to start tracking it")
+                         "absent", "new", "WARN"))
+            warnings.append(
+                f"counter '{name}' absent from baseline — new "
+                f"instrumentation is not gated; refresh the "
+                f"baseline to start tracking it")
 
     print(f"{cur['bench']}: current vs baseline")
     print_table(rows)

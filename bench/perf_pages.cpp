@@ -69,7 +69,7 @@ main(int argc, char **argv)
     auto total_start = std::chrono::steady_clock::now();
     for (CodecKind kind : kinds) {
         // A fresh compressor per codec: distinct (pfn, version) keys
-        // keep the memo cold, so every page runs the real codec.
+        // miss its size cache, so every page runs the real codec.
         PageCompressor compressor(synth);
         auto codec = makeCodec(kind);
         AppId uid = apps.front().uid;

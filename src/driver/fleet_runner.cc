@@ -10,7 +10,6 @@
 #include "mem/page_arena.hh"
 #include "report/report_merger.hh"
 #include "sim/log.hh"
-#include "swap/compress_memo.hh"
 #include "swap/scheme_registry.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/telemetry.hh"
@@ -144,7 +143,7 @@ FleetRunner::runSession(std::size_t index) const
 
 SessionResult
 FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
-                        PageArena *arena, CompressionMemo *memo) const
+                        PageArena *arena) const
 {
     c_sessions.add();
     telemetry::ScopedTimer timer(d_session);
@@ -155,7 +154,7 @@ FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
     result.seed = scenario.sessionSeed(index);
 
     MobileSystem sys(scenario.systemConfig(index),
-                     source->sessionProfiles(index), arena, memo);
+                     source->sessionProfiles(index), arena);
     SessionDriver driver(sys);
 
     if (recorder) {
@@ -304,13 +303,6 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
         // nothing. Sessions only read/write their own arena, so the
         // aggregate stays bit-identical to private-arena runs.
         PageArena workerArena;
-        // The cross-session compression memo rides along with the
-        // arena: same worker-lifetime scope, same bit-identity
-        // guarantee (memoized sizes equal fresh compressions), gated
-        // by the spec's compress_memo knob.
-        std::unique_ptr<CompressionMemo> workerMemo;
-        if (scenario.compressMemo)
-            workerMemo = std::make_unique<CompressionMemo>();
         for (;;) {
             std::size_t i = next.fetch_add(1);
             if (i >= end)
@@ -320,8 +312,7 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
                 room.wait(lk,
                           [&] { return i < fold_frontier + window; });
             }
-            SessionResult s = runSession(i, recorder, &workerArena,
-                                         workerMemo.get());
+            SessionResult s = runSession(i, recorder, &workerArena);
             std::size_t folded = 0;
             {
                 std::unique_lock<std::mutex> lk(mu);

@@ -43,7 +43,6 @@
 namespace ariadne
 {
 class PageArena;
-class CompressionMemo;
 }
 
 namespace ariadne::driver
@@ -218,12 +217,9 @@ class FleetRunner
      * MobileSystem on. Fleet workers pass their thread's arena so
      * page-metadata slabs (and the SoA scan arrays) are allocated
      * once per worker and recycled across every session it runs;
-     * nullptr makes the session own a private arena. @p memo is the
-     * worker's cross-session compression memo on the same terms
-     * (nullptr = no memoization; reports are identical either way). */
+     * nullptr makes the session own a private arena. */
     SessionResult runSession(std::size_t index, TraceRecorder *recorder,
-                             PageArena *arena,
-                             CompressionMemo *memo = nullptr) const;
+                             PageArena *arena) const;
     FleetResult runFleet(std::size_t fleet, unsigned threads,
                          bool keep_sessions,
                          TraceRecorder *recorder) const;

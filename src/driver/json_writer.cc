@@ -6,7 +6,6 @@
 
 #include "analysis/report.hh"
 #include "sim/log.hh"
-#include "sim/stats.hh"
 
 namespace ariadne::driver
 {
@@ -189,31 +188,6 @@ JsonWriter::formatDouble(double v)
     std::string s(buf, ptr);
     // "1e+20" and "1" are valid JSON numbers; nothing more to do.
     return s;
-}
-
-void
-writeJson(JsonWriter &w, const StatRegistry &registry)
-{
-    w.beginObject();
-    w.key("counters");
-    w.beginObject();
-    for (const auto &[name, c] : registry.allCounters())
-        w.field(name, c->value());
-    w.endObject();
-    w.key("scalars");
-    w.beginObject();
-    for (const auto &[name, s] : registry.allScalars()) {
-        w.key(name);
-        w.beginObject();
-        w.field("mean", s->mean());
-        w.field("min", s->min());
-        w.field("max", s->max());
-        w.field("sum", s->sum());
-        w.field("samples", s->samples());
-        w.endObject();
-    }
-    w.endObject();
-    w.endObject();
 }
 
 void

@@ -9,8 +9,7 @@
  * iostream formatting. Non-finite doubles become null (JSON has no
  * inf/nan).
  *
- * Also provides JSON dumps of the existing text-report types
- * (StatRegistry, ReportTable) so every harness can emit
+ * Also provides a JSON dump of ReportTable so every harness can emit
  * machine-readable output next to its tables.
  */
 
@@ -26,7 +25,6 @@ namespace ariadne
 {
 
 class ReportTable;
-class StatRegistry;
 
 namespace driver
 {
@@ -101,9 +99,6 @@ class JsonWriter
     std::vector<bool> populated;
     bool keyPending = false;
 };
-
-/** Dump a StatRegistry as {"counters": {...}, "scalars": {...}}. */
-void writeJson(JsonWriter &w, const StatRegistry &registry);
 
 /** Dump a ReportTable as an array of column-keyed row objects. */
 void writeJson(JsonWriter &w, const ReportTable &table);

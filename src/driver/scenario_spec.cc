@@ -8,7 +8,6 @@
 #include <map>
 #include <sstream>
 
-#include "core/config.hh"
 #include "driver/json_writer.hh"
 #include "sim/rng.hh"
 #include "swap/scheme_registry.hh"
@@ -83,34 +82,6 @@ parseDouble(const std::string &text, std::size_t line,
     if (text.empty() || end != text.c_str() + text.size())
         bad(line, "invalid " + what + " '" + text + "'");
     return v;
-}
-
-bool
-parseBool(const std::string &text, std::size_t line,
-          const std::string &what)
-{
-    std::string t;
-    for (char c : text)
-        t += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (t == "true" || t == "on" || t == "1")
-        return true;
-    if (t == "false" || t == "off" || t == "0")
-        return false;
-    bad(line, "invalid " + what + " '" + text + "' (true|false)");
-}
-
-/**
- * Validate an Ariadne config string before storing it in the spec,
- * using the same grammar AriadneConfig::parse enforces (but raising
- * SpecError instead of exiting — parse's fatal() is acceptable for
- * internal misuse, not for user config files).
- */
-void
-validateAriadneConfig(const std::string &text, std::size_t line)
-{
-    std::string error;
-    if (!AriadneConfig::tryParse(text, &error).has_value())
-        bad(line, error);
 }
 
 /** Names of the standard app profiles, for validation. */
@@ -466,8 +437,6 @@ ScenarioSpec::toString() const
            << "\n";
         os << "sketch_k = " << sketchK << "\n";
     }
-    if (!compressMemo)
-        os << "compress_memo = off\n";
     if (timelineIntervalMs != defaultTimelineIntervalMs)
         os << "timeline_interval_ms = " << timelineIntervalMs << "\n";
     if (journeySample != defaultJourneySample)
@@ -543,12 +512,6 @@ struct SpecParser::Impl
      * value types are validated in finish() against the *final*
      * scheme, so a `scheme = ...` line may follow its knobs. */
     std::map<std::string, std::size_t> paramLines;
-    /** Deprecated flat aliases (`ariadne`, `seed_profiles`, ...)
-     * with their normalized values; merged into the params in
-     * finish() when the final scheme has the knob, dropped otherwise
-     * (the historically tolerated behaviour). */
-    std::map<std::string, std::pair<std::string, std::size_t>>
-        legacyParams;
     bool anyEvents = false;
     std::size_t firstEventLine = 0;
 
@@ -590,46 +553,20 @@ SpecParser::finish()
 }
 
 /**
- * Resolve the scheme axis: merge the deprecated flat aliases into the
- * knob bag, then check every knob (name and value type) against the
- * final scheme's schema. Runs in finish() so `scheme = ...` may
- * appear after the knobs it governs (sweep variants rely on this when
- * they override the base scheme). For trace replays the knobs have
- * already moved to the what-if override (see validateWorkload); an
- * override with an explicit scheme is validated here, one that only
- * tweaks knobs of the recorded scheme is validated by the FleetRunner
- * once the recorded scheme is known.
+ * Resolve the scheme axis: check every knob (name and value type)
+ * against the final scheme's schema. Runs in finish() so `scheme =
+ * ...` may appear after the knobs it governs (sweep variants rely on
+ * this when they override the base scheme). For trace replays the
+ * knobs have already moved to the what-if override (see
+ * validateWorkload); an override with an explicit scheme is validated
+ * here, one that only tweaks knobs of the recorded scheme is
+ * validated by the FleetRunner once the recorded scheme is known.
  */
 void
 SpecParser::Impl::validateScheme()
 {
     const SchemeRegistry &registry = SchemeRegistry::instance();
     bool is_trace = spec.workload == WorkloadKind::Trace;
-
-    if (!is_trace) {
-        const SchemeInfo &info = registry.at(spec.scheme);
-        for (const auto &[knob, legacy] : legacyParams) {
-            // Like every other key, the later line wins: an explicit
-            // scheme.* knob beats an *earlier* alias, but an alias
-            // following it overrides (sweep variants rely on this to
-            // replace base settings whichever syntax either side
-            // uses).
-            auto explicit_line = paramLines.find(knob);
-            if (explicit_line != paramLines.end() &&
-                explicit_line->second > legacy.second)
-                continue;
-            bool known = std::any_of(info.knobs.begin(),
-                                     info.knobs.end(),
-                                     [&, k = knob](const SchemeKnob &s) {
-                                         return s.name == k;
-                                     });
-            if (known) {
-                spec.params.set(knob, legacy.first);
-                paramLines[knob] = legacy.second;
-            }
-        }
-    }
-
     const std::string &scheme_key =
         is_trace ? spec.replayScheme : spec.scheme;
     const SchemeParams &bag = is_trace ? spec.replayParams : spec.params;
@@ -783,10 +720,6 @@ SpecParser::Impl::feed(const std::string &raw, std::size_t lineno)
             // precede (or follow) the `scheme = ...` it configures.
             spec.params.set(knob, value);
             paramLines[knob] = lineno;
-        } else if (key == "ariadne") {
-            // Deprecated alias of `scheme.config`.
-            validateAriadneConfig(value, lineno);
-            legacyParams["config"] = {value, lineno};
         } else if (key == "scale") {
             char *end = nullptr;
             double v = std::strtod(value.c_str(), &end);
@@ -798,14 +731,6 @@ SpecParser::Impl::feed(const std::string &raw, std::size_t lineno)
             spec.scale = v;
         } else if (key == "seed") {
             spec.seed = parseU64(value, lineno, "seed");
-        } else if (key == "seed_profiles" || key == "predecomp") {
-            // Deprecated aliases of the scheme.* knobs of the same
-            // name; normalized so serialization stays canonical.
-            bool v = parseBool(value, lineno, key);
-            legacyParams[key] = {v ? "true" : "false", lineno};
-        } else if (key == "hot_init_pages") {
-            std::uint64_t v = parseU64(value, lineno, key);
-            legacyParams[key] = {std::to_string(v), lineno};
         } else if (key == "fleet") {
             spec.fleet = parseU64(value, lineno, "fleet size");
             if (spec.fleet == 0)
@@ -823,15 +748,6 @@ SpecParser::Impl::feed(const std::string &raw, std::size_t lineno)
                                 std::to_string(PercentileSketch::minK) +
                                 ", got '" + value + "'");
             spec.sketchK = v;
-        } else if (key == "compress_memo") {
-            std::string v = lower(value);
-            if (v == "on")
-                spec.compressMemo = true;
-            else if (v == "off")
-                spec.compressMemo = false;
-            else
-                bad(lineno, "compress_memo must be on|off, got '" +
-                                value + "'");
         } else if (key == "timeline_interval_ms") {
             spec.timelineIntervalMs =
                 parseU64(value, lineno, "timeline_interval_ms");
@@ -1040,7 +956,7 @@ ScenarioSpec::operator==(const ScenarioSpec &o) const
     return name == o.name && scheme == o.scheme &&
            params == o.params && scale == o.scale && seed == o.seed &&
            fleet == o.fleet && percentiles == o.percentiles &&
-           sketchK == o.sketchK && compressMemo == o.compressMemo &&
+           sketchK == o.sketchK &&
            timelineIntervalMs == o.timelineIntervalMs &&
            journeySample == o.journeySample && apps == o.apps &&
            program == o.program && workload == o.workload &&

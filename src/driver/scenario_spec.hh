@@ -24,11 +24,7 @@
  * `scheme = NAME` selects any registered scheme and namespaced
  * `scheme.<knob> = value` lines set its policy knobs, validated
  * against the scheme's schema (`ariadne_sim --list-schemes` prints
- * every scheme with its knobs). The pre-registry flat keys —
- * `ariadne`, `seed_profiles`, `predecomp`, `hot_init_pages` — still
- * parse as deprecated aliases of the corresponding `scheme.*` knobs
- * and are dropped when the selected scheme lacks the knob, matching
- * their historically tolerated behaviour.
+ * every scheme with its knobs).
  *
  * The event program speaks the MobileSystem driver vocabulary
  * (cold-launch / execute / background / relaunch / idle) plus the
@@ -206,15 +202,6 @@ struct ScenarioSpec
     PercentileMode percentiles = PercentileMode::Exact;
     /** Sketch buffer size (`sketch_k = N`, sketch mode only). */
     std::size_t sketchK = PercentileSketch::defaultK;
-    /**
-     * Cross-session compression memoization (`compress_memo =
-     * on|off`, default on): fleet workers reuse compressed sizes of
-     * recurring page contents across the sessions they run. Purely a
-     * speed knob — compression is deterministic in the page bytes, so
-     * reports are byte-identical either way; `off` exists to measure
-     * the win and to bound worker memory on tiny machines.
-     */
-    bool compressMemo = true;
 
     /** Default gauge-sampling cadence (`timeline_interval_ms`). */
     static constexpr std::size_t defaultTimelineIntervalMs = 1000;

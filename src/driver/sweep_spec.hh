@@ -30,7 +30,7 @@
  *
  *     variant = ariadne
  *     scheme = ariadne
- *     ariadne = EHL-1K-2K-16K
+ *     scheme.config = EHL-1K-2K-16K
  *
  * Parse errors throw SpecError with the offending file line, exactly
  * like ScenarioSpec.

@@ -1,5 +1,6 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 
@@ -227,131 +228,6 @@ PercentileSketch::reset()
     compactions.assign(1, 0);
     n = 0;
     errBound = 0;
-}
-
-Histogram::Histogram(double bucket_width, std::size_t bucket_count)
-    : width(bucket_width), bins(bucket_count, 0)
-{
-    fatalIf(bucket_width <= 0.0, "Histogram bucket width must be > 0");
-    fatalIf(bucket_count == 0, "Histogram needs at least one bucket");
-}
-
-void
-Histogram::sample(double v) noexcept
-{
-    total += 1;
-    if (v < 0.0)
-        v = 0.0;
-    // Compare in floating point *before* the size_t cast: converting a
-    // double beyond the target range (v / width can be anything up to
-    // inf, or NaN) is undefined behavior. The negated comparison routes
-    // both huge samples and NaN to the overflow bucket; only values
-    // strictly inside [0, bins.size()) reach the cast.
-    double scaled = v / width;
-    if (!(scaled < static_cast<double>(bins.size())))
-        overflow += 1;
-    else
-        bins[static_cast<std::size_t>(scaled)] += 1;
-}
-
-double
-Histogram::percentile(double p) const noexcept
-{
-    if (total == 0)
-        return 0.0;
-    // Negated comparison: NaN p clamps to 0 rather than hitting the
-    // integer cast below (that conversion would be UB).
-    if (!(p > 0.0))
-        p = 0.0;
-    else if (p > 1.0)
-        p = 1.0;
-    // Nearest-rank over the bucketed CDF: the upper edge of the first
-    // bucket whose cumulative count reaches p * total. Samples in the
-    // overflow bucket only report the histogram's top edge — callers
-    // needing exact tails should use Distribution instead.
-    auto target = static_cast<std::uint64_t>(
-        std::ceil(p * static_cast<double>(total)));
-    if (target == 0)
-        target = 1;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        acc += bins[i];
-        if (acc >= target)
-            return width * static_cast<double>(i + 1);
-    }
-    return width * static_cast<double>(bins.size());
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t i) const
-{
-    panicIf(i >= bins.size(), "Histogram bucket index out of range");
-    return bins[i];
-}
-
-double
-Histogram::cdfAt(double v) const noexcept
-{
-    if (total == 0)
-        return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        double upper = width * static_cast<double>(i + 1);
-        if (upper <= v)
-            acc += bins[i];
-        else
-            break;
-    }
-    return static_cast<double>(acc) / static_cast<double>(total);
-}
-
-void
-Histogram::reset() noexcept
-{
-    std::fill(bins.begin(), bins.end(), 0);
-    overflow = 0;
-    total = 0;
-}
-
-void
-StatRegistry::addCounter(const std::string &name, const Counter &c)
-{
-    auto [it, inserted] = counters.emplace(name, &c);
-    (void)it;
-    fatalIf(!inserted, "duplicate counter name: " + name);
-}
-
-void
-StatRegistry::addScalar(const std::string &name, const Scalar &s)
-{
-    auto [it, inserted] = scalars.emplace(name, &s);
-    (void)it;
-    fatalIf(!inserted, "duplicate scalar name: " + name);
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters)
-        os << name << " " << c->value() << "\n";
-    for (const auto &[name, s] : scalars) {
-        os << name << ".mean " << s->mean() << "\n";
-        os << name << ".samples " << s->samples() << "\n";
-    }
-}
-
-const Counter *
-StatRegistry::findCounter(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? nullptr : it->second;
-}
-
-const Scalar *
-StatRegistry::findScalar(const std::string &name) const
-{
-    auto it = scalars.find(name);
-    return it == scalars.end() ? nullptr : it->second;
 }
 
 } // namespace ariadne

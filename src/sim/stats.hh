@@ -1,21 +1,16 @@
 /**
  * @file
- * Lightweight statistics package: named counters, scalar samples and
- * histograms collected into a registry that can be dumped as text.
- *
- * Components own their stats; the registry only references them, so
- * stat objects must outlive the registry dump (all components live for
- * the duration of a simulation).
+ * Simulation statistics: the Counter that LRU and hotness lists charge
+ * their operations to, and the exact and sketched sample distributions
+ * the fleet reports aggregate. Named run-time counters, gauges and
+ * histograms live in telemetry/.
  */
 
 #ifndef ARIADNE_SIM_STATS_HH
 #define ARIADNE_SIM_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -45,55 +40,12 @@ class Counter
     std::uint64_t count = 0;
 };
 
-/** Running scalar statistic: sum, min, max, mean over samples. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    /** Record one sample. */
-    void
-    sample(double v) noexcept
-    {
-        total += v;
-        n += 1;
-        lo = (n == 1) ? v : std::min(lo, v);
-        hi = (n == 1) ? v : std::max(hi, v);
-    }
-
-    double sum() const noexcept { return total; }
-    std::uint64_t samples() const noexcept { return n; }
-    double min() const noexcept { return n ? lo : 0.0; }
-    double max() const noexcept { return n ? hi : 0.0; }
-
-    /** Arithmetic mean of samples; 0 when empty. */
-    double
-    mean() const noexcept
-    {
-        return n ? total / static_cast<double>(n) : 0.0;
-    }
-
-    /** Reset to the empty state. */
-    void
-    reset() noexcept
-    {
-        total = 0.0;
-        n = 0;
-        lo = hi = 0.0;
-    }
-
-  private:
-    double total = 0.0;
-    std::uint64_t n = 0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
-
 /**
  * Exact sample distribution: stores every sample and answers
  * percentile queries by rank. Costs memory proportional to the sample
  * count, so it is meant for per-run aggregates (relaunch latencies,
- * per-session CPU), not per-page events — use Histogram for those.
+ * per-session CPU), not per-page events — use a telemetry::Histogram
+ * for those.
  */
 class Distribution
 {
@@ -259,95 +211,6 @@ class PercentileSketch
     /** Per-level compaction counters; parity picks the surviving
      * offset, alternating deterministically. */
     std::vector<std::uint64_t> compactions;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucketWidth * buckets); samples past
- * the top land in an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width Width of each bucket.
-     * @param bucket_count Number of regular buckets.
-     */
-    Histogram(double bucket_width, std::size_t bucket_count);
-
-    /** Record one sample. */
-    void sample(double v) noexcept;
-
-    /** Count in regular bucket @p i. */
-    std::uint64_t bucketCount(std::size_t i) const;
-
-    /** Count of samples beyond the last regular bucket. */
-    std::uint64_t overflowCount() const noexcept { return overflow; }
-
-    /** Total samples recorded. */
-    std::uint64_t samples() const noexcept { return total; }
-
-    std::size_t bucketCountTotal() const noexcept { return bins.size(); }
-    double bucketWidth() const noexcept { return width; }
-
-    /** Fraction of samples at or below @p v (inclusive CDF estimate). */
-    double cdfAt(double v) const noexcept;
-
-    /**
-     * Bucket-resolution nearest-rank percentile: the upper edge of the
-     * first bucket whose cumulative count reaches p * samples. Overflow
-     * samples saturate at the histogram's top edge.
-     */
-    double percentile(double p) const noexcept;
-
-    /** Reset all buckets. */
-    void reset() noexcept;
-
-  private:
-    double width;
-    std::vector<std::uint64_t> bins;
-    std::uint64_t overflow = 0;
-    std::uint64_t total = 0;
-};
-
-/**
- * Registry mapping hierarchical stat names ("zram.compressedPages") to
- * component-owned stat objects for a consolidated dump.
- */
-class StatRegistry
-{
-  public:
-    /** Register a counter under @p name; name must be unique. */
-    void addCounter(const std::string &name, const Counter &c);
-
-    /** Register a scalar under @p name; name must be unique. */
-    void addScalar(const std::string &name, const Scalar &s);
-
-    /** Write "name value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    /** Look up a registered counter; nullptr when absent. */
-    const Counter *findCounter(const std::string &name) const;
-
-    /** Look up a registered scalar; nullptr when absent. */
-    const Scalar *findScalar(const std::string &name) const;
-
-    /** All registered counters, sorted by name. */
-    const std::map<std::string, const Counter *> &
-    allCounters() const noexcept
-    {
-        return counters;
-    }
-
-    /** All registered scalars, sorted by name. */
-    const std::map<std::string, const Scalar *> &
-    allScalars() const noexcept
-    {
-        return scalars;
-    }
-
-  private:
-    std::map<std::string, const Counter *> counters;
-    std::map<std::string, const Scalar *> scalars;
 };
 
 } // namespace ariadne

@@ -9,7 +9,7 @@
  * to what ratio, what faults) come from real execution of the from-
  * scratch codecs; only *durations* come from this model.
  *
- * Calibration anchors (see DESIGN.md and EXPERIMENTS.md):
+ * Calibration anchors, all taken from the paper:
  *  - Fig. 6: compressing 576 MB with 128 B chunks is 59.2x (LZ4) and
  *    41.8x (LZO) faster than with 128 KB chunks. The model realizes
  *    this with a per-byte cost that grows by `compGrowth` per chunk-

@@ -10,8 +10,6 @@ namespace
 
 telemetry::Counter c_cacheHit("compressor.cache_hit");
 telemetry::Counter c_cacheMiss("compressor.cache_miss");
-telemetry::Counter c_memoHit("compressor.memo.hit");
-telemetry::Counter c_memoMiss("compressor.memo.miss");
 
 // Per-codec host-time compression cost, indexed by CodecKind. These
 // are the only probes measuring *real* compression work (the schemes
@@ -81,29 +79,11 @@ PageCompressor::compressMiss(const PageRef &page, const Codec &codec,
     telemetry::ScopedTimer timer(compressProbe(codec.kind()));
     content.materialize(page.key, page.version,
                         {scratch.data(), scratch.size()});
-    ConstBytes bytes{scratch.data(), scratch.size()};
-    std::uint64_t fp = 0;
-    if (memo) {
-        // Content-keyed cross-session memo: the same bytes under the
-        // same (codec, chunk) compress to the same size, so a hit
-        // skips the codec. bytesCompressed() keeps meaning "ran
-        // through a codec" — a memo hit adds nothing.
-        fp = memo->fingerprint(bytes, codec.kind(), chunk_bytes);
-        std::uint32_t found = memo->lookup(fp, bytes);
-        if (found != CompressionMemo::notFound) {
-            c_memoHit.add();
-            return found;
-        }
-        c_memoMiss.add();
-    }
     std::size_t frame_size = ChunkedFrame::compressInto(
-        codec, bytes, chunk_bytes, batchStateFor(codec), frameScratch,
-        chunkScratch);
+        codec, {scratch.data(), scratch.size()}, chunk_bytes,
+        batchStateFor(codec), frameScratch, chunkScratch);
     compressedVolume += pageSize;
-    auto csize = static_cast<std::uint32_t>(frame_size);
-    if (memo)
-        memo->insert(fp, bytes, csize);
-    return csize;
+    return static_cast<std::uint32_t>(frame_size);
 }
 
 std::size_t

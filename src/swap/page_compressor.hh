@@ -6,11 +6,12 @@
  * synthesized bytes; this helper materializes page contents, invokes
  * the chunked framing layer, and returns the true compressed size.
  * Because contents are pure functions of (uid, pfn, version), single-
- * page results are memoized — schemes recompress the same hot pages
- * on every app switch, and the cache turns that into a lookup while
- * keeping the sizes exact.
+ * page results are cached on that identity. Repeats are rare: on
+ * scenarios/heavy.cfg (16 sessions) the cache hits 5,625 of 224,939
+ * lookups, and on scenarios/daily.cfg 0 of 8, because Ariadne's
+ * multi-page units bypass it. The sizes stay exact either way.
  *
- * The memo table is a power-of-two open-addressing flat table
+ * The cache is a power-of-two open-addressing flat table
  * (linear probing, splitmix64-mixed keys) rather than a node-based
  * unordered_map: one cache line per probe, no per-entry allocation.
  * Batch sizing (compressedSizeEach) reuses one content buffer across
@@ -25,13 +26,12 @@
 #define ARIADNE_SWAP_PAGE_COMPRESSOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "compress/chunked.hh"
 #include "compress/codec.hh"
 #include "mem/page.hh"
-#include "sim/stats.hh"
-#include "swap/compress_memo.hh"
 
 namespace ariadne
 {
@@ -80,23 +80,6 @@ class PageCompressor
     std::size_t compressedSizeMany(const std::vector<PageRef> &pages,
                                    const Codec &codec,
                                    std::size_t chunk_bytes);
-
-    /**
-     * Attach a content-keyed cross-session memo (see
-     * compress_memo.hh). Consulted only after the identity-keyed
-     * cache misses, so hit/miss accounting here is unchanged; a memo
-     * hit skips the codec entirely. The memo outlives this compressor
-     * (a fleet worker shares one across all its sessions). nullptr
-     * detaches.
-     */
-    void attachMemo(CompressionMemo *m) noexcept { memo = m; }
-
-    /** The attached cross-session memo, if any (gauge sampling). */
-    const CompressionMemo *
-    attachedMemo() const noexcept
-    {
-        return memo;
-    }
 
     /** Cache hits observed (for tests and reports). */
     std::uint64_t cacheHits() const noexcept { return hits; }
@@ -162,7 +145,6 @@ class PageCompressor
     };
 
     const PageContentSource &content;
-    CompressionMemo *memo = nullptr; //!< optional, externally owned
     std::vector<Slot> slots;
     std::size_t liveSlots = 0;
     std::vector<std::uint8_t> scratch;      //!< one page, reused

@@ -46,7 +46,8 @@ class AppInstance
     /**
      * @param profile Static behaviour description.
      * @param scale Footprint scale factor (1.0 = paper volumes);
-     * benches run scaled down and rescale latencies (EXPERIMENTS.md).
+     * benches run scaled down and rescale latencies
+     * (RelaunchStats::fullScaleNs).
      * @param seed Deterministic seed for this instance's choices.
      */
     AppInstance(AppProfile profile, double scale, std::uint64_t seed);

@@ -25,7 +25,7 @@ smallSpec()
     return ScenarioSpec::parseString(R"(
 name = test-fleet
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 scale = 0.0625
 seed = 7
 fleet = 6
@@ -281,7 +281,7 @@ scheme = zram
 
 variant = ariadne
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 
 variant = dram
 scheme = dram

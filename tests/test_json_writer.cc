@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "analysis/report.hh"
 #include "driver/json_writer.hh"
-#include "sim/stats.hh"
 
 using namespace ariadne;
 using namespace ariadne::driver;
@@ -104,25 +104,6 @@ TEST(JsonWriter, BooleansAndNull)
         w.endArray();
     });
     EXPECT_EQ(text, "[true,false,null]");
-}
-
-TEST(JsonWriter, StatRegistryDump)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(3);
-    Scalar s;
-    s.sample(2.0);
-    s.sample(4.0);
-    reg.addCounter("zram.pages", c);
-    reg.addScalar("fault.ns", s);
-
-    std::string text = compact(
-        [&](JsonWriter &w) { writeJson(w, reg); });
-    EXPECT_NE(text.find("\"zram.pages\": 3"), std::string::npos);
-    EXPECT_NE(text.find("\"fault.ns\""), std::string::npos);
-    EXPECT_NE(text.find("\"mean\": 3"), std::string::npos);
-    EXPECT_NE(text.find("\"samples\": 2"), std::string::npos);
 }
 
 TEST(JsonWriter, ReportTableDump)

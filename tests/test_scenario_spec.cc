@@ -103,59 +103,53 @@ TEST(ScenarioSpec, ParsesCompoundUsageOps)
     EXPECT_TRUE(spec == reparsed);
 }
 
-TEST(ScenarioSpec, LegacyFlatKeysAliasSchemeKnobs)
+namespace
 {
-    // The pre-registry flat keys still parse, landing in the scheme
-    // knob bag (normalized), so old configs and old recorded traces
-    // keep replaying.
-    ScenarioSpec spec = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "ariadne = EHL-1K-2K-16K\n"
-        "seed_profiles = false\n"
-        "predecomp = off\n"
-        "hot_init_pages = 0\n"
-        "event = warmup\n");
-    EXPECT_EQ(spec.params.getString("config", ""), "EHL-1K-2K-16K");
-    EXPECT_FALSE(spec.params.getBool("seed_profiles", true));
-    EXPECT_FALSE(spec.params.getBool("predecomp", true));
-    EXPECT_EQ(spec.params.getU64("hot_init_pages", 7), 0u);
 
-    // The knobs reach the derived SystemConfig...
-    SystemConfig cfg = spec.systemConfig(0);
-    EXPECT_EQ(cfg.scheme, "ariadne");
-    EXPECT_TRUE(cfg.schemeParams == spec.params);
-    // ...and round-trip through toString (in namespaced form).
-    EXPECT_NE(spec.toString().find("scheme.predecomp = false"),
-              std::string::npos);
-    EXPECT_TRUE(ScenarioSpec::parseString(spec.toString()) == spec);
+/** A removed key is rejected like any typo: line-numbered unknown key. */
+void
+expectUnknownKeyOnLine2(const std::string &line)
+{
+    std::string key = line.substr(0, line.find(' '));
+    try {
+        ScenarioSpec::parseString("scheme = ariadne\n" + line +
+                                  "\nevent = warmup\n");
+        FAIL() << "expected SpecError for " << key;
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "line 2: unknown key '" + key + "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
 
-    // Alias and namespaced form follow the same last-line-wins rule
-    // as every other key (sweep variants override base settings
-    // whichever syntax either side uses).
-    ScenarioSpec explicit_last = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "predecomp = off\n"
-        "scheme.predecomp = on\n"
-        "event = warmup\n");
-    EXPECT_TRUE(explicit_last.params.getBool("predecomp", false));
-    ScenarioSpec alias_last = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "scheme.config = EHL-1K-2K-16K\n"
-        "ariadne = AL-1K-2K-16K\n"
-        "event = warmup\n");
-    EXPECT_EQ(alias_last.params.getString("config", ""),
-              "AL-1K-2K-16K");
+} // namespace
 
-    // Aliases of knobs the selected scheme lacks are dropped, which
-    // is how they always behaved (ZRAM ignored `hot_init_pages`).
-    ScenarioSpec zram = ScenarioSpec::parseString(
-        "scheme = zram\n"
-        "hot_init_pages = 0\n"
-        "event = warmup\n");
-    EXPECT_TRUE(zram.params.empty());
+// The memo knob and the flat aliases of scheme.* knobs are gone; the
+// namespaced `scheme.<knob>` lines are the only spelling.
+TEST(ScenarioSpec, RemovedCompressMemoKeyIsUnknown)
+{
+    expectUnknownKeyOnLine2("compress_memo = off");
+}
 
-    EXPECT_THROW(ScenarioSpec::parseString("seed_profiles = maybe\n"),
-                 SpecError);
+TEST(ScenarioSpec, RemovedAriadneAliasIsUnknown)
+{
+    expectUnknownKeyOnLine2("ariadne = EHL-1K-2K-16K");
+}
+
+TEST(ScenarioSpec, RemovedSeedProfilesAliasIsUnknown)
+{
+    expectUnknownKeyOnLine2("seed_profiles = false");
+}
+
+TEST(ScenarioSpec, RemovedPredecompAliasIsUnknown)
+{
+    expectUnknownKeyOnLine2("predecomp = off");
+}
+
+TEST(ScenarioSpec, RemovedHotInitPagesAliasIsUnknown)
+{
+    expectUnknownKeyOnLine2("hot_init_pages = 0");
 }
 
 TEST(ScenarioSpec, SchemeKnobsAreValidatedAgainstTheSchema)
@@ -452,23 +446,22 @@ TEST(ScenarioSpec, RejectsBadValues)
     EXPECT_THROW(ScenarioSpec::parseString("fleet = 0\n"), SpecError);
     EXPECT_THROW(ScenarioSpec::parseString("apps = NoSuchApp\n"),
                  SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-1K-2K\n"),
-                 SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = XXL-1K-2K-16K\n"),
-                 SpecError);
+    auto ariadne_config = [](const std::string &config) {
+        return ScenarioSpec::parseString("scheme = ariadne\n"
+                                         "scheme.config = " +
+                                         config + "\n");
+    };
+    EXPECT_THROW(ariadne_config("EHL-1K-2K"), SpecError);
+    EXPECT_THROW(ariadne_config("XXL-1K-2K-16K"), SpecError);
     // Shape is fine but the size constraints AriadneConfig::parse
     // enforces with fatal() must already fail here with SpecError.
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-16K-2K-1K\n"),
-                 SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-0-1K-2K\n"),
-                 SpecError);
+    EXPECT_THROW(ariadne_config("EHL-16K-2K-1K"), SpecError);
+    EXPECT_THROW(ariadne_config("EHL-0-1K-2K"), SpecError);
     // Oversized chunk-size tokens must become SpecError, not escape
     // as std::out_of_range.
-    EXPECT_THROW(ScenarioSpec::parseString(
-                     "ariadne = EHL-99999999999999999999K-1K-2K\n"),
+    EXPECT_THROW(ariadne_config("EHL-99999999999999999999K-1K-2K"),
                  SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString(
-                     "ariadne = EHL-1K-2K-99999999999999999999\n"),
+    EXPECT_THROW(ariadne_config("EHL-1K-2K-99999999999999999999"),
                  SpecError);
 }
 
@@ -575,7 +568,7 @@ scheme = zram
 
 variant = ariadne
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 
 variant = own-program
 scheme = dram

@@ -312,9 +312,6 @@ TEST_F(FlightTest, JourneysJsonGroupsPerPage)
 // Fleet-level invariance: gauges and histograms are fed *simulated*
 // values at simulated times, so their merged totals are functions of
 // (spec, seed) — invariant across shard splits and thread counts.
-// Compressor cache/memo rates depend on which worker ran which
-// session (caches are shared within a worker), so the `compressor.`
-// namespace is exempt, exactly as it is in perf-gate comparisons.
 // ---------------------------------------------------------------------
 
 namespace
@@ -326,7 +323,7 @@ smallSpec()
     return ScenarioSpec::parseString(R"(
 name = test-flight
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 scale = 0.0625
 seed = 11
 fleet = 4
@@ -337,19 +334,11 @@ event = end
 )");
 }
 
-bool
-isVolatileName(const std::string &name)
-{
-    return name.rfind("compressor.", 0) == 0;
-}
-
 void
 expectStableKindsEqual(const Registry::Snapshot &a,
                        const Registry::Snapshot &b)
 {
     for (const auto &g : a.gauges) {
-        if (isVolatileName(g.name))
-            continue;
         auto o = b.gauge(g.name);
         EXPECT_EQ(g.count, o.count) << g.name;
         EXPECT_EQ(g.sum, o.sum) << g.name;
@@ -359,8 +348,6 @@ expectStableKindsEqual(const Registry::Snapshot &a,
         }
     }
     for (const auto &h : a.histograms) {
-        if (isVolatileName(h.name))
-            continue;
         auto o = b.histogram(h.name);
         EXPECT_EQ(h.sum, o.sum) << h.name;
         EXPECT_EQ(h.buckets, o.buckets) << h.name;

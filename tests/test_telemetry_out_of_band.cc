@@ -28,7 +28,7 @@ smallSpec()
     return ScenarioSpec::parseString(R"(
 name = test-oob
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 scale = 0.0625
 seed = 11
 fleet = 4

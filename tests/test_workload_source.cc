@@ -32,7 +32,7 @@ recordableSpec()
     return ScenarioSpec::parseString(R"(
 name = recordable
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 scale = 0.0625
 seed = 11
 fleet = 2

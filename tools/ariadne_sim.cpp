@@ -260,12 +260,6 @@ listSchemes(std::ostream &os)
                << "          " << knob.description << "\n";
         }
     }
-    os << "\nDeprecated flat aliases still accepted: `ariadne` -> "
-          "`scheme.config`,\n"
-          "`seed_profiles`, `predecomp`, `hot_init_pages` -> the "
-          "scheme.* knobs of the\n"
-          "same name (dropped when the selected scheme lacks the "
-          "knob).\n";
 }
 
 struct Options
