@@ -23,10 +23,12 @@
 #ifndef ARIADNE_BENCH_COMMON_HH
 #define ARIADNE_BENCH_COMMON_HH
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -105,6 +107,22 @@ inline const driver::SessionResult &
 session(const driver::FleetResult &r)
 {
     return r.sessions.front();
+}
+
+/**
+ * Parse a count argument of a perf harness: digits only, so "abc",
+ * "-1" (which std::stoul wraps to 2^64 - 1) and values that do not
+ * fit @p out are rejected instead of aborting or wrapping.
+ * @return false (leaving @p out untouched) when @p text is not a
+ *         count.
+ */
+template <typename Count>
+bool
+parseCount(const char *text, Count &out)
+{
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 /** Full-scale milliseconds of a scaled relaunch measurement. */

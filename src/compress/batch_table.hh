@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "compress/codec.hh"
 

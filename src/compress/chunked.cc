@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "sim/log.hh"
-#include "telemetry/telemetry.hh"
 
 namespace ariadne
 {
@@ -12,22 +11,6 @@ namespace
 {
 
 constexpr std::uint32_t storedFlag = 0x80000000u;
-
-// Host-time cost of real decompression work (the swap-in critical
-// path), indexed by CodecKind — the decompress mirror of
-// compressor.compress.<codec>.
-telemetry::DurationProbe &
-decompressProbe(CodecKind kind)
-{
-    static telemetry::DurationProbe probes[] = {
-        telemetry::DurationProbe("codec.decompress.lz4"),
-        telemetry::DurationProbe("codec.decompress.lzo"),
-        telemetry::DurationProbe("codec.decompress.bdi"),
-        telemetry::DurationProbe("codec.decompress.null"),
-    };
-    auto i = static_cast<std::size_t>(kind);
-    return probes[i < 4 ? i : 3];
-}
 
 std::uint32_t
 readU32(const std::uint8_t *p) noexcept
@@ -105,17 +88,9 @@ std::vector<std::uint8_t>
 ChunkedFrame::compress(const Codec &codec, ConstBytes src,
                        std::size_t chunk_bytes)
 {
-    return compress(codec, src, chunk_bytes, nullptr);
-}
-
-std::vector<std::uint8_t>
-ChunkedFrame::compress(const Codec &codec, ConstBytes src,
-                       std::size_t chunk_bytes,
-                       Codec::BatchState *state)
-{
     std::vector<std::uint8_t> out;
     std::vector<std::uint8_t> scratch;
-    compressInto(codec, src, chunk_bytes, state, out, scratch);
+    compressInto(codec, src, chunk_bytes, nullptr, out, scratch);
     return out;
 }
 
@@ -171,7 +146,6 @@ std::size_t
 ChunkedFrame::decompress(const Codec &codec, ConstBytes frame,
                          MutableBytes dst)
 {
-    telemetry::ScopedTimer timer(decompressProbe(codec.kind()));
     Header h;
     if (!parse(frame, h))
         return 0;
@@ -206,48 +180,6 @@ ChunkedFrame::decompress(const Codec &codec, ConstBytes frame,
         out_off += want;
     }
     return out_off == h.originalSize ? h.originalSize : 0;
-}
-
-std::size_t
-ChunkedFrame::decompressChunk(const Codec &codec, ConstBytes frame,
-                              std::size_t index, MutableBytes dst)
-{
-    telemetry::ScopedTimer timer(decompressProbe(codec.kind()));
-    Header h;
-    if (!parse(frame, h))
-        return 0;
-    if (index >= h.chunkCount)
-        return 0;
-
-    const std::uint8_t *payload = h.payload;
-    std::size_t remaining_payload = h.payloadBytes;
-    for (std::size_t i = 0; i < index; ++i) {
-        std::size_t csize = readU32(h.sizes + i * 4) & ~storedFlag;
-        if (csize > remaining_payload)
-            return 0;
-        payload += csize;
-        remaining_payload -= csize;
-    }
-
-    std::uint32_t record = readU32(h.sizes + index * 4);
-    bool stored = (record & storedFlag) != 0;
-    std::size_t csize = record & ~storedFlag;
-    if (csize > remaining_payload)
-        return 0;
-
-    std::size_t off = index * h.chunkBytes;
-    std::size_t want = std::min(h.chunkBytes, h.originalSize - off);
-    if (dst.size() < want)
-        return 0;
-    if (stored) {
-        if (csize != want)
-            return 0;
-        std::memcpy(dst.data(), payload, csize);
-        return want;
-    }
-    std::size_t got = codec.decompress({payload, csize},
-                                       {dst.data(), want});
-    return got == want ? want : 0;
 }
 
 std::size_t

@@ -49,16 +49,11 @@ class ChunkedFrame
                                               ConstBytes src,
                                               std::size_t chunk_bytes);
 
-    /** As compress(), reusing @p state (may be null) across chunks. */
-    static std::vector<std::uint8_t> compress(const Codec &codec,
-                                              ConstBytes src,
-                                              std::size_t chunk_bytes,
-                                              Codec::BatchState *state);
-
     /**
-     * As the stateful compress(), but writing the frame into the
-     * caller-owned @p out (replaced) and reusing @p scratch (grown as
-     * needed) — no allocations once both buffers have warmed up.
+     * As compress(), but reusing @p state (may be null) across chunks,
+     * writing the frame into the caller-owned @p out (replaced) and
+     * reusing @p scratch (grown as needed) — no allocations once both
+     * buffers have warmed up.
      * @return the frame size (== out.size()).
      */
     static std::size_t compressInto(const Codec &codec, ConstBytes src,
@@ -68,21 +63,12 @@ class ChunkedFrame
                                     std::vector<std::uint8_t> &scratch);
 
     /**
-     * Decompress an entire frame into @p dst.
+     * Decompress an entire frame into @p dst (the round-trip oracle;
+     * the simulator itself never decompresses).
      * @return original size, or 0 on corrupt frame / short dst.
      */
     static std::size_t decompress(const Codec &codec, ConstBytes frame,
                                   MutableBytes dst);
-
-    /**
-     * Decompress only chunk @p index into @p dst (sized at least
-     * chunkBytes(frame)).
-     * @return chunk's decompressed size, or 0 on error.
-     */
-    static std::size_t decompressChunk(const Codec &codec,
-                                       ConstBytes frame,
-                                       std::size_t index,
-                                       MutableBytes dst);
 
     /** Original (uncompressed) size recorded in the frame; 0 if bad. */
     static std::size_t originalSize(ConstBytes frame) noexcept;

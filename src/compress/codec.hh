@@ -17,7 +17,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "sim/timing_model.hh"
 
@@ -68,7 +67,9 @@ class Codec
                                  MutableBytes dst) const = 0;
 
     /**
-     * Decompress @p src into @p dst.
+     * Decompress @p src into @p dst. No simulated path decompresses
+     * (swap-in latency comes from the TimingModel): this is the
+     * round-trip oracle that proves compress() lossless.
      * @return decompressed size, or 0 on corrupt input / short dst.
      */
     virtual std::size_t decompress(ConstBytes src,
@@ -77,9 +78,10 @@ class Codec
     /**
      * Opaque reusable per-batch codec state (match tables, scratch).
      * Obtained from makeBatchState() and fed back to the stateful
-     * compress(); reusing one state across a whole reclaim batch
-     * amortizes the per-call setup (for the LZ-family codecs, the
-     * 16-32 KB hash-table fill that otherwise dominates small pages).
+     * compress(); reusing one state across many calls (PageCompressor
+     * keeps one per codec) amortizes the per-call setup (for the
+     * LZ-family codecs, the 16-32 KB hash-table fill that otherwise
+     * dominates small pages).
      */
     class BatchState
     {
@@ -111,22 +113,6 @@ class Codec
         (void)state;
         return compress(src, dst);
     }
-
-    /**
-     * Compress srcs[i] into dsts[i] under one shared batch state.
-     * @return each compressed size (0 where a dst is under bound).
-     * Requires srcs.size() == dsts.size().
-     */
-    std::vector<std::size_t>
-    compressBatch(std::span<const ConstBytes> srcs,
-                  std::span<const MutableBytes> dsts) const;
-
-    /**
-     * Compressed size of each of @p srcs under one shared batch
-     * state, without keeping the compressed bytes.
-     */
-    std::vector<std::size_t>
-    sizeBatch(std::span<const ConstBytes> srcs) const;
 };
 
 } // namespace ariadne

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "compress/batch_table.hh"
-#include "compress/wide_copy.hh"
 
 namespace ariadne
 {
@@ -316,7 +315,10 @@ Lz4Codec::decompress(ConstBytes src, MutableBytes dst) const
         }
         if (static_cast<std::size_t>(oend - op) < match_len)
             return 0;
-        op = compress_detail::copyMatch(op, offset, match_len, oend);
+        // Byte by byte: an overlapping match (offset < length) reads
+        // bytes this copy has just written.
+        for (const std::uint8_t *ref = op - offset; match_len--;)
+            *op++ = *ref++;
     }
     return static_cast<std::size_t>(op - dst.data());
 }

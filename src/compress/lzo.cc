@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "compress/batch_table.hh"
-#include "compress/wide_copy.hh"
 
 namespace ariadne
 {
@@ -260,16 +259,6 @@ LzoCodec::decompress(ConstBytes src, MutableBytes dst) const
 
     while (ip < iend) {
         std::uint8_t flags = *ip++;
-        // All-literal group with room on both sides: one 8-byte copy
-        // replaces eight flag tests (incompressible pages hit this on
-        // nearly every group).
-        if (flags == 0 && static_cast<std::size_t>(iend - ip) >= 8 &&
-            static_cast<std::size_t>(oend - op) >= 8) {
-            std::memcpy(op, ip, 8);
-            ip += 8;
-            op += 8;
-            continue;
-        }
         for (unsigned bit = 0; bit < 8 && ip < iend; ++bit) {
             if (flags & (1u << bit)) {
                 if (iend - ip < 2)
@@ -285,7 +274,10 @@ LzoCodec::decompress(ConstBytes src, MutableBytes dst) const
                 }
                 if (static_cast<std::size_t>(oend - op) < len)
                     return 0;
-                op = compress_detail::copyMatch(op, offset, len, oend);
+                // Byte by byte: an overlapping match (offset < len)
+                // reads bytes this copy has just written.
+                for (const std::uint8_t *ref = op - offset; len--;)
+                    *op++ = *ref++;
             } else {
                 if (op >= oend)
                     return 0;

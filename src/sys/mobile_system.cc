@@ -42,8 +42,6 @@ telemetry::TimelineGauge g_compressedBytes("swap.compressed_bytes");
 telemetry::TimelineGauge g_hotPages("hotness.hot_pages");
 telemetry::TimelineGauge g_warmPages("hotness.warm_pages");
 telemetry::TimelineGauge g_coldPages("hotness.cold_pages");
-telemetry::TimelineGauge
-    g_cacheHitPermille("compressor.cache_hit_permille");
 telemetry::TimelineGauge g_cpuBusyPermille("cpu.busy_permille");
 
 // Latency distributions of *simulated* nanoseconds, with per-app
@@ -224,16 +222,8 @@ MobileSystem::sampleGauges()
         g_coldPages.sample(now, cold);
     }
 
-    auto permille = [](std::uint64_t part, std::uint64_t whole) {
-        return whole ? part * 1000 / whole : 0;
-    };
-    std::uint64_t ch = pageCompressor->cacheHits();
-    std::uint64_t cm = pageCompressor->cacheMisses();
-    if (ch + cm)
-        g_cacheHitPermille.sample(now, permille(ch, ch + cm));
     if (now)
-        g_cpuBusyPermille.sample(
-            now, permille(cpuAccount.grandTotal(), now));
+        g_cpuBusyPermille.sample(now, cpuAccount.grandTotal() * 1000 / now);
 }
 
 void

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "codec_test_util.hh"
-#include <cstring>
 
 #include "compress/chunked.hh"
 #include "compress/registry.hh"
@@ -79,36 +78,6 @@ TEST(Chunked, IncompressibleChunksStoredRaw)
     // Raw storage bounds expansion to header + table.
     EXPECT_LE(frame_size,
               src.size() + ChunkedFrame::headerBytes + 4 * 4 + 4);
-}
-
-TEST(Chunked, DecompressSingleChunk)
-{
-    auto codec = makeCodec(CodecKind::Lzo);
-    auto src = mixedBuffer(8192, 5);
-    auto frame =
-        ChunkedFrame::compress(*codec, {src.data(), src.size()}, 2048);
-    for (std::size_t i = 0; i < 4; ++i) {
-        std::vector<std::uint8_t> out(2048);
-        std::size_t got = ChunkedFrame::decompressChunk(
-            *codec, {frame.data(), frame.size()}, i,
-            {out.data(), out.size()});
-        ASSERT_EQ(got, 2048u);
-        EXPECT_EQ(0, std::memcmp(out.data(), src.data() + i * 2048,
-                                 2048));
-    }
-}
-
-TEST(Chunked, DecompressChunkOutOfRange)
-{
-    auto codec = makeCodec(CodecKind::Lz4);
-    auto src = mixedBuffer(4096, 6);
-    auto frame =
-        ChunkedFrame::compress(*codec, {src.data(), src.size()}, 4096);
-    std::vector<std::uint8_t> out(4096);
-    EXPECT_EQ(ChunkedFrame::decompressChunk(
-                  *codec, {frame.data(), frame.size()}, 1,
-                  {out.data(), out.size()}),
-              0u);
 }
 
 TEST(Chunked, RejectsBadMagic)
