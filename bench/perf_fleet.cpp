@@ -54,18 +54,21 @@ main(int argc, char **argv)
     std::size_t fleet = 16;
     unsigned threads = 0; // hardware count
     std::string out_path = "BENCH_fleet.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--fleet") && i + 1 < argc) {
-            fleet = std::stoul(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
+    bool ok = true;
+    for (int i = 1; ok && i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--fleet") && i + 1 < argc)
+            ok = bench::parseCount(argv[++i], fleet);
+        else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
+            ok = bench::parseCount(argv[++i], threads);
+        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--fleet N] [--threads T] [--out FILE]\n";
-            return 2;
-        }
+        else
+            ok = false;
+    }
+    if (!ok) {
+        std::cerr << "usage: " << argv[0]
+                  << " [--fleet N] [--threads T] [--out FILE]\n";
+        return 2;
     }
 
     telemetry::setEnabled(true);

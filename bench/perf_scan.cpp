@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "mem/page_arena.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
@@ -52,18 +53,21 @@ main(int argc, char **argv)
     std::size_t pages = 1u << 20; // a million-page arena
     std::size_t rounds = 8;
     std::string out_path = "BENCH_scan.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--pages") && i + 1 < argc) {
-            pages = std::stoul(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--rounds") && i + 1 < argc) {
-            rounds = std::stoul(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
+    bool ok = true;
+    for (int i = 1; ok && i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--pages") && i + 1 < argc)
+            ok = bench::parseCount(argv[++i], pages);
+        else if (!std::strcmp(argv[i], "--rounds") && i + 1 < argc)
+            ok = bench::parseCount(argv[++i], rounds);
+        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--pages N] [--rounds R] [--out FILE]\n";
-            return 2;
-        }
+        else
+            ok = false;
+    }
+    if (!ok) {
+        std::cerr << "usage: " << argv[0]
+                  << " [--pages N] [--rounds R] [--out FILE]\n";
+        return 2;
     }
 
     telemetry::setEnabled(true);
