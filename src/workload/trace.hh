@@ -9,14 +9,14 @@
  * so traces stay small. Binary format with a magic/version header and
  * fixed-size little-endian records; a CSV exporter aids inspection.
  *
- * Version 2 extends the format so a whole fleet run can be captured
- * once and replayed bit-identically (`ariadne_sim --record` /
- * `workload = trace`): the header carries the recording's serialized
- * ScenarioSpec, `SessionStart` records delimit fleet sessions, and the
- * primitive-op vocabulary covers everything MobileSystem executes
- * (`Execute`/`Idle` store their duration in the record's `pfn` field;
- * `Sample` marks a relaunch the driver recorded into its session
- * result). Version-1 files remain readable.
+ * The format (version 2, the only one read or written) captures a
+ * whole fleet run once for bit-identical replay (`ariadne_sim
+ * --record` / `workload = trace`): the header carries the recording's
+ * serialized ScenarioSpec, `SessionStart` records delimit fleet
+ * sessions, and the primitive-op vocabulary covers everything
+ * MobileSystem executes (`Execute`/`Idle` store their duration in the
+ * record's `pfn` field; `Sample` marks a relaunch the driver recorded
+ * into its session result).
  */
 
 #ifndef ARIADNE_WORKLOAD_TRACE_HH
@@ -43,7 +43,7 @@ enum class TraceOp : std::uint8_t
     Background = 3, //!< app moved to background
     Touch = 4,      //!< page access (allocation or reuse)
     Free = 5,       //!< page freed
-    // Version-2 ops (fleet record/replay).
+    // Fleet record/replay ops.
     Execute = 6,      //!< foreground execution; `pfn` holds the Tick
                       //!< duration
     Idle = 7,         //!< idle wall time; `pfn` holds the duration
@@ -82,7 +82,7 @@ class TraceError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Streaming writer for binary trace files (always writes v2). */
+/** Streaming writer for binary trace files. */
 class TraceWriter
 {
   public:
@@ -121,7 +121,7 @@ class TraceWriter
     bool closed = false;
 };
 
-/** Streaming reader for binary trace files (v1 and v2). */
+/** Streaming reader for binary trace files. */
 class TraceReader
 {
   public:
@@ -149,13 +149,13 @@ class TraceReader
     /** Records promised by the file header. */
     std::uint64_t count() const noexcept { return total; }
 
-    /** Format version of the file (1 or 2). */
+    /** Format version of the file (always 2). */
     std::uint32_t version() const noexcept { return fileVersion; }
 
-    /** Fleet sessions promised by the header (0 for v1 files). */
+    /** Fleet sessions promised by the header. */
     std::uint32_t sessionCount() const noexcept { return sessions; }
 
-    /** Embedded scenario text (empty for v1 or free-form traces). */
+    /** Embedded scenario text (empty for free-form traces). */
     const std::string &spec() const noexcept { return specText; }
 
   private:

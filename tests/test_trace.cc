@@ -283,16 +283,19 @@ TEST(Trace, ThrowPolicyRaisesTraceErrorInsteadOfExiting)
 
 TEST(Trace, UnsupportedVersionIsRejected)
 {
-    std::string path = tempPath("ariadne_trace_future.bin");
-    writeTrace(path, sampleRecords());
-    // Bump the on-disk version to 99.
-    std::fstream f(path,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    std::uint32_t version = 99;
-    f.write(reinterpret_cast<const char *>(&version), 4);
-    f.close();
-    EXPECT_THROW(TraceReader(path, TraceReader::OnError::Throw),
-                 TraceError);
-    std::remove(path.c_str());
+    // Only version 2 is read: the retired version 1 and a future
+    // version are both rejected.
+    for (std::uint32_t version : {1u, 99u}) {
+        std::string path = tempPath("ariadne_trace_version.bin");
+        writeTrace(path, sampleRecords());
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(4);
+        f.write(reinterpret_cast<const char *>(&version), 4);
+        f.close();
+        EXPECT_THROW(TraceReader(path, TraceReader::OnError::Throw),
+                     TraceError)
+            << "version " << version;
+        std::remove(path.c_str());
+    }
 }
