@@ -3,10 +3,10 @@
  * Property tests for the codec batch state: compressing with one
  * reused Codec::BatchState must produce byte-identical output (and
  * identical sizes) to the stateless calls, for every codec kind, in
- * any batch size and call order, directly and through the chunked
- * framing layer. This is the contract that lets PageCompressor keep
- * one state per codec for a whole session without perturbing
- * exact-mode reports.
+ * any batch size and call order, directly, through the chunked
+ * framing layer and through PageCompressor. This is the contract that
+ * lets PageCompressor keep one state per codec for a whole session
+ * without perturbing exact-mode reports.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,9 @@
 #include "compress/chunked.hh"
 #include "compress/registry.hh"
 #include "sim/types.hh"
+#include "swap/page_compressor.hh"
+#include "workload/apps.hh"
+#include "workload/page_synth.hh"
 
 using namespace ariadne;
 using namespace ariadne::testutil;
@@ -56,34 +59,94 @@ class CodecBatch : public ::testing::TestWithParam<CodecKind>
 
 } // namespace
 
-TEST_P(CodecBatch, SharedStateIsOrderInsensitive)
+TEST_P(CodecBatch, CompressBatchBytesMatchOneAtATime)
 {
-    // One BatchState reused across a whole batch, pages compressed
-    // twice in different orders: every output must equal the
-    // stateless result both times, from one-page batches up.
+    // A batch compressed in order with one BatchState, each page into
+    // its own output buffer, against the stateless one-page calls.
     auto codec = makeCodec(GetParam());
-    std::vector<std::uint8_t> dst(codec->compressBound(pageSize));
-    std::vector<std::uint8_t> solo(codec->compressBound(pageSize));
-    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{16}}) {
+    const std::size_t bound = codec->compressBound(pageSize);
+    for (std::size_t n : {std::size_t{1}, std::size_t{7},
+                          std::size_t{16}}) {
         auto pages = makePages(n);
         auto state = codec->makeBatchState();
-        auto check = [&](std::size_t i) {
-            ConstBytes src{pages[i].data(), pages[i].size()};
-            std::size_t got =
-                codec->compress(src, {dst.data(), dst.size()}, state.get());
-            std::size_t want =
-                codec->compress(src, {solo.data(), solo.size()});
-            ASSERT_EQ(got, want) << n << "-page batch, page " << i;
-            EXPECT_TRUE(std::equal(dst.begin(),
-                                   dst.begin() + static_cast<long>(got),
-                                   solo.begin()))
+        std::vector<std::vector<std::uint8_t>> outs(
+            n, std::vector<std::uint8_t>(bound));
+        std::vector<std::size_t> sizes;
+        for (std::size_t i = 0; i < n; ++i) {
+            sizes.push_back(codec->compress(
+                {pages[i].data(), pages[i].size()},
+                {outs[i].data(), outs[i].size()}, state.get()));
+        }
+
+        for (std::size_t i = 0; i < n; ++i) {
+            std::vector<std::uint8_t> solo(bound);
+            std::size_t solo_size = codec->compress(
+                {pages[i].data(), pages[i].size()},
+                {solo.data(), solo.size()});
+            ASSERT_EQ(sizes[i], solo_size)
                 << n << "-page batch, page " << i;
-        };
-        for (std::size_t i = 0; i < n; ++i)
-            check(i);
-        for (std::size_t i = n; i-- > 0;)
-            check(i);
+            EXPECT_TRUE(std::equal(
+                outs[i].begin(),
+                outs[i].begin() + static_cast<long>(sizes[i]),
+                solo.begin()))
+                << n << "-page batch, page " << i;
+        }
     }
+}
+
+TEST_P(CodecBatch, SizeBatchMatchesStatelessSizes)
+{
+    // Sizing a batch the way PageCompressor does: one BatchState and
+    // one destination buffer overwritten by every page, keeping only
+    // the sizes.
+    auto codec = makeCodec(GetParam());
+    std::vector<std::uint8_t> dst(codec->compressBound(pageSize));
+    for (std::size_t n : {std::size_t{1}, std::size_t{9}}) {
+        auto pages = makePages(n);
+        auto state = codec->makeBatchState();
+        std::vector<std::size_t> sizes;
+        for (const auto &page : pages) {
+            sizes.push_back(codec->compress({page.data(), page.size()},
+                                            {dst.data(), dst.size()},
+                                            state.get()));
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            std::vector<std::uint8_t> solo(codec->compressBound(pageSize));
+            EXPECT_EQ(sizes[i],
+                      codec->compress({pages[i].data(), pages[i].size()},
+                                      {solo.data(), solo.size()}))
+                << n << "-page batch, page " << i;
+        }
+    }
+}
+
+TEST_P(CodecBatch, SharedStateIsOrderInsensitive)
+{
+    // One BatchState reused across the whole batch, pages compressed
+    // twice in different orders: every output must equal the
+    // stateless result both times.
+    auto codec = makeCodec(GetParam());
+    auto pages = makePages(6);
+    auto state = codec->makeBatchState();
+    std::vector<std::uint8_t> dst(codec->compressBound(pageSize));
+    std::vector<std::uint8_t> solo(codec->compressBound(pageSize));
+
+    auto check = [&](std::size_t i) {
+        ConstBytes src{pages[i].data(), pages[i].size()};
+        std::size_t got =
+            codec->compress(src, {dst.data(), dst.size()}, state.get());
+        std::size_t want =
+            codec->compress(src, {solo.data(), solo.size()});
+        ASSERT_EQ(got, want) << "page " << i;
+        EXPECT_TRUE(std::equal(dst.begin(),
+                               dst.begin() + static_cast<long>(got),
+                               solo.begin()))
+            << "page " << i;
+    };
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        check(i);
+    for (std::size_t i = pages.size(); i-- > 0;)
+        check(i);
 }
 
 TEST_P(CodecBatch, ChunkedFrameStatefulMatchesStateless)
@@ -102,6 +165,39 @@ TEST_P(CodecBatch, ChunkedFrameStatefulMatchesStateless)
             EXPECT_EQ(out, plain);
         }
     }
+}
+
+TEST_P(CodecBatch, CompressedSizeEachMatchesOne)
+{
+    // Each page sized as a one-page unit through one PageCompressor,
+    // whose per-codec state has seen every earlier page, against a
+    // fresh compressor per page.
+    PageSynthesizer synth(standardApps());
+    auto codec = makeCodec(GetParam());
+
+    std::vector<PageRef> pages;
+    for (std::uint32_t i = 0; i < 24; ++i)
+        pages.push_back(PageRef{PageKey{1000 + (i % 3), i * 17}, i % 2});
+
+    PageCompressor warm(synth);
+    std::vector<std::size_t> sizes;
+    for (const auto &page : pages)
+        sizes.push_back(warm.compressedSize({&page, 1}, *codec, 1024));
+
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        PageCompressor one(synth);
+        EXPECT_EQ(sizes[i], one.compressedSize({&pages[i], 1}, *codec, 1024))
+            << "page " << i;
+    }
+
+    // Nothing is cached: a re-run compresses every page again and
+    // returns the same sizes.
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        EXPECT_EQ(warm.compressedSize({&pages[i], 1}, *codec, 1024),
+                  sizes[i])
+            << "page " << i;
+    }
+    EXPECT_EQ(warm.bytesCompressed(), 2 * pages.size() * pageSize);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -65,6 +65,17 @@ TEST_F(PageCompressorTest, EmptyUnitIsZero)
 
 TEST_F(PageCompressorTest, TracksCompressedVolume)
 {
+    std::vector<PageRef> pages;
+    for (Pfn pfn = 5; pfn < 9; ++pfn)
+        pages.push_back(PageRef{{0, pfn}, 0});
+    sizeOne(pages[0], *lzo, pageSize);
+    EXPECT_EQ(compressor.bytesCompressed(), pageSize);
+    compressor.compressedSize(pages, *lz4, 16384);
+    EXPECT_EQ(compressor.bytesCompressed(), 5 * pageSize);
+}
+
+TEST_F(PageCompressorTest, RepeatCallReturnsSameSize)
+{
     // Nothing is cached: a repeated call compresses again, returns the
     // same size, and counts the unit's bytes again.
     std::vector<PageRef> pages;
