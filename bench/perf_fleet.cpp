@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bench_common.hh"
+#include "sim/parse_count.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
 
@@ -57,9 +58,9 @@ main(int argc, char **argv)
     bool ok = true;
     for (int i = 1; ok && i < argc; ++i) {
         if (!std::strcmp(argv[i], "--fleet") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], fleet);
+            ok = parseCount(argv[++i], fleet) == std::errc();
         else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], threads);
+            ok = parseCount(argv[++i], threads) == std::errc();
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
         else

@@ -22,10 +22,10 @@
 #include <iostream>
 #include <string>
 
-#include "bench_common.hh"
 #include "compress/chunked.hh"
 #include "compress/codec.hh"
 #include "compress/registry.hh"
+#include "sim/parse_count.hh"
 #include "swap/page_compressor.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     bool ok = true;
     for (int i = 1; ok && i < argc; ++i) {
         if (!std::strcmp(argv[i], "--pages") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], pages);
+            ok = parseCount(argv[++i], pages) == std::errc();
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
         else

@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "mem/lru_list.hh"
 #include "mem/page_arena.hh"
+#include "sim/parse_count.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
 
@@ -54,9 +54,9 @@ main(int argc, char **argv)
     bool ok = true;
     for (int i = 1; ok && i < argc; ++i) {
         if (!std::strcmp(argv[i], "--pages") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], pages);
+            ok = parseCount(argv[++i], pages) == std::errc();
         else if (!std::strcmp(argv[i], "--rounds") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], rounds);
+            ok = parseCount(argv[++i], rounds) == std::errc();
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
         else
@@ -82,7 +82,7 @@ main(int argc, char **argv)
     PageArena arena;
     std::vector<PageMeta *> dir(pages, nullptr);
     PfnBitmap capture;
-    Counter lru_ops;
+    std::uint64_t lru_ops = 0;
     LruList list(&lru_ops);
     auto total_start = std::chrono::steady_clock::now();
 

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "mem/page_arena.hh"
+#include "sim/parse_count.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
 
@@ -56,9 +56,9 @@ main(int argc, char **argv)
     bool ok = true;
     for (int i = 1; ok && i < argc; ++i) {
         if (!std::strcmp(argv[i], "--pages") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], pages);
+            ok = parseCount(argv[++i], pages) == std::errc();
         else if (!std::strcmp(argv[i], "--rounds") && i + 1 < argc)
-            ok = bench::parseCount(argv[++i], rounds);
+            ok = parseCount(argv[++i], rounds) == std::errc();
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
         else

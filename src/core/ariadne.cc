@@ -10,7 +10,7 @@ AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
     : SwapScheme(context), cfg(config), codec(makeCodec(cfg.codec)),
       pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
       profiles(cfg.defaultHotInitPages),
-      hotOrg(&lruOpCounter, profiles, context.arena), units(cfg),
+      hotOrg(&lruOpCount, profiles, context.arena), units(cfg),
       stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0,
                  context.arena)
 {
@@ -47,8 +47,6 @@ ariadneSchemeInfo()
          "predictive pre-decompression (the D3 ablation axis)"},
         {"predecomp_buffer_pages", "u64", "8",
          "staging-buffer capacity in pages"},
-        {"predecomp_depth", "u64", "1",
-         "pages pre-decompressed per trigger"},
         {"hot_init_pages", "u64", "4096",
          "fallback hot-list seed when no profile exists (the D1 "
          "ablation axis)"},
@@ -77,8 +75,6 @@ ariadneSchemeInfo()
             params.getBool("predecomp", ac.preDecompEnabled);
         ac.preDecompBufferPages = params.getU64(
             "predecomp_buffer_pages", ac.preDecompBufferPages);
-        ac.preDecompDepth =
-            params.getU64("predecomp_depth", ac.preDecompDepth);
         ac.defaultHotInitPages = params.getU64(
             "hot_init_pages", ac.defaultHotInitPages);
         // `seed_profiles` is schema-validated here but consumed by

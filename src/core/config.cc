@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/log.hh"
+#include "sim/parse_count.hh"
 
 namespace ariadne
 {
@@ -36,27 +37,19 @@ parseSizeToken(const std::string &tok, std::size_t &out,
         mult = 1024;
         digits = tok.substr(0, tok.size() - 1);
     }
-    if (digits.empty()) {
-        error = "bad size token: " + tok;
-        return false;
-    }
-    for (char c : digits) {
-        if (c < '0' || c > '9') {
-            error = "bad size token: " + tok;
-            return false;
-        }
-    }
-    try {
-        auto v = static_cast<std::size_t>(std::stoull(digits));
-        if (v > std::numeric_limits<std::size_t>::max() / mult) {
-            error = "size token out of range: " + tok;
-            return false;
-        }
-        out = v * mult;
-    } catch (const std::out_of_range &) {
+    std::size_t v = 0;
+    std::errc ec = parseCount(digits, v);
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() &&
+         v > std::numeric_limits<std::size_t>::max() / mult)) {
         error = "size token out of range: " + tok;
         return false;
     }
+    if (ec != std::errc()) {
+        error = "bad size token: " + tok;
+        return false;
+    }
+    out = v * mult;
     return true;
 }
 

@@ -52,8 +52,6 @@ struct AriadneConfig
     bool preDecompEnabled = true;
     /** Staging-buffer capacity in pages (paper: small FIFO). */
     std::size_t preDecompBufferPages = 8;
-    /** Pages pre-decompressed per trigger (paper: exactly one). */
-    std::size_t preDecompDepth = 1;
 
     /** Fallback hot-list seed when no profile exists (pages). */
     std::size_t defaultHotInitPages = 4096;

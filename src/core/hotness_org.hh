@@ -23,13 +23,13 @@
 #ifndef ARIADNE_CORE_HOTNESS_ORG_HH
 #define ARIADNE_CORE_HOTNESS_ORG_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/profile_store.hh"
 #include "mem/lru_list.hh"
 #include "mem/page_arena.hh"
-#include "sim/stats.hh"
 
 namespace ariadne
 {
@@ -39,14 +39,14 @@ class HotnessOrg
 {
   public:
     /**
-     * @param op_counter Shared LRU operation counter (CPU charging).
+     * @param op_count Shared LRU operation count (CPU charging).
      * @param profiles Hot-set size estimates for initialization.
      * @param page_arena Arena owning the pages' SoA scan metadata
      *        (hotness levels live there, not in PageMeta).
      */
-    HotnessOrg(Counter *op_counter, ProfileStore &profiles,
+    HotnessOrg(std::uint64_t *op_count, ProfileStore &profiles,
                PageArena &page_arena)
-        : ops(op_counter), profileStore(profiles), arena(page_arena)
+        : ops(op_count), profileStore(profiles), arena(page_arena)
     {}
 
     /** New resident page admitted (first allocation). */
@@ -110,7 +110,7 @@ class HotnessOrg
   private:
     struct AppLists
     {
-        AppLists(AppId uid_, Counter *ops)
+        AppLists(AppId uid_, std::uint64_t *ops)
             : uid(uid_), hot(ops), warm(ops), cold(ops)
         {}
 
@@ -134,7 +134,7 @@ class HotnessOrg
     LruList &listOf(AppLists &app, Hotness level);
     void noteRelaunchTouch(AppLists &app, const PageMeta &page);
 
-    Counter *ops;
+    std::uint64_t *ops;
     ProfileStore &profileStore;
     PageArena &arena;
     /** Sorted by uid. LruList is address-stable (intrusive heads), so

@@ -28,7 +28,7 @@ telemetry::DurationProbe d_session("fleet.session");
 
 void
 writeSummary(JsonWriter &w, const std::string &name,
-             const MetricSummary &m, PercentileMode mode)
+             const MetricSummary &m, report::PercentileMode mode)
 {
     w.key(name);
     w.beginObject();
@@ -39,7 +39,7 @@ writeSummary(JsonWriter &w, const std::string &name,
     w.field("p50", m.p50);
     w.field("p90", m.p90);
     w.field("p99", m.p99);
-    if (mode == PercentileMode::Sketch)
+    if (mode == report::PercentileMode::Sketch)
         w.field("rankErrorBound", m.rankErrorBound);
     w.endObject();
 }
@@ -452,7 +452,7 @@ FleetResult::writeJson(JsonWriter &w, bool per_session) const
     w.field("scale", scale);
     w.field("seed", seed);
     w.field("fleet", fleet);
-    w.field("percentiles", percentileModeName(percentiles));
+    w.field("percentiles", report::percentileModeName(percentiles));
     w.field("totalRelaunches", totalRelaunches);
     w.field("totalStagedHits", totalStagedHits);
     w.field("totalMajorFaults", totalMajorFaults);

@@ -66,7 +66,7 @@ struct FleetResult
     std::size_t fleet = 0;
     /** How percentiles were aggregated (exact vectors or sketch);
      * sketch-mode summaries carry their rank-error bounds. */
-    PercentileMode percentiles = PercentileMode::Exact;
+    report::PercentileMode percentiles = report::PercentileMode::Exact;
 
     /** Per-session records; only populated when the run was asked to
      * keep them (they defeat streaming aggregation's O(threads)

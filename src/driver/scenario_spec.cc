@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "driver/json_writer.hh"
+#include "sim/parse_count.hh"
 #include "sim/rng.hh"
 #include "swap/scheme_registry.hh"
 #include "sys/session.hh"
@@ -61,16 +62,13 @@ std::uint64_t
 parseU64(const std::string &text, std::size_t line,
          const std::string &what)
 {
-    if (text.empty() ||
-        !std::all_of(text.begin(), text.end(), [](unsigned char c) {
-            return std::isdigit(c);
-        }))
-        bad(line, "invalid " + what + " '" + text + "'");
-    try {
-        return std::stoull(text);
-    } catch (const std::out_of_range &) {
+    std::uint64_t v = 0;
+    std::errc ec = parseCount(text, v);
+    if (ec == std::errc::result_out_of_range)
         bad(line, what + " out of range: '" + text + "'");
-    }
+    if (ec != std::errc())
+        bad(line, "invalid " + what + " '" + text + "'");
+    return v;
 }
 
 double
@@ -328,18 +326,15 @@ parseSchemeName(const std::string &text)
 Tick
 parseDuration(const std::string &text)
 {
-    std::size_t digits = 0;
-    while (digits < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[digits])))
-        ++digits;
-    if (digits == 0)
-        throw SpecError("invalid duration '" + text + "'");
-    std::uint64_t n;
-    try {
-        n = std::stoull(text.substr(0, digits));
-    } catch (const std::out_of_range &) {
+    std::size_t digits =
+        std::min(text.find_first_not_of("0123456789"), text.size());
+    std::uint64_t n = 0;
+    std::errc ec =
+        parseCount(std::string_view(text).substr(0, digits), n);
+    if (ec == std::errc::result_out_of_range)
         throw SpecError("duration out of range: '" + text + "'");
-    }
+    if (ec != std::errc())
+        throw SpecError("invalid duration '" + text + "'");
     std::string suffix = text.substr(digits);
     std::uint64_t mult;
     if (suffix.empty() || suffix == "ns")
@@ -430,10 +425,10 @@ ScenarioSpec::toString() const
     os << "scale = " << JsonWriter::formatDouble(scale) << "\n";
     os << "seed = " << seed << "\n";
     os << "fleet = " << fleet << "\n";
-    if (percentiles != PercentileMode::Exact) {
+    if (percentiles != report::PercentileMode::Exact) {
         // Sketch mode spells out its buffer size, so a round-trip
         // never depends on the struct's default.
-        os << "percentiles = " << percentileModeName(percentiles)
+        os << "percentiles = " << report::percentileModeName(percentiles)
            << "\n";
         os << "sketch_k = " << sketchK << "\n";
     }
@@ -604,7 +599,7 @@ SpecParser::Impl::validateWorkload()
     };
 
     if (seenKeys.count("sketch_k") &&
-        spec.percentiles != PercentileMode::Sketch)
+        spec.percentiles != report::PercentileMode::Sketch)
         bad(line_of("sketch_k"),
             "'sketch_k' requires percentiles = sketch");
 
@@ -736,21 +731,31 @@ SpecParser::Impl::feed(const std::string &raw, std::size_t lineno)
             if (spec.fleet == 0)
                 bad(lineno, "fleet size must be >= 1");
         } else if (key == "percentiles") {
-            auto mode = parsePercentileModeName(value);
+            auto mode = report::parsePercentileModeName(value);
             if (!mode)
                 bad(lineno, "unknown percentiles mode '" + value +
                                 "' (exact|sketch)");
             spec.percentiles = *mode;
         } else if (key == "sketch_k") {
             std::uint64_t v = parseU64(value, lineno, "sketch_k");
-            if (v < PercentileSketch::minK)
+            if (v < report::PercentileSketch::minK)
                 bad(lineno, "sketch_k must be >= " +
-                                std::to_string(PercentileSketch::minK) +
+                                std::to_string(
+                                    report::PercentileSketch::minK) +
                                 ", got '" + value + "'");
             spec.sketchK = v;
         } else if (key == "timeline_interval_ms") {
-            spec.timelineIntervalMs =
+            // MobileSystem samples every N * 10^6 simulated ns; a
+            // larger N would wrap the 64-bit Tick.
+            constexpr std::uint64_t max_ms =
+                std::numeric_limits<Tick>::max() / 1'000'000;
+            std::uint64_t v =
                 parseU64(value, lineno, "timeline_interval_ms");
+            if (v > max_ms)
+                bad(lineno, "timeline_interval_ms must be <= " +
+                                std::to_string(max_ms) + ", got '" +
+                                value + "'");
+            spec.timelineIntervalMs = v;
         } else if (key == "journey_sample") {
             std::uint64_t v =
                 parseU64(value, lineno, "journey_sample");

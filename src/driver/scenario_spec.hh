@@ -68,7 +68,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/stats.hh"
+#include "report/metric_state.hh"
 #include "sys/system_config.hh"
 #include "workload/app_model.hh"
 
@@ -199,9 +199,9 @@ struct ScenarioSpec
      * within its tracked rank-error bound) — the mode for
      * million-session fleets and their shards.
      */
-    PercentileMode percentiles = PercentileMode::Exact;
+    report::PercentileMode percentiles = report::PercentileMode::Exact;
     /** Sketch buffer size (`sketch_k = N`, sketch mode only). */
-    std::size_t sketchK = PercentileSketch::defaultK;
+    std::size_t sketchK = report::PercentileSketch::defaultK;
 
     /** Default gauge-sampling cadence (`timeline_interval_ms`). */
     static constexpr std::size_t defaultTimelineIntervalMs = 1000;
@@ -210,7 +210,8 @@ struct ScenarioSpec
 
     /**
      * Flight-recorder cadence (`timeline_interval_ms = N`, default
-     * 1000, 0 = off): how often, in simulated milliseconds, each
+     * 1000, 0 = off, at most 18446744073709 so that N * 10^6 ns fits
+     * a 64-bit Tick): how often, in simulated milliseconds, each
      * session samples its gauges (zram/flash occupancy, free pages,
      * hotness populations, ...) for `--metrics` summaries and
      * `--timeline` series. Observability-only: sampling reads state,

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace ariadne

@@ -11,10 +11,10 @@
 #define ARIADNE_MEM_LRU_LIST_HH
 
 #include <cstddef>
+#include <cstdint>
 
 #include "mem/page.hh"
 #include "sim/log.hh"
-#include "sim/stats.hh"
 
 namespace ariadne
 {
@@ -28,11 +28,11 @@ class LruList
 {
   public:
     /**
-     * @param op_counter Optional shared counter incremented once per
-     * list mutation (used to account list-op CPU cost).
+     * @param op_count Optional shared count incremented once per list
+     * mutation (used to account list-op CPU cost).
      */
-    explicit LruList(Counter *op_counter = nullptr) noexcept
-        : ops(op_counter)
+    explicit LruList(std::uint64_t *op_count = nullptr) noexcept
+        : ops(op_count)
     {}
 
     LruList(const LruList &) = delete;
@@ -157,13 +157,13 @@ class LruList
     void countOp() noexcept
     {
         if (ops)
-            ops->inc();
+            ++*ops;
     }
 
     PageMeta *head = nullptr;
     PageMeta *tail = nullptr;
     std::size_t count = 0;
-    Counter *ops;
+    std::uint64_t *ops;
 };
 
 } // namespace ariadne

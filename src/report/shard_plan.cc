@@ -1,31 +1,9 @@
 #include "report/shard_plan.hh"
 
-#include <algorithm>
-#include <cctype>
+#include "sim/parse_count.hh"
 
 namespace ariadne::report
 {
-
-namespace
-{
-
-bool
-parseCount(const std::string &text, std::size_t &out)
-{
-    if (text.empty() ||
-        !std::all_of(text.begin(), text.end(), [](unsigned char c) {
-            return std::isdigit(c);
-        }))
-        return false;
-    try {
-        out = std::stoull(text);
-    } catch (const std::out_of_range &) {
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 ShardPlan
 ShardPlan::parse(const std::string &text)
@@ -39,8 +17,9 @@ ShardPlan::parse(const std::string &text)
     if (slash == std::string::npos)
         return fail("missing '/'");
     ShardPlan plan;
-    if (!parseCount(text.substr(0, slash), plan.index) ||
-        !parseCount(text.substr(slash + 1), plan.count))
+    std::string_view spec = text;
+    if (parseCount(spec.substr(0, slash), plan.index) != std::errc() ||
+        parseCount(spec.substr(slash + 1), plan.count) != std::errc())
         return fail("INDEX and COUNT must be decimal integers");
     if (plan.count == 0)
         return fail("COUNT must be >= 1");

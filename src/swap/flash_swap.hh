@@ -49,7 +49,7 @@ class FlashSwapScheme : public SwapScheme
   private:
     struct AppState
     {
-        AppState(AppId uid_, Counter *ops)
+        AppState(AppId uid_, std::uint64_t *ops)
             : uid(uid_), resident(ops)
         {}
         AppId uid;

@@ -94,7 +94,7 @@ void
 SwapScheme::chargeLruOps(bool synchronous)
 {
     (void)synchronous;
-    std::uint64_t now = lruOpCounter.value();
+    std::uint64_t now = lruOpCount;
     if (now <= chargedLruOps)
         return;
     Tick t = (now - chargedLruOps) * ctx.timing.params().lruOpNs;

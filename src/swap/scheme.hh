@@ -27,7 +27,6 @@
 #include "sim/clock.hh"
 #include "sim/cpu_account.hh"
 #include "sim/energy_model.hh"
-#include "sim/stats.hh"
 #include "sim/timing_model.hh"
 #include "swap/page_compressor.hh"
 
@@ -178,7 +177,7 @@ class SwapScheme
     std::uint64_t directReclaims() const noexcept { return directRuns; }
 
     /** LRU list operations performed by this scheme. */
-    std::uint64_t lruOps() const noexcept { return lruOpCounter.value(); }
+    std::uint64_t lruOps() const noexcept { return lruOpCount; }
 
     /**
      * CPU spent in proactive background reclaim (onBackground work:
@@ -216,7 +215,7 @@ class SwapScheme
 
     SwapContext ctx;
     std::map<AppId, CompStats> perApp;
-    Counter lruOpCounter;
+    std::uint64_t lruOpCount = 0;
     std::uint64_t lost = 0;
     std::uint64_t directRuns = 0;
     Tick bgReclaimNs = 0;

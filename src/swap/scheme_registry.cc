@@ -5,6 +5,7 @@
 
 #include "core/ariadne.hh"
 #include "sim/log.hh"
+#include "sim/parse_count.hh"
 #include "swap/dram_only.hh"
 #include "swap/flash_swap.hh"
 #include "swap/zram.hh"
@@ -90,16 +91,13 @@ SchemeParams::getU64(const std::string &key, std::uint64_t def) const
     const std::string *v = raw(key);
     if (!v)
         return def;
-    if (v->empty() ||
-        !std::all_of(v->begin(), v->end(), [](unsigned char c) {
-            return std::isdigit(c);
-        }))
-        badValue(key, *v, "a non-negative integer");
-    try {
-        return std::stoull(*v);
-    } catch (const std::out_of_range &) {
+    std::uint64_t n = 0;
+    std::errc ec = parseCount(*v, n);
+    if (ec == std::errc::result_out_of_range)
         badValue(key, *v, "an integer within 64 bits");
-    }
+    if (ec != std::errc())
+        badValue(key, *v, "a non-negative integer");
+    return n;
 }
 
 double

@@ -123,7 +123,7 @@ ZramScheme::stateFor(AppId uid)
     if (it != appStates.end() && (*it)->uid == uid)
         return **it;
     return **appStates.insert(
-        it, std::make_unique<AppState>(uid, &lruOpCounter));
+        it, std::make_unique<AppState>(uid, &lruOpCount));
 }
 
 ZramScheme::AppState *

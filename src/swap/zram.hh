@@ -101,7 +101,7 @@ class ZramScheme : public SwapScheme
   private:
     struct AppState
     {
-        AppState(AppId uid_, Counter *ops)
+        AppState(AppId uid_, std::uint64_t *ops)
             : uid(uid_), resident(ops)
         {}
         AppId uid;

@@ -1,7 +1,6 @@
 #include "telemetry/telemetry.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "sim/log.hh"
 
@@ -219,73 +218,6 @@ Registry::Snapshot::histogram(const std::string &name) const noexcept
     HistogramValue h;
     h.name = name;
     return h;
-}
-
-void
-Registry::Snapshot::merge(const Snapshot &o)
-{
-    std::map<std::string, CounterValue> cs;
-    for (const CounterValue &c : counters)
-        cs[c.name] = c;
-    for (const CounterValue &c : o.counters) {
-        auto [it, inserted] = cs.emplace(c.name, c);
-        if (!inserted)
-            it->second.value += c.value;
-    }
-    counters.clear();
-    for (auto &[name, c] : cs)
-        counters.push_back(std::move(c));
-
-    std::map<std::string, DurationValue> ds;
-    for (const DurationValue &d : durations)
-        ds[d.name] = d;
-    for (const DurationValue &d : o.durations) {
-        auto [it, inserted] = ds.emplace(d.name, d);
-        if (!inserted) {
-            it->second.count += d.count;
-            it->second.totalNs += d.totalNs;
-        }
-    }
-    durations.clear();
-    for (auto &[name, d] : ds)
-        durations.push_back(std::move(d));
-
-    std::map<std::string, GaugeValue> gs;
-    for (const GaugeValue &g : gauges)
-        gs[g.name] = g;
-    for (const GaugeValue &g : o.gauges) {
-        auto [it, inserted] = gs.emplace(g.name, g);
-        if (inserted || g.count == 0)
-            continue;
-        GaugeValue &m = it->second;
-        if (m.count == 0) {
-            m.min = g.min;
-            m.max = g.max;
-        } else {
-            m.min = std::min(m.min, g.min);
-            m.max = std::max(m.max, g.max);
-        }
-        m.count += g.count;
-        m.sum += g.sum;
-    }
-    gauges.clear();
-    for (auto &[name, g] : gs)
-        gauges.push_back(std::move(g));
-
-    std::map<std::string, HistogramValue> hs;
-    for (const HistogramValue &h : histograms)
-        hs[h.name] = h;
-    for (const HistogramValue &h : o.histograms) {
-        auto [it, inserted] = hs.emplace(h.name, h);
-        if (inserted)
-            continue;
-        for (std::size_t b = 0; b < histogramBuckets; ++b)
-            it->second.buckets[b] += h.buckets[b];
-        it->second.sum += h.sum;
-    }
-    histograms.clear();
-    for (auto &[name, h] : hs)
-        histograms.push_back(std::move(h));
 }
 
 } // namespace ariadne::telemetry

@@ -15,9 +15,7 @@
  * enabled counter increment is a single relaxed fetch_add into the
  * calling thread's own shard (uncontended, no locks). Shards merge on
  * finalize: snapshot() sums every thread's slots, so the totals are
- * associative across any thread split — the same property PR 5's
- * MetricState gives sharded fleet runs, which is what will let a
- * future fleet launcher fold workers' metrics files together.
+ * the same for any thread split.
  *
  * Naming convention: `subsystem.verb` (e.g. `sys.touch`,
  * `kswapd.wakeup`, `compressor.compress.lzo`). Counters, durations,
@@ -277,11 +275,6 @@ class Registry
         /** Histogram record for @p name (zeros when absent). */
         HistogramValue
         histogram(const std::string &name) const noexcept;
-
-        /** Fold @p o into this by name (counters/durations/histogram
-         * buckets add; gauge min/max widen) — the cross-shard merge a
-         * distributed launcher performs on workers' metrics. */
-        void merge(const Snapshot &o);
     };
 
     /** Merge-on-finalize: sum every thread's shard per slot. */

@@ -216,11 +216,11 @@ TEST(FleetRunner, StreamingAggregateMatchesBatchPercentiles)
     // Recompute the relaunch aggregate the pre-streaming way — all
     // samples collected in session order, then summarized — and
     // demand exact equality with the streaming fold.
-    Distribution relaunch_ms;
+    report::MetricState relaunch_ms;
     for (const SessionResult &s : kept.sessions)
         for (const auto &sample : s.relaunches)
             relaunch_ms.sample(sample.fullScaleMs);
-    MetricSummary batch = MetricSummary::of(relaunch_ms);
+    MetricSummary batch = relaunch_ms.summarize();
     EXPECT_EQ(streamed.relaunchMs.samples, batch.samples);
     EXPECT_EQ(streamed.relaunchMs.mean, batch.mean);
     EXPECT_EQ(streamed.relaunchMs.min, batch.min);

@@ -26,7 +26,7 @@ class HotnessOrgTest : public ::testing::Test
         return *p;
     }
 
-    Counter ops;
+    std::uint64_t ops = 0;
     ProfileStore profiles{4};
     PageArena arena;
     HotnessOrg org;
@@ -169,8 +169,8 @@ TEST_F(HotnessOrgTest, PopVictimFromSpecificApp)
 
 TEST_F(HotnessOrgTest, ListOperationsAreCounted)
 {
-    std::uint64_t before = ops.value();
+    std::uint64_t before = ops;
     for (Pfn i = 0; i < 8; ++i)
         org.admit(page(1, i), i);
-    EXPECT_GE(ops.value() - before, 8u);
+    EXPECT_GE(ops - before, 8u);
 }

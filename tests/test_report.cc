@@ -1,9 +1,15 @@
 /** @file Unit tests for the report subsystem: JSON reader, shard
- * plans, metric states, partial reports and the merger. */
+ * plans, metric states, percentile sketches, partial reports and the
+ * merger. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "driver/json_writer.hh"
 #include "report/json_reader.hh"
@@ -200,6 +206,241 @@ TEST(MetricState, MergeRejectsMismatchedModes)
     sketch.sample(1.0);
     EXPECT_THROW(exact.merge(sketch), ReportError);
     EXPECT_THROW(sketch.merge(sketch64), ReportError);
+}
+
+TEST(MetricState, ExactSummaryOfAKnownDistribution)
+{
+    MetricState d(PercentileMode::Exact);
+    for (int i = 100; i >= 1; --i) // reverse order: summarize() sorts
+        d.sample(static_cast<double>(i));
+    MetricSummary s = d.summarize();
+    EXPECT_EQ(s.samples, 100u);
+    EXPECT_DOUBLE_EQ(s.min, 1.0);
+    EXPECT_DOUBLE_EQ(s.max, 100.0);
+    EXPECT_DOUBLE_EQ(s.mean, 50.5);
+    // Nearest rank: ceil(p * n)-th smallest.
+    EXPECT_DOUBLE_EQ(s.p50, 50.0);
+    EXPECT_DOUBLE_EQ(s.p90, 90.0);
+    EXPECT_DOUBLE_EQ(s.p99, 99.0);
+    EXPECT_EQ(s.rankErrorBound, 0u);
+}
+
+TEST(MetricState, ExactSummaryOfSingleSampleAndEmpty)
+{
+    MetricState d(PercentileMode::Exact);
+    MetricSummary empty = d.summarize();
+    EXPECT_EQ(empty.samples, 0u);
+    EXPECT_DOUBLE_EQ(empty.mean, 0.0);
+    EXPECT_DOUBLE_EQ(empty.min, 0.0);
+    EXPECT_DOUBLE_EQ(empty.max, 0.0);
+    EXPECT_DOUBLE_EQ(empty.p50, 0.0);
+    d.sample(7.0);
+    MetricSummary one = d.summarize();
+    EXPECT_EQ(one.samples, 1u);
+    EXPECT_DOUBLE_EQ(one.mean, 7.0);
+    EXPECT_DOUBLE_EQ(one.min, 7.0);
+    EXPECT_DOUBLE_EQ(one.max, 7.0);
+    EXPECT_DOUBLE_EQ(one.p50, 7.0);
+    EXPECT_DOUBLE_EQ(one.p90, 7.0);
+    EXPECT_DOUBLE_EQ(one.p99, 7.0);
+}
+
+TEST(MetricState, ExactMeanIsSummedInFoldOrder)
+{
+    // 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3 in binary floating
+    // point: the merged running total differs from the fold-order
+    // sum, and only the latter reproduces the unsharded report.
+    MetricState a(PercentileMode::Exact), b(PercentileMode::Exact);
+    a.sample(0.1);
+    b.sample(0.2);
+    b.sample(0.3);
+    a.merge(b);
+    double fold_order = (0.1 + 0.2) + 0.3;
+    EXPECT_NE(a.sum(), fold_order);
+    EXPECT_EQ(a.summarize().mean, fold_order / 3.0);
+}
+
+// --- Percentile sketch ----------------------------------------------
+
+namespace
+{
+
+/**
+ * Worst-case distance between the true rank interval of the value the
+ * sketch returned for percentile @p p and the nearest-rank target —
+ * the quantity PercentileSketch::rankErrorBound bounds.
+ */
+std::uint64_t
+rankError(const std::vector<double> &sorted, double p, double value)
+{
+    auto n = static_cast<double>(sorted.size());
+    auto target = static_cast<std::uint64_t>(std::ceil(p * n));
+    if (target == 0)
+        target = 1;
+    auto lo = static_cast<std::uint64_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), value) -
+        sorted.begin()); // samples strictly below `value`
+    auto hi = static_cast<std::uint64_t>(
+        std::upper_bound(sorted.begin(), sorted.end(), value) -
+        sorted.begin()); // samples <= `value`
+    if (target >= lo + 1 && target <= hi)
+        return 0;
+    return target < lo + 1 ? (lo + 1) - target : target - hi;
+}
+
+/** Nearest-rank percentile of @p sorted: the ceil(p * n)-th smallest
+ * sample, the first one for p = 0. */
+double
+nearestRank(const std::vector<double> &sorted, double p)
+{
+    auto rank = static_cast<std::size_t>(
+        std::ceil(p * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+void
+expectWithinBound(const std::vector<double> &data,
+                  const PercentileSketch &sk)
+{
+    std::vector<double> sorted = data;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        double v = sk.percentile(p);
+        EXPECT_LE(rankError(sorted, p, v), sk.rankErrorBound())
+            << "p=" << p << " value=" << v;
+    }
+}
+
+} // namespace
+
+TEST(PercentileSketch, ExactUntilFirstCompaction)
+{
+    PercentileSketch sk(64);
+    std::vector<double> sorted;
+    for (int i = 0; i < 63; ++i) {
+        sk.sample(static_cast<double>((i * 37) % 63));
+        sorted.push_back(static_cast<double>((i * 37) % 63));
+    }
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sk.rankErrorBound(), 0u);
+    for (double p : {0.0, 0.25, 0.5, 0.9, 1.0})
+        EXPECT_DOUBLE_EQ(sk.percentile(p), nearestRank(sorted, p));
+}
+
+TEST(PercentileSketch, EmptyAndClampedQueries)
+{
+    PercentileSketch sk;
+    EXPECT_DOUBLE_EQ(sk.percentile(0.5), 0.0);
+    sk.sample(7.0);
+    EXPECT_DOUBLE_EQ(sk.percentile(-1.0), 7.0);
+    EXPECT_DOUBLE_EQ(sk.percentile(2.0), 7.0);
+    EXPECT_DOUBLE_EQ(
+        sk.percentile(std::numeric_limits<double>::quiet_NaN()), 7.0);
+}
+
+TEST(PercentileSketch, BoundHoldsOnAdversarialInputs)
+{
+    // Patterns chosen to stress the compactors: sorted, reversed,
+    // constant runs, alternating extremes, and a sawtooth.
+    const std::size_t n = 40000;
+    std::vector<std::vector<double>> inputs(5);
+    for (std::size_t i = 0; i < n; ++i) {
+        auto x = static_cast<double>(i);
+        inputs[0].push_back(x);
+        inputs[1].push_back(static_cast<double>(n - i));
+        inputs[2].push_back(static_cast<double>(i / 1000));
+        inputs[3].push_back(i % 2 ? 1e9 + x : -1e9 - x);
+        inputs[4].push_back(static_cast<double>(i % 97));
+    }
+    for (const auto &data : inputs) {
+        PercentileSketch sk(64);
+        for (double v : data)
+            sk.sample(v);
+        EXPECT_EQ(sk.samples(), n);
+        EXPECT_GT(sk.rankErrorBound(), 0u);
+        expectWithinBound(data, sk);
+    }
+}
+
+TEST(PercentileSketch, MemoryAndErrorStaySublinearAtMillionSamples)
+{
+    const std::size_t n = 1000000;
+    PercentileSketch sk; // defaultK = 256
+    for (std::size_t i = 0; i < n; ++i)
+        sk.sample(static_cast<double>((i * 2654435761ULL) % n));
+    EXPECT_EQ(sk.samples(), n);
+    // Retention is O(k log(n/k)), nowhere near O(n).
+    EXPECT_LE(sk.retained(), 4096u);
+    // The tracked bound follows the documented (n/k) log2(n/k)
+    // envelope (~5 % of n at these parameters; allow slack).
+    EXPECT_LE(sk.rankErrorBound(), n / 12);
+    // And the returned percentiles honour it.
+    std::vector<double> data(n);
+    for (std::size_t i = 0; i < n; ++i)
+        data[i] = static_cast<double>((i * 2654435761ULL) % n);
+    expectWithinBound(data, sk);
+}
+
+TEST(PercentileSketch, MergeMatchesSequentialBounds)
+{
+    const std::size_t n = 20000;
+    std::vector<double> data(n);
+    for (std::size_t i = 0; i < n; ++i)
+        data[i] = static_cast<double>((i * 7919) % 10007);
+
+    // Shard the stream four ways, sketch each, merge in shard order.
+    std::vector<PercentileSketch> shards(4, PercentileSketch(64));
+    for (std::size_t i = 0; i < n; ++i)
+        shards[i / (n / 4)].sample(data[i]);
+    PercentileSketch merged = shards[0];
+    for (std::size_t s = 1; s < shards.size(); ++s)
+        merged.merge(shards[s]);
+    EXPECT_EQ(merged.samples(), n);
+    expectWithinBound(data, merged);
+
+    // The merge is deterministic: repeating it reproduces every
+    // queried percentile and the tracked bound exactly.
+    PercentileSketch again = shards[0];
+    for (std::size_t s = 1; s < shards.size(); ++s)
+        again.merge(shards[s]);
+    EXPECT_EQ(again.rankErrorBound(), merged.rankErrorBound());
+    for (double p : {0.1, 0.5, 0.9, 0.99})
+        EXPECT_DOUBLE_EQ(again.percentile(p), merged.percentile(p));
+}
+
+TEST(PercentileSketch, RestoreRoundTripsSerializedState)
+{
+    PercentileSketch sk(32);
+    for (int i = 0; i < 5000; ++i)
+        sk.sample(static_cast<double>((i * 31) % 499));
+    PercentileSketch back = PercentileSketch::restore(
+        sk.k(), sk.samples(), sk.rankErrorBound(),
+        {sk.levels().begin(), sk.levels().end()});
+    EXPECT_EQ(back.samples(), sk.samples());
+    EXPECT_EQ(back.rankErrorBound(), sk.rankErrorBound());
+    for (double p : {0.1, 0.5, 0.9, 0.99})
+        EXPECT_DOUBLE_EQ(back.percentile(p), sk.percentile(p));
+}
+
+TEST(PercentileSketch, ResetClears)
+{
+    PercentileSketch sk(16);
+    for (int i = 0; i < 100; ++i)
+        sk.sample(static_cast<double>(i));
+    sk.reset();
+    EXPECT_EQ(sk.samples(), 0u);
+    EXPECT_EQ(sk.rankErrorBound(), 0u);
+    EXPECT_DOUBLE_EQ(sk.percentile(0.5), 0.0);
+}
+
+TEST(PercentileModeNames, RoundTrip)
+{
+    EXPECT_STREQ(percentileModeName(PercentileMode::Exact), "exact");
+    EXPECT_STREQ(percentileModeName(PercentileMode::Sketch), "sketch");
+    EXPECT_EQ(parsePercentileModeName("Sketch"),
+              PercentileMode::Sketch);
+    EXPECT_EQ(parsePercentileModeName("EXACT"), PercentileMode::Exact);
+    EXPECT_FALSE(parsePercentileModeName("median").has_value());
 }
 
 // --- Partial reports ------------------------------------------------

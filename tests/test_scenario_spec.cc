@@ -174,6 +174,18 @@ TEST(ScenarioSpec, SchemeKnobsAreValidatedAgainstTheSchema)
                   std::string::npos);
         EXPECT_NE(msg.find("zpool_mb"), std::string::npos);
     }
+    // PreDecomp stages one page per trigger (§4.4); there is no depth
+    // knob to set.
+    try {
+        ScenarioSpec::parseString("scheme = ariadne\n"
+                                  "scheme.predecomp_depth = 2\n"
+                                  "event = warmup\n");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "scheme 'ariadne' has no knob 'predecomp_depth'"),
+                  std::string::npos);
+    }
     // Malformed values are typed errors, with the line named.
     EXPECT_THROW(ScenarioSpec::parseString("scheme = ariadne\n"
                                            "scheme.predecomp = maybe\n"
@@ -356,7 +368,7 @@ TEST(ScenarioSpec, ParsesPercentileModeKeys)
         "percentiles = sketch\n"
         "sketch_k = 128\n"
         "event = warmup\n");
-    EXPECT_EQ(spec.percentiles, PercentileMode::Sketch);
+    EXPECT_EQ(spec.percentiles, report::PercentileMode::Sketch);
     EXPECT_EQ(spec.sketchK, 128u);
     // Sketch mode round-trips with its buffer size spelled out.
     EXPECT_NE(spec.toString().find("percentiles = sketch"),
@@ -369,7 +381,7 @@ TEST(ScenarioSpec, ParsesPercentileModeKeys)
     // form, so pre-sketch configs and traces are untouched).
     ScenarioSpec exact = ScenarioSpec::parseString(
         "percentiles = exact\nevent = warmup\n");
-    EXPECT_EQ(exact.percentiles, PercentileMode::Exact);
+    EXPECT_EQ(exact.percentiles, report::PercentileMode::Exact);
     EXPECT_EQ(exact.toString().find("percentiles"),
               std::string::npos);
 }
@@ -400,6 +412,55 @@ TEST(ScenarioSpec, ValidatesPercentileModeKeys)
                                            "trace = x.trace\n"
                                            "percentiles = sketch\n"),
                  SpecError);
+}
+
+TEST(ScenarioSpec, ParsesFlightRecorderKeys)
+{
+    ScenarioSpec spec = ScenarioSpec::parseString(
+        "timeline_interval_ms = 250\n"
+        "journey_sample = 7\n"
+        "event = warmup\n");
+    EXPECT_EQ(spec.timelineIntervalMs, 250u);
+    EXPECT_EQ(spec.journeySample, 7u);
+    // Non-default values are spelled out in the canonical form.
+    EXPECT_NE(spec.toString().find("timeline_interval_ms = 250"),
+              std::string::npos);
+    EXPECT_NE(spec.toString().find("journey_sample = 7"),
+              std::string::npos);
+    EXPECT_TRUE(ScenarioSpec::parseString(spec.toString()) == spec);
+
+    // The largest cadence whose nanoseconds fit a 64-bit Tick.
+    ScenarioSpec slowest = ScenarioSpec::parseString(
+        "timeline_interval_ms = 18446744073709\n"
+        "event = warmup\n");
+    EXPECT_EQ(slowest.timelineIntervalMs, 18446744073709u);
+}
+
+TEST(ScenarioSpec, ValidatesFlightRecorderKeys)
+{
+    // One more millisecond would wrap the cadence in nanoseconds.
+    try {
+        ScenarioSpec::parseString("event = warmup\n"
+                                  "timeline_interval_ms = "
+                                  "18446744073710\n");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("line 2"), std::string::npos);
+        EXPECT_NE(msg.find("timeline_interval_ms must be <= "
+                           "18446744073709"),
+                  std::string::npos);
+    }
+    try {
+        ScenarioSpec::parseString("journey_sample = 0\n"
+                                  "event = warmup\n");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("line 1"), std::string::npos);
+        EXPECT_NE(msg.find("journey_sample must be >= 1"),
+                  std::string::npos);
+    }
 }
 
 TEST(ScenarioSpec, DefaultsWhenKeysOmitted)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "driver/fleet_runner.hh"
@@ -204,11 +205,16 @@ TEST(ShardMerge, SketchModeBoundsMemoryAndRankError)
     // Exact order statistics around p50 from the exact run's shard.
     PartialReport exact_part =
         exact_runner.runShard(ShardPlan{1, 1}, 6, 2);
-    Distribution d;
-    for (double v : exact_part.fleet.relaunchMs.sampleValues())
-        d.sample(v);
-    EXPECT_GE(sketched.relaunchMs.p50, d.percentile(lo_p));
-    EXPECT_LE(sketched.relaunchMs.p50, d.percentile(hi_p));
+    std::vector<double> sorted =
+        exact_part.fleet.relaunchMs.sampleValues();
+    std::sort(sorted.begin(), sorted.end());
+    auto nearest_rank = [&](double p) {
+        auto rank = static_cast<std::size_t>(
+            std::ceil(p * static_cast<double>(sorted.size())));
+        return sorted[std::max<std::size_t>(rank, 1) - 1];
+    };
+    EXPECT_GE(sketched.relaunchMs.p50, nearest_rank(lo_p));
+    EXPECT_LE(sketched.relaunchMs.p50, nearest_rank(hi_p));
 
     // Sharded sketch runs retain O(sketch) values, and their merge is
     // deterministic (same partials -> same bytes).

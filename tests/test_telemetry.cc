@@ -168,57 +168,6 @@ TEST_F(TelemetryTest, MergeOnFinalizeSumsThreadShards)
               threads * per_thread);
 }
 
-TEST_F(TelemetryTest, SnapshotMergeIsAssociative)
-{
-    // Build three snapshots with overlapping and disjoint names, as
-    // three fleet shards would produce.
-    Counter a("test.m.a");
-    Counter b("test.m.b");
-    DurationProbe d("test.m.d");
-
-    a.add(1);
-    d.record(10);
-    auto s1 = Registry::global().snapshot();
-    Registry::global().reset();
-
-    a.add(2);
-    b.add(5);
-    auto s2 = Registry::global().snapshot();
-    Registry::global().reset();
-
-    b.add(7);
-    d.record(30);
-    auto s3 = Registry::global().snapshot();
-    Registry::global().reset();
-
-    // (s1 + s2) + s3
-    auto left = s1;
-    left.merge(s2);
-    left.merge(s3);
-    // s1 + (s2 + s3)
-    auto right_tail = s2;
-    right_tail.merge(s3);
-    auto right = s1;
-    right.merge(right_tail);
-
-    EXPECT_EQ(left.counter("test.m.a"), 3u);
-    EXPECT_EQ(left.counter("test.m.b"), 12u);
-    EXPECT_EQ(left.duration("test.m.d").count, 2u);
-    EXPECT_EQ(left.duration("test.m.d").totalNs, 40u);
-    ASSERT_EQ(left.counters.size(), right.counters.size());
-    for (std::size_t i = 0; i < left.counters.size(); ++i) {
-        EXPECT_EQ(left.counters[i].name, right.counters[i].name);
-        EXPECT_EQ(left.counters[i].value, right.counters[i].value);
-    }
-    ASSERT_EQ(left.durations.size(), right.durations.size());
-    for (std::size_t i = 0; i < left.durations.size(); ++i) {
-        EXPECT_EQ(left.durations[i].name, right.durations[i].name);
-        EXPECT_EQ(left.durations[i].totalNs,
-                  right.durations[i].totalNs);
-        EXPECT_EQ(left.durations[i].count, right.durations[i].count);
-    }
-}
-
 TEST_F(TelemetryTest, SnapshotIsSortedByName)
 {
     Counter z("test.z");

@@ -3,7 +3,7 @@
  * Unit tests for the flight-recorder telemetry kinds: sampled gauges,
  * log2 histograms with per-app breakdowns, the timeline recorder and
  * the sampled page-journey log — plus fleet-level proofs that gauge
- * and histogram snapshots merge across shards to exactly the
+ * and histogram totals of a fleet's shards add up to exactly the
  * unsharded totals and are invariant to the worker-thread count.
  */
 
@@ -113,40 +113,6 @@ TEST_F(FlightTest, HistogramBucketsByBitWidth)
     EXPECT_EQ(v.buckets[3], 2u);
     EXPECT_EQ(v.buckets[Registry::histogramBuckets - 1], 1u);
     EXPECT_EQ(v.count(), 7u);
-}
-
-TEST_F(FlightTest, GaugeAndHistogramMerge)
-{
-    Gauge g("test.m.gauge");
-    telemetry::Histogram h("test.m.hist");
-
-    g.sample(10);
-    h.record(4);
-    auto s1 = Registry::global().snapshot();
-    Registry::global().reset();
-
-    g.sample(50);
-    h.record(4);
-    h.record(100);
-    auto s2 = Registry::global().snapshot();
-    Registry::global().reset();
-
-    auto merged = s1;
-    merged.merge(s2);
-    auto gv = merged.gauge("test.m.gauge");
-    EXPECT_EQ(gv.count, 2u);
-    EXPECT_EQ(gv.sum, 60u);
-    EXPECT_EQ(gv.min, 10u);
-    EXPECT_EQ(gv.max, 50u);
-    auto hv = merged.histogram("test.m.hist");
-    EXPECT_EQ(hv.buckets[3], 2u);
-    EXPECT_EQ(hv.buckets[7], 1u);
-    EXPECT_EQ(hv.sum, 108u);
-
-    // Merging an empty-gauge snapshot must not clamp min to 0.
-    auto s3 = Registry::global().snapshot();
-    merged.merge(s3);
-    EXPECT_EQ(merged.gauge("test.m.gauge").min, 10u);
 }
 
 TEST_F(FlightTest, AppHistogramLabelsLeadingUids)
@@ -363,15 +329,6 @@ snapshotOfFleetRun(unsigned threads)
     return Registry::global().snapshot();
 }
 
-Registry::Snapshot
-snapshotOfShard(const char *shard)
-{
-    Registry::global().reset();
-    FleetRunner runner(smallSpec());
-    runner.runShard(report::ShardPlan::parse(shard));
-    return Registry::global().snapshot();
-}
-
 } // namespace
 
 TEST_F(FlightTest, MergedShardSnapshotsEqualUnsharded)
@@ -380,10 +337,13 @@ TEST_F(FlightTest, MergedShardSnapshotsEqualUnsharded)
     ASSERT_FALSE(whole.gauges.empty());
     ASSERT_FALSE(whole.histograms.empty());
 
-    auto s1 = snapshotOfShard("1/2");
-    auto s2 = snapshotOfShard("2/2");
-    auto merged = s1;
-    merged.merge(s2);
+    // Shards 1/2 and 2/2 record into one registry, whose snapshot()
+    // sums them.
+    Registry::global().reset();
+    FleetRunner runner(smallSpec());
+    runner.runShard(report::ShardPlan::parse("1/2"));
+    runner.runShard(report::ShardPlan::parse("2/2"));
+    auto merged = Registry::global().snapshot();
 
     expectStableKindsEqual(whole, merged);
     expectStableKindsEqual(merged, whole);

@@ -37,7 +37,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -49,6 +48,7 @@
 #include "report/partial_report.hh"
 #include "report/report_merger.hh"
 #include "sim/log.hh"
+#include "sim/parse_count.hh"
 #include "swap/scheme_registry.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/journey.hh"
@@ -150,7 +150,7 @@ usage(std::ostream &os)
           "  --trace-events FILE\n"
           "                   write a Chrome trace-event timeline of "
           "the run\n"
-          "                   (load it in Perfetto or "
+          "                   ('-' = stdout; load it in Perfetto or "
           "chrome://tracing)\n"
           "  --progress       live heartbeat lines on stderr "
           "(sessions done,\n"
@@ -291,16 +291,17 @@ struct Options
 
 /**
  * Stream for human-readable status output. A '-' path (`--json -`,
- * `--partial -`, `--metrics -`, `--timeline -`, `--journeys -`) hands
- * stdout to a JSON consumer, so every summary, status line and
- * heartbeat must go to stderr to keep the stream pure JSON.
+ * `--partial -`, `--metrics -`, `--timeline -`, `--journeys -`,
+ * `--trace-events -`) hands stdout to a JSON consumer, so every
+ * summary, status line and heartbeat must go to stderr to keep the
+ * stream pure JSON.
  */
 std::ostream &
 statusStream(const Options &opt)
 {
     if (opt.jsonPath == "-" || opt.partialPath == "-" ||
         opt.metricsPath == "-" || opt.timelinePath == "-" ||
-        opt.journeysPath == "-")
+        opt.journeysPath == "-" || opt.traceEventsPath == "-")
         return std::cerr;
     return std::cout;
 }
@@ -318,19 +319,9 @@ parseArgs(int argc, char **argv, Options &opt)
         return true;
     };
     auto parse_count = [](const char *flag, const char *text,
-                          unsigned long &out) {
-        // Digits only: stoul would happily wrap "-1" to a huge value.
-        std::string s(text);
-        if (!s.empty() &&
-            std::all_of(s.begin(), s.end(), [](unsigned char c) {
-                return std::isdigit(c);
-            })) {
-            try {
-                out = std::stoul(s);
-                return true;
-            } catch (const std::out_of_range &) {
-            }
-        }
+                          auto &out) {
+        if (parseCount(text, out) == std::errc())
+            return true;
         std::cerr << "ariadne_sim: " << flag
                   << " needs a non-negative integer, got '" << text
                   << "'\n";
@@ -387,19 +378,13 @@ parseArgs(int argc, char **argv, Options &opt)
                    std::strcmp(argv[i + 1], "-o"))
                 opt.mergeInputs.push_back(argv[++i]);
         } else if (!std::strcmp(arg, "--fleet")) {
-            if (!need_value(i, arg))
+            if (!need_value(i, arg) ||
+                !parse_count(arg, argv[++i], opt.fleet))
                 return false;
-            unsigned long v = 0;
-            if (!parse_count(arg, argv[++i], v))
-                return false;
-            opt.fleet = v;
         } else if (!std::strcmp(arg, "--threads")) {
-            if (!need_value(i, arg))
+            if (!need_value(i, arg) ||
+                !parse_count(arg, argv[++i], opt.threads))
                 return false;
-            unsigned long v = 0;
-            if (!parse_count(arg, argv[++i], v))
-                return false;
-            opt.threads = static_cast<unsigned>(v);
         } else if (!std::strcmp(arg, "--record")) {
             if (!need_value(i, arg))
                 return false;
@@ -560,7 +545,7 @@ printSummary(std::ostream &os, const FleetResult &r)
                              : " (" + r.ariadneConfig + ")"));
     os << "fleet " << r.fleet << ", base seed " << r.seed << ", scale "
        << r.scale;
-    if (r.percentiles == PercentileMode::Sketch)
+    if (r.percentiles == report::PercentileMode::Sketch)
         os << ", sketch percentiles (rank-error bounds in the JSON "
               "report)";
     os << "\n\n";
@@ -768,14 +753,9 @@ finishObservability(const Options &opt, const std::string &scenario,
     if (!opt.traceEventsPath.empty()) {
         if (telemetry::journeyEnabled())
             injectJourneysIntoTrace();
-        std::ofstream out(opt.traceEventsPath);
-        if (!out) {
-            std::cerr << "ariadne_sim: cannot write "
-                      << opt.traceEventsPath << "\n";
-            rc = 1;
-        } else {
-            telemetry::TraceLog::global().writeChromeTrace(out);
-        }
+        rc |= emitArtifact(opt.traceEventsPath, [](std::ostream &os) {
+            telemetry::TraceLog::global().writeChromeTrace(os);
+        });
     }
     return rc;
 }
