@@ -184,6 +184,7 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
                 ctx.cpu.charge(CpuRole::IoSubmit, submit);
                 if (synchronous)
                     ctx.clock.advance(submit);
+                ctx.activity.flashWriteBytes += obj_size;
                 c_writeback.add();
                 telemetry::journeyMark(
                     victim->key.uid, victim->key.pfn,

@@ -109,6 +109,8 @@ TEST(Zram, ZswapWritebackSpillsToFlash)
     EXPECT_EQ(zram.lostPages(), 0u);
     ASSERT_NE(zram.flash(), nullptr);
     EXPECT_GT(zram.flash()->hostWriteBytes(), 0u);
+    // Every spilled object reaches the energy model's flash writes.
+    EXPECT_EQ(h.activity.flashWriteBytes, zram.flash()->hostWriteBytes());
 
     // A page that went to flash swaps back in with the flash flag.
     PageMeta *flash_page = nullptr;
