@@ -297,18 +297,8 @@ AriadneScheme::reclaim(std::size_t pages, bool direct)
         }
         break;
     }
-    chargeLruOps(direct);
+    chargeLruOps();
     return freed;
-}
-
-void
-AriadneScheme::allocateResident()
-{
-    if (ctx.dram.allocate(1))
-        return;
-    reclaim(cfg.reclaimBatch, true);
-    panicIf(!ctx.dram.allocate(1),
-            "Ariadne direct reclaim failed to free memory");
 }
 
 void
@@ -316,7 +306,7 @@ AriadneScheme::residentizeUnit(CompUnit &unit, PageMeta *hit)
 {
     Tick now = ctx.clock.now();
     for (PageMeta *p : unit.pages) {
-        allocateResident();
+        allocateResident(cfg.reclaimBatch);
         ctx.arena.setLocation(*p, PageLocation::Resident);
         p->objectId = invalidObject;
         p->flashSlot = invalidFlashSlot;
@@ -435,7 +425,7 @@ AriadneScheme::swapIn(PageMeta &page)
         ctx.cpu.charge(CpuRole::FaultPath, t);
         ctx.clock.advance(t);
 
-        allocateResident();
+        allocateResident(cfg.reclaimBatch);
         ctx.arena.setLocation(page, PageLocation::Resident);
         page.objectId = invalidObject;
         hotOrg.placeAfterSwapIn(page, ctx.clock.now());
@@ -491,51 +481,9 @@ AriadneScheme::swapIn(PageMeta &page)
         panic("AriadneScheme::swapIn on resident/lost page");
     }
 
-    chargeLruOps(true);
+    chargeLruOps();
     res.latencyNs = sw.elapsed();
     return res;
-}
-
-void
-AriadneScheme::onFree(PageMeta &page)
-{
-    pendingPredictions.erase(&page);
-    switch (ctx.arena.location(page)) {
-      case PageLocation::Resident:
-        hotOrg.unlink(page);
-        ctx.dram.release(1);
-        break;
-      case PageLocation::Staged:
-        stagingBuf.invalidate(page);
-        [[fallthrough]];
-      case PageLocation::Zpool:
-      case PageLocation::Flash: {
-        UnitId id = page.objectId;
-        if (units.live(id)) {
-            CompUnit &u = units.unit(id);
-            // Freeing one page of a multi-page unit keeps the unit
-            // but forgets the page; single-page units are destroyed.
-            if (u.pages.size() == 1) {
-                if (u.object != invalidObject)
-                    pool.erase(u.object);
-                if (u.flashSlot != invalidFlashSlot)
-                    flashDev.free(u.flashSlot);
-                units.destroy(id);
-            } else {
-                std::erase(u.pages, &page);
-            }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    telemetry::journeyMark(page.key.uid, page.key.pfn,
-                           telemetry::JourneyStep::Free,
-                           ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
-    page.objectId = invalidObject;
-    page.flashSlot = invalidFlashSlot;
 }
 
 std::size_t

@@ -48,7 +48,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void onAdmit(PageMeta &page) override;
     void onAccess(PageMeta &page) override;
     SwapInResult swapIn(PageMeta &page) override;
-    void onFree(PageMeta &page) override;
     std::size_t reclaim(std::size_t pages, bool direct) override;
 
     void onRelaunchStart(AppId uid) override;
@@ -133,9 +132,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
 
     /** Make the pages of @p unit resident; faulting page is @p hit. */
     void residentizeUnit(CompUnit &unit, PageMeta *hit);
-
-    /** Allocate one resident page, direct-reclaiming if needed. */
-    void allocateResident();
 
     AriadneConfig cfg;
     std::unique_ptr<Codec> codec;

@@ -187,14 +187,6 @@ HotnessOrg::placeColdSibling(PageMeta &page, Tick now)
 }
 
 void
-HotnessOrg::unlink(PageMeta &page)
-{
-    if (page.lruOwner == nullptr)
-        return;
-    page.lruOwner->remove(page);
-}
-
-void
 HotnessOrg::beginRelaunch(AppId uid, Tick now)
 {
     AppLists &app = listsFor(uid);

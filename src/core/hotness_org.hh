@@ -67,9 +67,6 @@ class HotnessOrg
      */
     void placeColdSibling(PageMeta &page, Tick now);
 
-    /** Remove a page from whatever list it is on (pre-eviction). */
-    void unlink(PageMeta &page);
-
     /** Relaunch window control. */
     void beginRelaunch(AppId uid, Tick now);
     void endRelaunch(AppId uid);

@@ -43,14 +43,6 @@ class DramOnlyScheme : public SwapScheme
         panic("DramOnlyScheme never swaps pages out");
     }
 
-    void
-    onFree(PageMeta &page) override
-    {
-        if (ctx.arena.location(page) == PageLocation::Resident)
-            ctx.dram.release(1);
-        ctx.arena.setLocation(page, PageLocation::Lost);
-    }
-
     std::size_t
     reclaim(std::size_t, bool) override
     {

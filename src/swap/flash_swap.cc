@@ -21,7 +21,8 @@ telemetry::DurationProbe d_swapin("flash.swapin");
 
 FlashSwapScheme::FlashSwapScheme(SwapContext context,
                                  FlashSwapConfig config)
-    : SwapScheme(context), cfg(config), flashDev(cfg.flashBytes)
+    : LruScheme(context, config.reclaimBatch),
+      flashDev(config.flashBytes)
 {
 }
 
@@ -51,96 +52,33 @@ flashSwapSchemeInfo()
     return info;
 }
 
-FlashSwapScheme::AppState &
-FlashSwapScheme::stateFor(AppId uid)
-{
-    auto it = std::lower_bound(
-        appStates.begin(), appStates.end(), uid,
-        [](const std::unique_ptr<AppState> &a, AppId u) {
-            return a->uid < u;
-        });
-    if (it != appStates.end() && (*it)->uid == uid)
-        return **it;
-    return **appStates.insert(
-        it, std::make_unique<AppState>(uid, &lruOpCount));
-}
-
-FlashSwapScheme::AppState *
-FlashSwapScheme::oldestAppWithPages()
-{
-    AppState *oldest = nullptr;
-    for (const auto &state : appStates) {
-        if (state->resident.empty())
-            continue;
-        if (!oldest || state->lastAccess < oldest->lastAccess)
-            oldest = state.get();
-    }
-    return oldest;
-}
-
 void
-FlashSwapScheme::onAdmit(PageMeta &page)
+FlashSwapScheme::evict(PageMeta &victim, bool synchronous)
 {
-    AppState &app = stateFor(page.key.uid);
-    app.resident.pushFront(page);
-    app.lastAccess = ctx.clock.now();
-}
-
-void
-FlashSwapScheme::onAccess(PageMeta &page)
-{
-    AppState &app = stateFor(page.key.uid);
-    app.resident.touch(page);
-    app.lastAccess = ctx.clock.now();
-}
-
-std::size_t
-FlashSwapScheme::reclaim(std::size_t pages, bool direct)
-{
-    if (direct)
-        ++directRuns;
-    std::size_t freed = 0;
-    while (freed < pages) {
-        AppState *app = oldestAppWithPages();
-        if (!app)
-            break;
-        std::size_t batch = std::min(cfg.reclaimBatch, pages - freed);
-        for (std::size_t i = 0; i < batch; ++i) {
-            PageMeta *victim = app->resident.popBack();
-            if (!victim)
-                break;
-            FlashSlot slot = flashDev.write(pageSize);
-            if (slot == invalidFlashSlot) {
-                // Swap space exhausted: data dropped.
-                c_swapoutDropped.add();
-                telemetry::journeyMark(victim->key.uid,
-                                       victim->key.pfn,
-                                       telemetry::JourneyStep::Lost,
-                                       ctx.clock.now());
-                ctx.arena.setLocation(*victim, PageLocation::Lost);
-                ++lost;
-            } else {
-                c_swapout.add();
-                // Submission is cheap CPU; the program happens in the
-                // device while the CPU runs other work.
-                Tick submit = ctx.timing.params().flashSubmitCpuNs;
-                ctx.cpu.charge(CpuRole::IoSubmit, submit);
-                if (direct)
-                    ctx.clock.advance(submit);
-                ctx.activity.flashWriteBytes += pageSize;
-                telemetry::journeyMark(victim->key.uid,
-                                       victim->key.pfn,
-                                       telemetry::JourneyStep::Flash,
-                                       ctx.clock.now());
-                ctx.arena.setLocation(*victim, PageLocation::Flash);
-                victim->flashSlot = slot;
-            }
-            ctx.dram.release(1);
-            ++freed;
-        }
+    FlashSlot slot = flashDev.write(pageSize);
+    if (slot == invalidFlashSlot) {
+        // Swap space exhausted: data dropped.
+        c_swapoutDropped.add();
+        telemetry::journeyMark(victim.key.uid, victim.key.pfn,
+                               telemetry::JourneyStep::Lost,
+                               ctx.clock.now());
+        ctx.arena.setLocation(victim, PageLocation::Lost);
+        ++lost;
+        return;
     }
-    chargeLruOps(direct);
-    return freed;
+    c_swapout.add();
+    // Submission is cheap CPU; the program happens in the device
+    // while the CPU runs other work.
+    Tick submit = ctx.timing.params().flashSubmitCpuNs;
+    ctx.cpu.charge(CpuRole::IoSubmit, submit);
+    if (synchronous)
+        ctx.clock.advance(submit);
+    ctx.activity.flashWriteBytes += pageSize;
+    telemetry::journeyMark(victim.key.uid, victim.key.pfn,
+                           telemetry::JourneyStep::Flash,
+                           ctx.clock.now());
+    ctx.arena.setLocation(victim, PageLocation::Flash);
+    victim.flashSlot = slot;
 }
 
 SwapInResult
@@ -173,43 +111,10 @@ FlashSwapScheme::swapIn(PageMeta &page)
     ctx.activity.flashReadBytes += pageSize;
     ctx.activity.dramBytes += pageSize;
 
-    if (!ctx.dram.allocate(1)) {
-        reclaim(cfg.reclaimBatch, true);
-        panicIf(!ctx.dram.allocate(1),
-                "direct reclaim failed to free memory");
-    }
-    ctx.arena.setLocation(page, PageLocation::Resident);
-    AppState &app = stateFor(page.key.uid);
-    app.resident.pushFront(page);
-    app.lastAccess = ctx.clock.now();
-    chargeLruOps(true);
+    readmit(page);
 
     res.latencyNs = sw.elapsed();
     return res;
-}
-
-void
-FlashSwapScheme::onFree(PageMeta &page)
-{
-    switch (ctx.arena.location(page)) {
-      case PageLocation::Resident: {
-        AppState &app = stateFor(page.key.uid);
-        if (app.resident.contains(page))
-            app.resident.remove(page);
-        ctx.dram.release(1);
-        break;
-      }
-      case PageLocation::Flash:
-        flashDev.free(page.flashSlot);
-        page.flashSlot = invalidFlashSlot;
-        break;
-      default:
-        break;
-    }
-    telemetry::journeyMark(page.key.uid, page.key.pfn,
-                           telemetry::JourneyStep::Free,
-                           ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
 }
 
 } // namespace ariadne

@@ -11,11 +11,7 @@
 #ifndef ARIADNE_SWAP_FLASH_SWAP_HH
 #define ARIADNE_SWAP_FLASH_SWAP_HH
 
-#include <memory>
-#include <vector>
-
-#include "mem/lru_list.hh"
-#include "swap/scheme.hh"
+#include "swap/lru_scheme.hh"
 #include "swap/scheme_registry.hh"
 
 namespace ariadne
@@ -31,40 +27,22 @@ struct FlashSwapConfig
 };
 
 /** Flash-memory-based swap without compression. */
-class FlashSwapScheme : public SwapScheme
+class FlashSwapScheme : public LruScheme
 {
   public:
     FlashSwapScheme(SwapContext context, FlashSwapConfig config);
 
     std::string name() const override { return "swap"; }
 
-    void onAdmit(PageMeta &page) override;
-    void onAccess(PageMeta &page) override;
     SwapInResult swapIn(PageMeta &page) override;
-    void onFree(PageMeta &page) override;
-    std::size_t reclaim(std::size_t pages, bool direct) override;
 
     const FlashDevice *flash() const override { return &flashDev; }
 
   private:
-    struct AppState
-    {
-        AppState(AppId uid_, std::uint64_t *ops)
-            : uid(uid_), resident(ops)
-        {}
-        AppId uid;
-        LruList resident;
-        Tick lastAccess = 0;
-    };
+    /** Write one victim page raw to flash (or lose it when full). */
+    void evict(PageMeta &victim, bool synchronous) override;
 
-    AppState &stateFor(AppId uid);
-    AppState *oldestAppWithPages();
-
-    FlashSwapConfig cfg;
     FlashDevice flashDev;
-    /** Sorted by uid (intrusive list heads need stable addresses,
-     * hence unique_ptr; scans run in uid order like std::map did). */
-    std::vector<std::unique_ptr<AppState>> appStates;
 };
 
 /** Registry entry for `scheme = swap` (see scheme_registry.cc). */

@@ -1,5 +1,6 @@
 #include "swap/scheme.hh"
 
+#include "sim/log.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne
@@ -91,9 +92,18 @@ SwapScheme::chargeDecompression(AppId uid, const CodecCost &cost,
 }
 
 void
-SwapScheme::chargeLruOps(bool synchronous)
+SwapScheme::allocateResident(std::size_t batch)
 {
-    (void)synchronous;
+    if (ctx.dram.allocate(1))
+        return;
+    reclaim(batch, /*direct=*/true);
+    panicIf(!ctx.dram.allocate(1),
+            "direct reclaim failed to free memory");
+}
+
+void
+SwapScheme::chargeLruOps()
+{
     std::uint64_t now = lruOpCount;
     if (now <= chargedLruOps)
         return;

@@ -8,7 +8,9 @@
  * and reclaim requests. Four implementations reproduce the paper's
  * evaluated configurations: DramOnlyScheme (ideal "DRAM"),
  * FlashSwapScheme ("SWAP"), ZramScheme ("ZRAM", optionally with
- * ZSWAP-style writeback) and core/AriadneScheme.
+ * ZSWAP-style writeback) and core/AriadneScheme. FlashSwapScheme and
+ * ZramScheme share their per-app LRU reclaim through LruScheme
+ * (lru_scheme.hh).
  */
 
 #ifndef ARIADNE_SWAP_SCHEME_HH
@@ -121,9 +123,6 @@ class SwapScheme
     /** Bring a non-resident page back; advances the clock. */
     virtual SwapInResult swapIn(PageMeta &page) = 0;
 
-    /** Page is going away (app killed / freed). */
-    virtual void onFree(PageMeta &page) = 0;
-
     /**
      * Evict at least @p pages resident pages.
      * @param direct True when called synchronously from a fault path
@@ -132,8 +131,15 @@ class SwapScheme
      */
     virtual std::size_t reclaim(std::size_t pages, bool direct) = 0;
 
+    /**
+     * Take one DRAM page for a page becoming resident. When memory
+     * is full, direct-reclaim @p batch pages first (on-demand
+     * compression on the fault path, §2.3); panics if that frees
+     * nothing.
+     */
+    void allocateResident(std::size_t batch);
+
     /** App lifecycle hints. */
-    virtual void onLaunch(AppId) {}
     virtual void onRelaunchStart(AppId) {}
     virtual void onRelaunchEnd(AppId) {}
     virtual void onBackground(AppId) {}
@@ -176,9 +182,6 @@ class SwapScheme
     /** Direct-reclaim invocations (on-demand compression events). */
     std::uint64_t directReclaims() const noexcept { return directRuns; }
 
-    /** LRU list operations performed by this scheme. */
-    std::uint64_t lruOps() const noexcept { return lruOpCount; }
-
     /**
      * CPU spent in proactive background reclaim (onBackground work:
      * the vendors' periodic compression for ZRAM, the AL scenario's
@@ -211,7 +214,7 @@ class SwapScheme
      * op is ~100x cheaper than a swap (§6.4) and its latency is
      * already folded into the fault/touch base costs.
      */
-    void chargeLruOps(bool synchronous);
+    void chargeLruOps();
 
     SwapContext ctx;
     std::map<AppId, CompStats> perApp;

@@ -1,7 +1,5 @@
 #include "swap/zram.hh"
 
-#include <algorithm>
-
 #include "sim/log.hh"
 #include "telemetry/journey.hh"
 #include "telemetry/telemetry.hh"
@@ -22,8 +20,8 @@ telemetry::DurationProbe d_swapin("zram.swapin");
 } // namespace
 
 ZramScheme::ZramScheme(SwapContext context, ZramConfig config)
-    : SwapScheme(context), cfg(config), codec(makeCodec(cfg.codec)),
-      pool(cfg.zpoolBytes)
+    : LruScheme(context, config.reclaimBatch), cfg(config),
+      codec(makeCodec(cfg.codec)), pool(cfg.zpoolBytes)
 {
     if (cfg.writeback)
         flashDev = std::make_unique<FlashDevice>(cfg.flashBytes);
@@ -112,49 +110,6 @@ zswapSchemeInfo()
     return zramFamilyInfo(/*writeback=*/true);
 }
 
-ZramScheme::AppState &
-ZramScheme::stateFor(AppId uid)
-{
-    auto it = std::lower_bound(
-        appStates.begin(), appStates.end(), uid,
-        [](const std::unique_ptr<AppState> &a, AppId u) {
-            return a->uid < u;
-        });
-    if (it != appStates.end() && (*it)->uid == uid)
-        return **it;
-    return **appStates.insert(
-        it, std::make_unique<AppState>(uid, &lruOpCount));
-}
-
-ZramScheme::AppState *
-ZramScheme::oldestAppWithPages()
-{
-    AppState *oldest = nullptr;
-    for (const auto &state : appStates) {
-        if (state->resident.empty())
-            continue;
-        if (!oldest || state->lastAccess < oldest->lastAccess)
-            oldest = state.get();
-    }
-    return oldest;
-}
-
-void
-ZramScheme::onAdmit(PageMeta &page)
-{
-    AppState &app = stateFor(page.key.uid);
-    app.resident.pushFront(page);
-    app.lastAccess = ctx.clock.now();
-}
-
-void
-ZramScheme::onAccess(PageMeta &page)
-{
-    AppState &app = stateFor(page.key.uid);
-    app.resident.touch(page);
-    app.lastAccess = ctx.clock.now();
-}
-
 bool
 ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
 {
@@ -212,7 +167,7 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
 }
 
 void
-ZramScheme::compressOut(PageMeta &victim, bool synchronous)
+ZramScheme::evict(PageMeta &victim, bool synchronous)
 {
     c_compressOut.add();
     PageRef ref{victim.key, victim.version};
@@ -224,7 +179,6 @@ ZramScheme::compressOut(PageMeta &victim, bool synchronous)
                                ctx.clock.now());
         ctx.arena.setLocation(victim, PageLocation::Lost);
         ++lost;
-        ctx.dram.release(1);
         return;
     }
     ZObjectId obj =
@@ -242,42 +196,6 @@ ZramScheme::compressOut(PageMeta &victim, bool synchronous)
 
     chargeCompression(victim.key.uid, codec->cost(), cfg.chunkBytes,
                       pageSize, csize, synchronous);
-    ctx.dram.release(1);
-}
-
-std::size_t
-ZramScheme::compressTail(AppState &app, std::size_t limit,
-                         bool synchronous)
-{
-    std::size_t done = 0;
-    while (done < limit) {
-        PageMeta *victim = app.resident.popBack();
-        if (!victim)
-            break;
-        compressOut(*victim, synchronous);
-        ++done;
-    }
-    return done;
-}
-
-std::size_t
-ZramScheme::reclaim(std::size_t pages, bool direct)
-{
-    if (direct)
-        ++directRuns;
-    std::size_t freed = 0;
-    while (freed < pages) {
-        AppState *app = oldestAppWithPages();
-        if (!app)
-            break;
-        std::size_t batch = std::min(cfg.reclaimBatch, pages - freed);
-        std::size_t done = compressTail(*app, batch, direct);
-        if (done == 0)
-            break;
-        freed += done;
-    }
-    chargeLruOps(direct);
-    return freed;
 }
 
 void
@@ -288,13 +206,11 @@ ZramScheme::onBackground(AppId uid)
     // Proactive periodic compression of the backgrounded app's LRU
     // tail (the vendor behaviour §2.3 describes): frees memory early
     // at the price of extra compression CPU on every switch.
-    AppState &app = stateFor(uid);
     auto target = static_cast<std::size_t>(
-        cfg.proactiveFraction *
-        static_cast<double>(app.resident.size()));
+        cfg.proactiveFraction * static_cast<double>(residentPages(uid)));
     Tick before = ctx.cpu.grandTotal();
-    compressTail(app, target, /*synchronous=*/false);
-    chargeLruOps(false);
+    evictTail(uid, target, /*synchronous=*/false);
+    chargeLruOps();
     bgReclaimNs += ctx.cpu.grandTotal() - before;
 }
 
@@ -334,49 +250,12 @@ ZramScheme::swapIn(PageMeta &page)
         panic("ZramScheme::swapIn on page not in zpool/flash");
     }
 
-    if (!ctx.dram.allocate(1)) {
-        // On-demand compression to make room (§2.3, Fig. 2): this is
-        // the direct-reclaim cost ZRAM adds to relaunches.
-        reclaim(cfg.reclaimBatch, true);
-        panicIf(!ctx.dram.allocate(1),
-                "direct reclaim failed to free memory");
-    }
-    ctx.arena.setLocation(page, PageLocation::Resident);
-    AppState &app = stateFor(page.key.uid);
-    app.resident.pushFront(page);
-    app.lastAccess = ctx.clock.now();
-    chargeLruOps(true);
+    // When memory is full, on-demand compression makes room (§2.3,
+    // Fig. 2): this is the direct-reclaim cost ZRAM adds to relaunches.
+    readmit(page);
 
     res.latencyNs = sw.elapsed();
     return res;
-}
-
-void
-ZramScheme::onFree(PageMeta &page)
-{
-    switch (ctx.arena.location(page)) {
-      case PageLocation::Resident: {
-        AppState &app = stateFor(page.key.uid);
-        if (app.resident.contains(page))
-            app.resident.remove(page);
-        ctx.dram.release(1);
-        break;
-      }
-      case PageLocation::Zpool:
-        pool.erase(page.objectId);
-        page.objectId = invalidObject;
-        break;
-      case PageLocation::Flash:
-        flashDev->free(page.flashSlot);
-        page.flashSlot = invalidFlashSlot;
-        break;
-      default:
-        break;
-    }
-    telemetry::journeyMark(page.key.uid, page.key.pfn,
-                           telemetry::JourneyStep::Free,
-                           ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
 }
 
 std::size_t

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "compress/registry.hh"
-#include "mem/lru_list.hh"
-#include "swap/scheme.hh"
+#include "swap/lru_scheme.hh"
 #include "swap/scheme_registry.hh"
 
 namespace ariadne
@@ -51,18 +50,14 @@ struct ZramConfig
 };
 
 /** The state-of-the-art compressed swap baseline. */
-class ZramScheme : public SwapScheme
+class ZramScheme : public LruScheme
 {
   public:
     ZramScheme(SwapContext context, ZramConfig config);
 
     std::string name() const override;
 
-    void onAdmit(PageMeta &page) override;
-    void onAccess(PageMeta &page) override;
     SwapInResult swapIn(PageMeta &page) override;
-    void onFree(PageMeta &page) override;
-    std::size_t reclaim(std::size_t pages, bool direct) override;
     void onBackground(AppId uid) override;
 
     std::size_t compressedStoredBytes() const override;
@@ -99,18 +94,8 @@ class ZramScheme : public SwapScheme
     }
 
   private:
-    struct AppState
-    {
-        AppState(AppId uid_, std::uint64_t *ops)
-            : uid(uid_), resident(ops)
-        {}
-        AppId uid;
-        LruList resident;
-        Tick lastAccess = 0;
-    };
-
-    AppState &stateFor(AppId uid);
-    AppState *oldestAppWithPages();
+    /** Compress one victim page into the pool (or spill/lose it). */
+    void evict(PageMeta &victim, bool synchronous) override;
 
     /**
      * Make room in the zpool for an object of @p csize, evicting (or
@@ -119,21 +104,10 @@ class ZramScheme : public SwapScheme
      */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 
-    /** Compress one victim page into the pool (or spill/lose it). */
-    void compressOut(PageMeta &victim, bool synchronous);
-
-    /** Pop up to @p limit LRU-tail victims of @p app and compress
-     * each out. @return the victims compressed. */
-    std::size_t compressTail(AppState &app, std::size_t limit,
-                             bool synchronous);
-
     ZramConfig cfg;
     std::unique_ptr<Codec> codec;
     Zpool pool;
     std::unique_ptr<FlashDevice> flashDev;
-    /** Sorted by uid (intrusive list heads need stable addresses,
-     * hence unique_ptr; scans run in uid order like std::map did). */
-    std::vector<std::unique_ptr<AppState>> appStates;
     /** Compressed objects in insertion order with owner cross-check. */
     std::deque<std::pair<ZObjectId, const PageMeta *>> compressedFifo;
 

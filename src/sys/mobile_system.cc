@@ -251,11 +251,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
         dir.pages[ev.pfn] = &ref;
 
         c_alloc.add();
-        if (!dramModel->allocate(1)) {
-            swapScheme->reclaim(cfg.directReclaimBatch, true);
-            panicIf(!dramModel->allocate(1),
-                    "allocation failed after direct reclaim");
-        }
+        swapScheme->allocateResident(cfg.directReclaimBatch);
         telemetry::journeyMark(dir.uid, ev.pfn,
                                telemetry::JourneyStep::Alloc,
                                simClock.now());
@@ -287,11 +283,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
         ++lostPages;
         if (stats)
             ++stats->lostRecreated;
-        if (!dramModel->allocate(1)) {
-            swapScheme->reclaim(cfg.directReclaimBatch, true);
-            panicIf(!dramModel->allocate(1),
-                    "allocation failed after direct reclaim");
-        }
+        swapScheme->allocateResident(cfg.directReclaimBatch);
         arena.setLocation(meta, PageLocation::Resident);
         swapScheme->onAdmit(meta);
         Tick rebuild = cfg.pageTouchNs + timing.params().dramPageCopyNs;
@@ -358,7 +350,6 @@ MobileSystem::runColdLaunch(AppId uid,
     telemetry::TraceSpan span("cold_launch", "uid", uid);
     if (observer)
         observer->onOp(TraceOp::Launch, uid, 0, simClock.now());
-    swapScheme->onLaunch(uid);
     Tick create = timing.params().processCreateNs;
     cpuAccount.charge(CpuRole::AppExecution, create);
     simClock.advance(create);

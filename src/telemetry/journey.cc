@@ -51,8 +51,6 @@ journeyStepName(JourneyStep s) noexcept
         return "recreate";
     case JourneyStep::Lost:
         return "lost";
-    case JourneyStep::Free:
-        return "free";
     }
     return "?";
 }

@@ -7,7 +7,7 @@
  * function of the workload and not of thread scheduling — records
  * its state transitions with simulated timestamps: alloc, hotness
  * moves (hot/warm/cold), compression into zram, writeback to flash,
- * staging, swap-in, loss, recreation and free. The result is the
+ * staging, swap-in, loss and recreation. The result is the
  * paper's story per page: you can watch a cold page ride the
  * FIFO into flash and pay the flash fault on relaunch.
  *
@@ -65,8 +65,7 @@ enum class JourneyStep : std::uint8_t
     SwapIn,    ///< major fault brought it back (detail = latency ns)
     Resident,  ///< residentized as a sibling of a faulted unit
     Recreate,  ///< lost content rebuilt on access
-    Lost,      ///< dropped (incompressible or out of space)
-    Free       ///< released by its owning app
+    Lost       ///< dropped (incompressible or out of space)
 };
 
 /** Stable lowercase name of @p s (JSON event vocabulary). */

@@ -58,10 +58,7 @@ struct SchemeHarness
         result.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             PageMeta &p = page(uid, first_pfn + i, truth);
-            if (!dram.allocate(1)) {
-                scheme.reclaim(32, true);
-                EXPECT_TRUE(dram.allocate(1));
-            }
+            scheme.allocateResident(32);
             arena.setLocation(p, PageLocation::Resident);
             scheme.onAdmit(p);
             result.push_back(&p);

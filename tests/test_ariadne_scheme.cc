@@ -196,22 +196,3 @@ TEST(AriadneScheme, NameReflectsConfig)
     AriadneScheme scheme(h.context(), testConfig("AL-256-2K-32K"));
     EXPECT_EQ(scheme.name(), "Ariadne-AL-256-2K-32K");
 }
-
-TEST(AriadneScheme, OnFreeCleansUpEverywhere)
-{
-    SchemeHarness h(512);
-    AriadneScheme scheme(h.context(), testConfig());
-    scheme.seedProfile(1, 2);
-    auto pages = h.admitPages(scheme, 1, 10);
-    scheme.reclaim(4, false); // one cold unit {2,3,4,5}
-    // Freeing one page of a multi-page unit keeps the others valid.
-    scheme.onFree(*pages[2]);
-    EXPECT_EQ(h.arena.location(*pages[2]), PageLocation::Lost);
-    SwapInResult res = scheme.swapIn(*pages[3]);
-    (void)res;
-    EXPECT_EQ(h.arena.location(*pages[3]), PageLocation::Resident);
-    // Freeing a resident page releases DRAM.
-    std::size_t used = h.dram.usedPages();
-    scheme.onFree(*pages[9]);
-    EXPECT_EQ(h.dram.usedPages(), used - 1);
-}

@@ -87,13 +87,3 @@ TEST(FlashSwap, CpuYieldsDuringIo)
     EXPECT_EQ(h.cpu.total(CpuRole::IoSubmit),
               32 * h.timing.params().flashSubmitCpuNs);
 }
-
-TEST(FlashSwap, FreeReleasesFlashSlot)
-{
-    SchemeHarness h(256);
-    FlashSwapScheme swap(h.context(), smallConfig());
-    auto pages = h.admitPages(swap, 1, 2);
-    swap.reclaim(2, false);
-    swap.onFree(*pages[0]);
-    EXPECT_EQ(swap.flash()->liveBytes(), pageSize);
-}

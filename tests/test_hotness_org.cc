@@ -145,15 +145,6 @@ TEST_F(HotnessOrgTest, ColdSiblingsStayCold)
     EXPECT_EQ(arena.level(sibling), Hotness::Cold);
 }
 
-TEST_F(HotnessOrgTest, UnlinkIsIdempotent)
-{
-    org.admit(page(1, 0), 0);
-    PageMeta &p = *pages[0];
-    org.unlink(p);
-    EXPECT_EQ(p.lruOwner, nullptr);
-    org.unlink(p); // second unlink must be a no-op
-}
-
 TEST_F(HotnessOrgTest, PopVictimFromSpecificApp)
 {
     profiles.seed(2, 1);

@@ -171,19 +171,6 @@ TEST(Zram, ProactiveBackgroundCompression)
     EXPECT_EQ(h.dram.usedPages(), 50u);
 }
 
-TEST(Zram, OnFreeReleasesEverywhere)
-{
-    SchemeHarness h(256);
-    ZramScheme zram(h.context(), smallConfig());
-    auto pages = h.admitPages(zram, 1, 4);
-    zram.reclaim(2, false);
-    std::size_t stored = zram.zpool()->storedBytes();
-    zram.onFree(*pages[0]); // compressed page
-    EXPECT_LT(zram.zpool()->storedBytes(), stored);
-    zram.onFree(*pages[3]); // resident page
-    EXPECT_EQ(h.dram.usedPages(), 1u);
-}
-
 TEST(Zram, AccountingChargesCpuRoles)
 {
     SchemeHarness h(256);

@@ -30,7 +30,6 @@ STEP_COLORS = {
     "cold": "#4e79a7", "zram": "#b07aa1", "writeback": "#9c755f",
     "flash": "#76b7b2", "staged": "#edc948", "swapin": "#ff9da7",
     "resident": "#59a14f", "recreate": "#e15759", "lost": "#000000",
-    "free": "#bab0ac",
 }
 
 CSS = """
