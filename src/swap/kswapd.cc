@@ -11,11 +11,6 @@ namespace
 telemetry::Counter c_wakeup("kswapd.wakeup");
 telemetry::Counter c_reclaimedPages("kswapd.reclaimed_pages");
 telemetry::DurationProbe d_run("kswapd.run");
-// The reclaim scan proper (victim selection + compression), i.e. the
-// wall time the SoA metadata walk is supposed to shrink — separate
-// from kswapd.run, which also covers wakeup bookkeeping.
-telemetry::Counter c_scanPages("kswapd.scan_pages");
-telemetry::DurationProbe d_scan("kswapd.scan");
 
 } // namespace
 
@@ -33,12 +28,7 @@ Kswapd::runReclaim()
     // for list maintenance).
     Tick before = ctx.cpu.grandTotal();
     std::size_t want = ctx.dram.reclaimTarget();
-    std::size_t freed;
-    {
-        telemetry::ScopedTimer scan(d_scan);
-        freed = target.reclaim(want, /*direct=*/false);
-    }
-    c_scanPages.add(freed);
+    std::size_t freed = target.reclaim(want, /*direct=*/false);
     Tick after = ctx.cpu.grandTotal();
     totalCpuNs += after - before;
     reclaimed += freed;
