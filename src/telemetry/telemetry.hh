@@ -28,7 +28,9 @@
  * fixed-bucket log2 histograms (distributions of simulated latencies
  * and sizes). Both are fed *simulated* values at simulated times, so
  * their merged totals are invariant across thread counts and shard
- * splits, exactly like counters.
+ * splits, exactly like counters. Gauges are probed through
+ * TimelineGauge (timeline.hh), which also feeds `--timeline`, and
+ * histograms through AppHistogram.
  */
 
 #ifndef ARIADNE_TELEMETRY_TELEMETRY_HH
@@ -343,51 +345,6 @@ class Counter
 
   private:
     std::size_t slot;
-};
-
-/**
- * A named sampled gauge. sample() records one point-in-time reading
- * of simulator state; the registry keeps count/sum/min/max so the
- * metrics report can summarize without storing every point. The raw
- * series goes to the TimelineRecorder (timeline.hh) separately.
- */
-class Gauge
-{
-  public:
-    explicit Gauge(const char *name)
-        : base(Registry::global().gaugeSlot(name))
-    {
-    }
-
-    void
-    sample(std::uint64_t v) noexcept
-    {
-        if (enabled())
-            Registry::global().recordGauge(base, v);
-    }
-
-  private:
-    std::size_t base;
-};
-
-/** A named fixed-bucket log2 histogram of simulated values. */
-class Histogram
-{
-  public:
-    explicit Histogram(const char *name)
-        : base(Registry::global().histogramSlot(name))
-    {
-    }
-
-    void
-    record(std::uint64_t v) noexcept
-    {
-        if (enabled())
-            Registry::global().recordHistogram(base, v);
-    }
-
-  private:
-    std::size_t base;
 };
 
 /**

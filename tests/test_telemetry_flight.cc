@@ -21,8 +21,6 @@
 using namespace ariadne;
 using namespace ariadne::driver;
 using telemetry::AppHistogram;
-using telemetry::Gauge;
-
 using telemetry::JourneyLog;
 using telemetry::JourneyStep;
 using telemetry::Registry;
@@ -31,6 +29,10 @@ using telemetry::TimelineRecorder;
 
 namespace
 {
+
+/** A uid at or above maxLabeledApps feeds only the aggregate
+ * histogram, so AppHistogram records like a plain histogram. */
+constexpr std::uint32_t unlabeledUid = AppHistogram::maxLabeledApps;
 
 /** Every test starts from zeroed shards and empty ring buffers. */
 class FlightTest : public ::testing::Test
@@ -62,10 +64,10 @@ class FlightTest : public ::testing::Test
 
 TEST_F(FlightTest, GaugeSummarizesCountSumMinMax)
 {
-    Gauge g("test.gauge");
-    g.sample(30);
-    g.sample(10);
-    g.sample(20);
+    TimelineGauge g("test.gauge");
+    g.sample(1000, 30);
+    g.sample(2000, 10);
+    g.sample(3000, 20);
     auto v = Registry::global().snapshot().gauge("test.gauge");
     EXPECT_EQ(v.count, 3u);
     EXPECT_EQ(v.sum, 60u);
@@ -76,9 +78,9 @@ TEST_F(FlightTest, GaugeSummarizesCountSumMinMax)
 
 TEST_F(FlightTest, DisabledGaugeRecordsNothing)
 {
-    Gauge g("test.gauge.off");
+    TimelineGauge g("test.gauge.off");
     telemetry::setEnabled(false);
-    g.sample(99);
+    g.sample(1000, 99);
     EXPECT_EQ(
         Registry::global().snapshot().gauge("test.gauge.off").count,
         0u);
@@ -87,9 +89,9 @@ TEST_F(FlightTest, DisabledGaugeRecordsNothing)
 TEST_F(FlightTest, GaugeZeroSampleIsValid)
 {
     // A sampled value of 0 must set min/max, not read as "empty".
-    Gauge g("test.gauge.zero");
-    g.sample(0);
-    g.sample(5);
+    TimelineGauge g("test.gauge.zero");
+    g.sample(1000, 0);
+    g.sample(2000, 5);
     auto v = Registry::global().snapshot().gauge("test.gauge.zero");
     EXPECT_EQ(v.count, 2u);
     EXPECT_EQ(v.min, 0u);
@@ -98,14 +100,14 @@ TEST_F(FlightTest, GaugeZeroSampleIsValid)
 
 TEST_F(FlightTest, HistogramBucketsByBitWidth)
 {
-    telemetry::Histogram h("test.hist");
-    h.record(0);   // bucket 0
-    h.record(1);   // bucket 1
-    h.record(2);   // bucket 2
-    h.record(3);   // bucket 2
-    h.record(4);   // bucket 3
-    h.record(7);   // bucket 3
-    h.record(~std::uint64_t{0}); // saturates to the top bucket
+    AppHistogram h("test.hist");
+    h.record(unlabeledUid, 0);   // bucket 0
+    h.record(unlabeledUid, 1);   // bucket 1
+    h.record(unlabeledUid, 2);   // bucket 2
+    h.record(unlabeledUid, 3);   // bucket 2
+    h.record(unlabeledUid, 4);   // bucket 3
+    h.record(unlabeledUid, 7);   // bucket 3
+    h.record(unlabeledUid, ~std::uint64_t{0}); // saturates to the top bucket
     auto v = Registry::global().snapshot().histogram("test.hist");
     EXPECT_EQ(v.buckets[0], 1u);
     EXPECT_EQ(v.buckets[1], 1u);
@@ -132,14 +134,14 @@ TEST_F(FlightTest, AppHistogramLabelsLeadingUids)
 
 TEST_F(FlightTest, SnapshotVectorsAreSortedByName)
 {
-    Gauge gz("test.z.gauge");
-    Gauge ga("test.a.gauge");
-    telemetry::Histogram hz("test.z.hist");
-    telemetry::Histogram ha("test.a.hist");
-    gz.sample(1);
-    ga.sample(1);
-    hz.record(1);
-    ha.record(1);
+    TimelineGauge gz("test.z.gauge");
+    TimelineGauge ga("test.a.gauge");
+    AppHistogram hz("test.z.hist");
+    AppHistogram ha("test.a.hist");
+    gz.sample(1000, 1);
+    ga.sample(1000, 1);
+    hz.record(unlabeledUid, 1);
+    ha.record(unlabeledUid, 1);
     auto snap = Registry::global().snapshot();
     for (std::size_t i = 1; i < snap.gauges.size(); ++i)
         EXPECT_LT(snap.gauges[i - 1].name, snap.gauges[i].name);
@@ -150,10 +152,10 @@ TEST_F(FlightTest, SnapshotVectorsAreSortedByName)
 
 TEST_F(FlightTest, MetricsJsonCarriesGaugesAndHistograms)
 {
-    Gauge g("test.json.gauge");
-    telemetry::Histogram h("test.json.hist");
-    g.sample(42);
-    h.record(42);
+    TimelineGauge g("test.json.gauge");
+    AppHistogram h("test.json.hist");
+    g.sample(1000, 42);
+    h.record(unlabeledUid, 42);
     std::ostringstream os;
     telemetry::writeMetricsJson(os, telemetry::RunMeta::current(),
                                 Registry::global().snapshot());
