@@ -37,6 +37,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -289,21 +290,33 @@ struct Options
     bool progress = false;
 };
 
+/** The artifact paths that stream to stdout when given as '-'. */
+std::array<const std::string *, 6>
+artifactPaths(const Options &opt)
+{
+    return {&opt.jsonPath,     &opt.partialPath,  &opt.metricsPath,
+            &opt.timelinePath, &opt.journeysPath, &opt.traceEventsPath};
+}
+
+/** Number of artifacts claiming stdout ('-'). */
+std::size_t
+stdoutClaims(const Options &opt)
+{
+    std::size_t claims = 0;
+    for (const std::string *path : artifactPaths(opt))
+        claims += *path == "-";
+    return claims;
+}
+
 /**
- * Stream for human-readable status output. A '-' path (`--json -`,
- * `--partial -`, `--metrics -`, `--timeline -`, `--journeys -`,
- * `--trace-events -`) hands stdout to a JSON consumer, so every
- * summary, status line and heartbeat must go to stderr to keep the
- * stream pure JSON.
+ * Stream for human-readable status output. A '-' artifact path hands
+ * stdout to a JSON consumer, so every summary, status line and
+ * heartbeat must go to stderr to keep the stream pure JSON.
  */
 std::ostream &
 statusStream(const Options &opt)
 {
-    if (opt.jsonPath == "-" || opt.partialPath == "-" ||
-        opt.metricsPath == "-" || opt.timelinePath == "-" ||
-        opt.journeysPath == "-" || opt.traceEventsPath == "-")
-        return std::cerr;
-    return std::cout;
+    return stdoutClaims(opt) ? std::cerr : std::cout;
 }
 
 /** Parse argv; returns false (after printing a message) on error. */
@@ -508,13 +521,7 @@ parseArgs(int argc, char **argv, Options &opt)
                      "trace serializes sessions in index order)\n";
         opt.threads = 1;
     }
-    int stdout_claims = (opt.jsonPath == "-" ? 1 : 0) +
-                        (opt.partialPath == "-" ? 1 : 0) +
-                        (opt.metricsPath == "-" ? 1 : 0) +
-                        (opt.timelinePath == "-" ? 1 : 0) +
-                        (opt.journeysPath == "-" ? 1 : 0) +
-                        (opt.traceEventsPath == "-" ? 1 : 0);
-    if (stdout_claims > 1) {
+    if (stdoutClaims(opt) > 1) {
         std::cerr << "ariadne_sim: only one artifact can stream to "
                      "stdout ('-'); give the others real paths\n";
         return false;
@@ -591,6 +598,25 @@ printSweepSummary(std::ostream &os, const SweepResult &r)
     table.print(os);
 }
 
+/** Write one JSON artifact to @p path ('-' = stdout); returns 1 on
+ * an unwritable path, else 0. */
+template <typename WriteFn>
+int
+emitArtifact(const std::string &path, WriteFn &&write)
+{
+    if (path == "-") {
+        write(std::cout);
+        return 0;
+    }
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "ariadne_sim: cannot write " << path << "\n";
+        return 1;
+    }
+    write(out);
+    return 0;
+}
+
 /** Write the report to --json's target; returns the exit code. */
 template <typename Result>
 int
@@ -598,43 +624,26 @@ emitJson(const Options &opt, const Result &result)
 {
     if (opt.jsonPath.empty())
         return 0;
-    if (opt.jsonPath == "-") {
-        result.writeJson(std::cout, opt.perSession);
-        return 0;
-    }
-    std::ofstream out(opt.jsonPath);
-    if (!out) {
-        std::cerr << "ariadne_sim: cannot write " << opt.jsonPath
-                  << "\n";
-        return 1;
-    }
-    result.writeJson(out, opt.perSession);
-    if (!opt.quiet)
+    int rc = emitArtifact(opt.jsonPath, [&](std::ostream &os) {
+        result.writeJson(os, opt.perSession);
+    });
+    if (rc == 0 && !opt.quiet && opt.jsonPath != "-")
         statusStream(opt) << "\nJSON report written to " << opt.jsonPath
                           << "\n";
-    return 0;
+    return rc;
 }
 
 /** Write a shard's partial report; returns the exit code. */
 int
 emitPartial(const Options &opt, const report::PartialReport &p)
 {
-    if (opt.partialPath == "-") {
-        p.writeJson(std::cout);
-        return 0;
-    }
-    std::ofstream out(opt.partialPath);
-    if (!out) {
-        std::cerr << "ariadne_sim: cannot write " << opt.partialPath
-                  << "\n";
-        return 1;
-    }
-    p.writeJson(out);
-    if (!opt.quiet)
+    int rc = emitArtifact(opt.partialPath,
+                          [&](std::ostream &os) { p.writeJson(os); });
+    if (rc == 0 && !opt.quiet && opt.partialPath != "-")
         statusStream(opt) << "partial report (shard "
                           << p.shard.toString() << ") written to "
                           << opt.partialPath << "\n";
-    return 0;
+    return rc;
 }
 
 /**
@@ -665,25 +674,6 @@ startObservability(const Options &opt, std::uint64_t total,
         telemetry::setJourneyEnabled(true, journey_sample);
     if (opt.progress)
         telemetry::ProgressMeter::global().enable(total, label);
-}
-
-/** Write one out-of-band JSON artifact to @p path ('-' = stdout);
- * returns 1 on an unwritable path, else 0. */
-template <typename WriteFn>
-int
-emitArtifact(const std::string &path, WriteFn &&write)
-{
-    if (path == "-") {
-        write(std::cout);
-        return 0;
-    }
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "ariadne_sim: cannot write " << path << "\n";
-        return 1;
-    }
-    write(out);
-    return 0;
 }
 
 /**
