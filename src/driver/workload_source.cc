@@ -1,6 +1,7 @@
 #include "driver/workload_source.hh"
 
 #include <algorithm>
+#include <map>
 
 #include "sim/log.hh"
 #include "sim/rng.hh"
@@ -295,18 +296,70 @@ TraceReplaySource::TraceReplaySource(std::string trace_path)
             " session(s) but the file contains " +
             std::to_string(sessions.size()));
 
-    // Structural validation up front, so drive() — which may run on
-    // worker threads — can assume a well-formed stream.
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (records[i].op != TraceOp::Touch)
-            continue;
-        if (i == 0 || (records[i - 1].op != TraceOp::Touch &&
-                       records[i - 1].op != TraceOp::Launch &&
-                       records[i - 1].op != TraceOp::Execute &&
-                       records[i - 1].op != TraceOp::Relaunch))
-            throw SpecError("trace " + path + ": touch record " +
-                            std::to_string(i) +
-                            " outside an op block");
+    // Validate up front, so drive() — which may run on worker
+    // threads — can assume a well-formed stream: each touch follows
+    // its op block's Launch, Execute or Relaunch within its session,
+    // each op names an app of its session, and no touch can index
+    // MobileSystem's page directories out of range. Generated pfns
+    // are dense from 0 per app, so a touch of app U in session S stays
+    // below the number of pages U allocates in S.
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+        std::map<AppId, std::uint64_t> allocs;
+        for (const AppProfile &p : sessionProfiles(s))
+            allocs[p.uid] = 0;
+        auto where = [&](std::size_t i) {
+            return "trace " + path + ": " + traceOpName(records[i].op) +
+                   " record " + std::to_string(i);
+        };
+        auto allocsOf = [&](std::size_t i) {
+            auto it = allocs.find(records[i].uid);
+            if (it == allocs.end())
+                throw SpecError(where(i) + " names app " +
+                                std::to_string(records[i].uid) +
+                                ", which session " + std::to_string(s) +
+                                " does not carry");
+            return &it->second;
+        };
+        // Pass 0 checks the structure and counts each app's
+        // allocations; pass 1 checks each touch's pfn against them.
+        for (int pass = 0; pass < 2; ++pass) {
+            AppId owner = invalidApp;
+            // Allocations of the open op block's app; null outside one.
+            std::uint64_t *owned = nullptr;
+            for (std::size_t i = sessions[s].begin; i < sessions[s].end;
+                 ++i) {
+                const TraceRecord &r = records[i];
+                switch (r.op) {
+                  case TraceOp::Launch:
+                  case TraceOp::Execute:
+                  case TraceOp::Relaunch:
+                    owned = allocsOf(i);
+                    owner = r.uid;
+                    break;
+                  case TraceOp::Touch:
+                    if (!owned)
+                        throw SpecError(where(i) +
+                                        " outside an op block");
+                    if (pass == 0)
+                        *owned += r.newAllocation ? 1 : 0;
+                    else if (r.pfn >= *owned)
+                        throw SpecError(
+                            where(i) + " has pfn " +
+                            std::to_string(r.pfn) + ", beyond the " +
+                            std::to_string(*owned) + " page(s) app " +
+                            std::to_string(owner) + " allocates in "
+                            "session " + std::to_string(s));
+                    break;
+                  case TraceOp::Background:
+                    allocsOf(i);
+                    owned = nullptr;
+                    break;
+                  default:
+                    owned = nullptr;
+                    break;
+                }
+            }
+        }
     }
 }
 

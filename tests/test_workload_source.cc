@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -82,6 +83,59 @@ jsonOf(const FleetResult &r, bool per_session = false)
     std::ostringstream os;
     r.writeJson(os, per_session);
     return os.str();
+}
+
+/**
+ * Record one session of recordableSpec(), rewrite the trace with
+ * @p patch applied to every record but the session starts (it gets
+ * the record's replay index, the one load errors name), replay the
+ * result and return the replay's SpecError message ("" when the
+ * replay runs).
+ */
+template <typename Patch>
+std::string
+replayPatched(const std::string &name, Patch patch)
+{
+    std::string recorded = tempPath(name + ".orig");
+    std::string patched = tempPath(name);
+    FleetRunner(recordableSpec()).runRecorded(recorded, 1);
+    {
+        TraceReader reader(recorded);
+        TraceWriter writer(patched, reader.spec());
+        TraceRecord rec;
+        std::size_t index = 0;
+        while (reader.next(rec)) {
+            if (rec.op == TraceOp::SessionStart) {
+                writer.beginSession(rec.pfn);
+                continue;
+            }
+            patch(index++, rec);
+            writer.append(rec);
+        }
+    }
+    std::string what;
+    try {
+        FleetRunner(replaySpec(patched)).run(0, 1);
+    } catch (const SpecError &e) {
+        what = e.what();
+    }
+    std::remove(recorded.c_str());
+    std::remove(patched.c_str());
+    return what;
+}
+
+/** Patch the pfn of the first touch to @p pfn and replay. */
+std::string
+replayWithFirstTouchPfn(const std::string &name, Pfn pfn,
+                        std::size_t &touch_index)
+{
+    touch_index = SIZE_MAX;
+    return replayPatched(name, [&](std::size_t i, TraceRecord &r) {
+        if (r.op == TraceOp::Touch && touch_index == SIZE_MAX) {
+            touch_index = i;
+            r.pfn = pfn;
+        }
+    });
 }
 
 } // namespace
@@ -295,6 +349,54 @@ TEST(TraceRecordReplay, RejectsMissingAndCorruptTraceFiles)
     }
     EXPECT_THROW(FleetRunner(replaySpec(path)), TraceError);
     std::remove(path.c_str());
+}
+
+TEST(TraceRecordReplay, RejectsATouchWhosePfnWraps)
+{
+    // pfn + 1 wraps to 0, so growing the page directory to fit the
+    // touch would write past its end.
+    std::size_t touch = 0;
+    std::string what = replayWithFirstTouchPfn(
+        "ariadne_ws_pfn_wrap.trace", UINT64_MAX, touch);
+    EXPECT_NE(what.find("touch record " + std::to_string(touch) +
+                        " has pfn 18446744073709551615, beyond the "),
+              std::string::npos)
+        << what;
+}
+
+TEST(TraceRecordReplay, RejectsATouchBeyondItsAppsAllocations)
+{
+    // A 2^31 pfn would ask for a 16 GB page directory.
+    std::size_t touch = 0;
+    std::string what = replayWithFirstTouchPfn(
+        "ariadne_ws_pfn_huge.trace", Pfn{1} << 31, touch);
+    EXPECT_NE(what.find("touch record " + std::to_string(touch) +
+                        " has pfn 2147483648, beyond the "),
+              std::string::npos)
+        << what;
+}
+
+TEST(TraceRecordReplay, RejectsAnOpOfAnAppOutsideTheSession)
+{
+    // Move the first launch and its touches to uid 10.
+    std::size_t launch = SIZE_MAX;
+    bool in_block = false;
+    std::string what = replayPatched(
+        "ariadne_ws_uid.trace", [&](std::size_t i, TraceRecord &r) {
+            if (r.op == TraceOp::Launch && launch == SIZE_MAX) {
+                launch = i;
+                in_block = true;
+            } else if (r.op != TraceOp::Touch) {
+                in_block = false;
+            }
+            if (in_block)
+                r.uid = 10;
+        });
+    EXPECT_NE(what.find("launch record " + std::to_string(launch) +
+                        " names app 10, which session 0 does not "
+                        "carry"),
+              std::string::npos)
+        << what;
 }
 
 TEST(SweepMixes, PerVariantWorkloadAxesRunInOneReport)
