@@ -446,7 +446,6 @@ AriadneScheme::swapIn(PageMeta &page)
         CompUnit &u = units.unit(id);
         faultsPerLevel[static_cast<std::size_t>(
             u.levelAtCompression)] += 1;
-        sectorLog.push_back(pool.sectorOf(u.object));
 
         // Find the speculation candidate before the object vanishes.
         ZObjectId next = pool.nextInSectorOrder(u.object);

@@ -86,13 +86,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** Configuration in effect. */
     const AriadneConfig &config() const noexcept { return cfg; }
 
-    /** Sector access log during swap-ins (locality analysis). */
-    const std::vector<Sector> &
-    sectorAccessLog() const noexcept
-    {
-        return sectorLog;
-    }
-
     /** Swap-in faults by the hotness the unit was compressed at. */
     std::uint64_t
     faultsByLevel(Hotness level) const noexcept
@@ -106,9 +99,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     {
         return preSwapCount;
     }
-
-    /** Clear analysis logs between scenario phases. */
-    void clearLogs() { sectorLog.clear(); }
 
   private:
     /** Compress a batch of same-app victims into one unit. */
@@ -146,7 +136,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     std::deque<UnitId> coldUnitFifo;
     std::deque<UnitId> pageUnitFifo;
 
-    std::vector<Sector> sectorLog;
     std::array<std::uint64_t, 3> faultsPerLevel{};
 
     /**
