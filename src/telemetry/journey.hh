@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/rng.hh"
+
 namespace ariadne::telemetry
 {
 
@@ -71,19 +73,6 @@ enum class JourneyStep : std::uint8_t
 /** Stable lowercase name of @p s (JSON event vocabulary). */
 const char *journeyStepName(JourneyStep s) noexcept;
 
-namespace detail
-{
-/** splitmix64 finalizer over the page key. */
-inline std::uint64_t
-journeyMix(std::uint64_t x) noexcept
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-} // namespace detail
-
 /** Deterministic predicate: is page (uid, pfn) in the sample? */
 inline bool
 journeySampled(std::uint32_t uid, std::uint64_t pfn) noexcept
@@ -92,9 +81,7 @@ journeySampled(std::uint32_t uid, std::uint64_t pfn) noexcept
         detail::g_journeySampleEvery.load(std::memory_order_relaxed);
     if (k <= 1)
         return true;
-    return detail::journeyMix(
-               (static_cast<std::uint64_t>(uid) << 40) ^ pfn) %
-               k ==
+    return mix64((static_cast<std::uint64_t>(uid) << 40) ^ pfn) % k ==
            0;
 }
 
