@@ -3,7 +3,8 @@
  * perf_pagetable — page-bookkeeping microbench.
  *
  * Exercises the structures under every simulated touch in isolation:
- * PageArena alloc/free recycling, direct-indexed per-app lookup
+ * PageArena allocation with a reset() between rounds (the path a
+ * fleet worker takes between sessions), direct-indexed per-app lookup
  * (the MobileSystem page-directory shape), intrusive LruList
  * touch-to-front traffic, and PfnBitmap capture marking, over a
  * million-page arena. Emits BENCH_pagetable.json with ops/sec rates
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,6 @@ namespace
 
 telemetry::Counter c_alloc("pagetable.alloc");
 telemetry::Counter c_touch("pagetable.touch");
-telemetry::Counter c_lookup("pagetable.lookup");
-telemetry::Counter c_free("pagetable.free");
 
 double
 rate(std::size_t ops, std::chrono::duration<double> wall)
@@ -83,26 +83,23 @@ main(int argc, char **argv)
     std::vector<PageMeta *> dir(pages, nullptr);
     PfnBitmap capture;
     std::uint64_t lru_ops = 0;
-    LruList list(&lru_ops);
+    std::optional<LruList> list;
     auto total_start = std::chrono::steady_clock::now();
 
     // Alloc: fill the directory the way a cold launch does — dense
-    // pfns, every record admitted to the intrusive list.
+    // pfns, every record admitted to the intrusive list. Each round
+    // is a session: it drops the previous round's list and reset()s
+    // the arena, so later rounds refill warm slabs.
     auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
+        arena.reset();
+        list.emplace(&lru_ops);
         for (std::size_t i = 0; i < pages; ++i) {
             PageMeta *page = arena.alloc();
             page->key = PageKey{1000, static_cast<Pfn>(i)};
             dir[i] = page;
-            list.pushFront(*page);
+            list->pushFront(*page);
             c_alloc.add();
-        }
-        if (r + 1 < rounds) {
-            for (std::size_t i = 0; i < pages; ++i) {
-                list.remove(*dir[i]);
-                arena.free(*dir[i]);
-                dir[i] = nullptr;
-            }
         }
     }
     report.rates.emplace_back(
@@ -119,7 +116,7 @@ main(int argc, char **argv)
             std::size_t pfn = (i * 7 + r) % pages;
             PageMeta *page = dir[pfn];
             capture.set(static_cast<Pfn>(pfn));
-            list.touch(*page);
+            list->touch(*page);
             c_touch.add();
         }
     }
@@ -127,36 +124,6 @@ main(int argc, char **argv)
         "opsPerSec.touch",
         rate(rounds * pages,
              std::chrono::steady_clock::now() - start));
-
-    // Lookup: handle -> record plus directory hit, no list traffic.
-    std::uint64_t checksum = 0;
-    start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < rounds; ++r) {
-        for (std::size_t i = 0; i < pages; ++i) {
-            std::size_t pfn = (i * 13 + r) % pages;
-            PageMeta &page =
-                arena.fromHandle(PageArena::handleOf(*dir[pfn]));
-            checksum += page.key.pfn;
-            c_lookup.add();
-        }
-    }
-    report.rates.emplace_back(
-        "opsPerSec.lookup",
-        rate(rounds * pages,
-             std::chrono::steady_clock::now() - start));
-    report.totals.emplace_back("lookupChecksum", checksum);
-
-    // Free: unlink and recycle every record.
-    start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < pages; ++i) {
-        list.remove(*dir[i]);
-        arena.free(*dir[i]);
-        dir[i] = nullptr;
-        c_free.add();
-    }
-    report.rates.emplace_back(
-        "opsPerSec.free",
-        rate(pages, std::chrono::steady_clock::now() - start));
 
     std::chrono::duration<double> total_wall =
         std::chrono::steady_clock::now() - total_start;

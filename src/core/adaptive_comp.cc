@@ -29,10 +29,8 @@ AdaptiveComp::create(std::vector<PageMeta *> pages,
     u.liveFlag = true;
     ++liveUnits;
 
-    for (std::size_t i = 0; i < u.pages.size(); ++i) {
-        u.pages[i]->objectId = id;
-        u.pages[i]->objectSlot = static_cast<std::uint32_t>(i);
-    }
+    for (PageMeta *p : u.pages)
+        p->objectId = id;
     return id;
 }
 

@@ -10,9 +10,8 @@ AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
     : SwapScheme(context), cfg(config), codec(makeCodec(cfg.codec)),
       pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
       profiles(cfg.defaultHotInitPages),
-      hotOrg(&lruOpCount, profiles, context.arena), units(cfg),
-      stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0,
-                 context.arena)
+      hotOrg(&lruOpCount, profiles), units(cfg),
+      stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0)
 {
 }
 
@@ -153,7 +152,7 @@ AriadneScheme::writebackUnit(UnitId id, bool synchronous)
             telemetry::journeyMark(p->key.uid, p->key.pfn,
                                    telemetry::JourneyStep::Lost,
                                    ctx.clock.now());
-            ctx.arena.setLocation(*p, PageLocation::Lost);
+            p->location = PageLocation::Lost;
             p->objectId = invalidObject;
             ++lost;
         }
@@ -173,7 +172,7 @@ AriadneScheme::writebackUnit(UnitId id, bool synchronous)
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Writeback,
                                ctx.clock.now(), u.csize);
-        ctx.arena.setLocation(*p, PageLocation::Flash);
+        p->location = PageLocation::Flash;
         p->flashSlot = slot;
     }
     pool.erase(u.object);
@@ -229,7 +228,7 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
             telemetry::journeyMark(p->key.uid, p->key.pfn,
                                    telemetry::JourneyStep::Lost,
                                    ctx.clock.now());
-            ctx.arena.setLocation(*p, PageLocation::Lost);
+            p->location = PageLocation::Lost;
             ++lost;
             ctx.dram.release(1);
         }
@@ -250,7 +249,7 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Zram,
                                ctx.clock.now(), csize);
-        ctx.arena.setLocation(*p, PageLocation::Zpool);
+        p->location = PageLocation::Zpool;
     }
 
     (level == Hotness::Cold ? coldUnitFifo : pageUnitFifo).push_back(id);
@@ -307,7 +306,7 @@ AriadneScheme::residentizeUnit(CompUnit &unit, PageMeta *hit)
     Tick now = ctx.clock.now();
     for (PageMeta *p : unit.pages) {
         allocateResident(cfg.reclaimBatch);
-        ctx.arena.setLocation(*p, PageLocation::Resident);
+        p->location = PageLocation::Resident;
         p->objectId = invalidObject;
         p->flashSlot = invalidFlashSlot;
         if (p == hit) {
@@ -361,7 +360,7 @@ AriadneScheme::tryStage(ZObjectId obj)
         // Single page: decompress into the staging buffer ("we
         // pre-decompress only one compressed page at a time", §4.4).
         PageMeta *p = u.pages.front();
-        if (ctx.arena.location(*p) != PageLocation::Zpool)
+        if (p->location != PageLocation::Zpool)
             return;
         if (stagingBuf.stage(*p)) {
             telemetry::journeyMark(p->key.uid, p->key.pfn,
@@ -385,7 +384,7 @@ AriadneScheme::tryStage(ZObjectId obj)
         return;
     }
     for (PageMeta *p : u.pages) {
-        if (ctx.arena.location(*p) != PageLocation::Zpool)
+        if (p->location != PageLocation::Zpool)
             return;
     }
     AppId uid = u.pages.front()->key.uid;
@@ -409,7 +408,7 @@ AriadneScheme::swapIn(PageMeta &page)
     Stopwatch sw(ctx.clock);
     AppId uid = page.key.uid;
 
-    if (ctx.arena.location(page) == PageLocation::Staged) {
+    if (page.location == PageLocation::Staged) {
         // PreDecomp hit: only a page copy plus bookkeeping remains.
         stagingBuf.consume(page);
         UnitId id = page.objectId;
@@ -426,7 +425,7 @@ AriadneScheme::swapIn(PageMeta &page)
         ctx.clock.advance(t);
 
         allocateResident(cfg.reclaimBatch);
-        ctx.arena.setLocation(page, PageLocation::Resident);
+        page.location = PageLocation::Resident;
         page.objectId = invalidObject;
         hotOrg.placeAfterSwapIn(page, ctx.clock.now());
         ctx.activity.dramBytes += pageSize;
@@ -441,7 +440,7 @@ AriadneScheme::swapIn(PageMeta &page)
     ctx.cpu.charge(CpuRole::FaultPath, fault);
     ctx.clock.advance(fault);
 
-    if (ctx.arena.location(page) == PageLocation::Zpool) {
+    if (page.location == PageLocation::Zpool) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
         faultsPerLevel[static_cast<std::size_t>(
@@ -459,7 +458,7 @@ AriadneScheme::swapIn(PageMeta &page)
 
         if (cfg.preDecompEnabled)
             tryStage(next);
-    } else if (ctx.arena.location(page) == PageLocation::Flash) {
+    } else if (page.location == PageLocation::Flash) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
         flashDev.read(u.flashSlot);

@@ -41,12 +41,9 @@ class HotnessOrg
     /**
      * @param op_count Shared LRU operation count (CPU charging).
      * @param profiles Hot-set size estimates for initialization.
-     * @param page_arena Arena owning the pages' SoA scan metadata
-     *        (hotness levels live there, not in PageMeta).
      */
-    HotnessOrg(std::uint64_t *op_count, ProfileStore &profiles,
-               PageArena &page_arena)
-        : ops(op_count), profileStore(profiles), arena(page_arena)
+    HotnessOrg(std::uint64_t *op_count, ProfileStore &profiles)
+        : ops(op_count), profileStore(profiles)
     {}
 
     /** New resident page admitted (first allocation). */
@@ -133,7 +130,6 @@ class HotnessOrg
 
     std::uint64_t *ops;
     ProfileStore &profileStore;
-    PageArena &arena;
     /** Sorted by uid. LruList is address-stable (intrusive heads), so
      * entries live behind unique_ptr; victim scans walk the flat
      * vector in uid order exactly as the old std::map iteration did. */

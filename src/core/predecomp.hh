@@ -21,7 +21,6 @@
 #include <unordered_map>
 
 #include "mem/page.hh"
-#include "mem/page_arena.hh"
 
 namespace ariadne
 {
@@ -30,12 +29,9 @@ namespace ariadne
 class PreDecomp
 {
   public:
-    /**
-     * @param capacity_pages Buffer capacity (paper: small FIFO).
-     * @param page_arena Arena owning the pages' location metadata.
-     */
-    PreDecomp(std::size_t capacity_pages, PageArena &page_arena)
-        : capacity(capacity_pages), arena(page_arena)
+    /** @param capacity_pages Buffer capacity (paper: small FIFO). */
+    explicit PreDecomp(std::size_t capacity_pages)
+        : capacity(capacity_pages)
     {}
 
     /**
@@ -84,7 +80,6 @@ class PreDecomp
     void evictOldest();
 
     std::size_t capacity;
-    PageArena &arena;
     std::deque<PageMeta *> order;
     std::unordered_map<const PageMeta *, bool> present;
     std::uint64_t hitCount = 0;

@@ -298,10 +298,10 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
 
     auto worker = [&]() {
         // One arena per worker thread, recycled across every session
-        // this worker runs: slabs and SoA arrays reach steady-state
-        // capacity after the first session and later sessions allocate
-        // nothing. Sessions only read/write their own arena, so the
-        // aggregate stays bit-identical to private-arena runs.
+        // this worker runs: slabs reach steady-state capacity after the
+        // first session and later sessions allocate nothing. Sessions
+        // only read/write their own arena, so the aggregate stays
+        // bit-identical to private-arena runs.
         PageArena workerArena;
         for (;;) {
             std::size_t i = next.fetch_add(1);

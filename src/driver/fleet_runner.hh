@@ -215,9 +215,9 @@ class FleetRunner
   private:
     /** @p arena Optional slab arena to build the session's
      * MobileSystem on. Fleet workers pass their thread's arena so
-     * page-metadata slabs (and the SoA scan arrays) are allocated
-     * once per worker and recycled across every session it runs;
-     * nullptr makes the session own a private arena. */
+     * page-metadata slabs are allocated once per worker and recycled
+     * across every session it runs; nullptr makes the session own a
+     * private arena. */
     SessionResult runSession(std::size_t index, TraceRecorder *recorder,
                              PageArena *arena) const;
     FleetResult runFleet(std::size_t fleet, unsigned threads,

@@ -53,15 +53,8 @@ struct PageKey
 };
 
 /**
- * Metadata record for one anonymous page. Contains intrusive LRU
- * hooks managed exclusively by LruList.
- *
- * The fields the reclaim scan and the hotness-decay walk read —
- * hotness level, location, last access time — do NOT live here: they
- * sit in dense per-field arrays owned by PageArena, indexed by the
- * record's handle, so those walks touch a few contiguous cache lines
- * instead of one cold record per page. Access them through the
- * arena's level()/location()/lastAccess() accessors.
+ * Metadata record for one anonymous page, one cache line on 64-bit
+ * hosts. Contains intrusive LRU hooks managed exclusively by LruList.
  */
 struct PageMeta
 {
@@ -70,10 +63,12 @@ struct PageMeta
     std::uint32_t version = 0;
     /** Ground-truth hotness assigned by the workload generator. */
     Hotness truth = Hotness::Cold;
+    /** Which hotness list the scheme currently keeps the page on. */
+    Hotness level = Hotness::Cold;
+    /** Where the page's data currently lives. */
+    PageLocation location = PageLocation::Resident;
     /** zpool object holding this page (invalid when not in zpool). */
     std::uint64_t objectId = UINT64_MAX;
-    /** Index of this page inside a multi-page compressed object. */
-    std::uint32_t objectSlot = 0;
     /** Flash slot holding this page (invalid when not in flash). */
     std::uint64_t flashSlot = UINT64_MAX;
 
@@ -81,12 +76,10 @@ struct PageMeta
     PageMeta *lruPrev = nullptr;
     PageMeta *lruNext = nullptr;
     LruList *lruOwner = nullptr;
-
-    // Arena bookkeeping; only PageArena may touch these. The handle
-    // survives free()/alloc() recycling of the record.
-    std::uint32_t arenaHandle = UINT32_MAX;
-    bool arenaFree = false;
 };
+
+static_assert(sizeof(void *) != 8 || sizeof(PageMeta) == 64,
+              "PageMeta should fill exactly one cache line");
 
 /**
  * Supplier of page contents. Implemented by the workload synthesizer;

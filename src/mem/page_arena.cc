@@ -1,84 +1,17 @@
 #include "mem/page_arena.hh"
 
-#include "sim/log.hh"
-
 namespace ariadne
 {
-
-void
-PageArena::growSlab()
-{
-    fatalIf(slabs.size() * slabPages + slabPages >
-                std::size_t{invalidPageHandle},
-            "PageArena exhausted its 32-bit handle space");
-    slabs.push_back(std::make_unique<PageMeta[]>(slabPages));
-    std::size_t records = slabs.size() * slabPages;
-    soaLevel.resize(records, Hotness::Cold);
-    soaLocation.resize(records, PageLocation::Resident);
-    soaLastAccess.resize(records, 0);
-}
 
 PageMeta *
 PageArena::alloc()
 {
-    PageMeta *page;
-    PageHandle handle;
-    if (freeHead) {
-        page = freeHead;
-        freeHead = page->lruNext;
-        handle = page->arenaHandle;
-    } else {
-        // After a reset() the fresh path re-walks slabs that were
-        // handed out before, so records are re-initialized here, not
-        // just on free-list recycling.
-        if (freshUsed == slabs.size() * slabPages)
-            growSlab();
-        handle = static_cast<PageHandle>(freshUsed);
-        ++freshUsed;
-        page = &slabs[handle >> slabShift][handle & slabMask];
-    }
+    if (used == slabs.size() * slabPages)
+        slabs.push_back(std::make_unique<PageMeta[]>(slabPages));
+    PageMeta *page = &slabs[used / slabPages][used % slabPages];
+    ++used;
+    // After a reset() the slabs hold the previous session's records.
     *page = PageMeta{};
-    page->arenaHandle = handle;
-    soaLevel[handle] = Hotness::Cold;
-    soaLocation[handle] = PageLocation::Resident;
-    soaLastAccess[handle] = 0;
-    ++liveRecords;
-    return page;
-}
-
-void
-PageArena::free(PageMeta &page)
-{
-    PageHandle handle = page.arenaHandle;
-    panicIf(handle >= totalRecords() ||
-                &slabs[handle >> slabShift][handle & slabMask] != &page,
-            "PageArena::free on a record not from this arena");
-    panicIf(page.arenaFree, "PageArena::free: double free");
-    panicIf(page.lruOwner != nullptr,
-            "PageArena::free: record still linked on an LruList");
-    page.arenaFree = true;
-    page.lruNext = freeHead;
-    freeHead = &page;
-    --liveRecords;
-}
-
-void
-PageArena::reset() noexcept
-{
-    // Records do not need scrubbing here: alloc() fully re-initializes
-    // a record (and its SoA slots) whichever path hands it out.
-    freeHead = nullptr;
-    freshUsed = 0;
-    liveRecords = 0;
-}
-
-PageMeta &
-PageArena::fromHandle(PageHandle handle)
-{
-    panicIf(handle >= totalRecords(),
-            "PageArena::fromHandle: handle out of range");
-    PageMeta &page = slabs[handle >> slabShift][handle & slabMask];
-    panicIf(page.arenaFree, "PageArena::fromHandle: freed record");
     return page;
 }
 

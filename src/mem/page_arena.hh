@@ -2,35 +2,19 @@
  * @file
  * Slab arena for PageMeta records.
  *
- * The simulator's hot loop allocates and looks up page metadata for
- * every touch; a general-purpose heap allocation per page (plus the
- * hashed map that used to own the unique_ptrs) dominated that loop.
- * The arena replaces both:
+ * The simulator's hot loop allocates page metadata for every first
+ * touch; a general-purpose heap allocation per page (plus the hashed
+ * map that used to own the unique_ptrs) dominated that loop. The
+ * arena is a bump allocator over fixed-size slabs instead:
  *
- *  - records live in fixed-size slabs, so a PageMeta's address is
- *    stable for its whole lifetime (the intrusive LruList hooks and
- *    the zpool cookies that store raw PageMeta pointers stay valid
- *    across any number of later allocations);
- *  - a free-list recycles records in O(1) without returning memory to
- *    the heap, the way hemem's memsim keeps page structs in one flat
- *    pool;
- *  - every record carries a compact 32-bit handle with O(1)
- *    handle -> pointer and pointer -> handle mapping, so dense
- *    side-tables can be keyed by handle instead of pointer;
- *  - the scan metadata every reclaim pass and hotness-decay walk
- *    reads (hotness level, location, last access time) lives in
- *    dense per-field arrays indexed by handle (structure-of-arrays),
- *    not in the PageMeta records, so those walks stream through a
- *    few contiguous bytes per page instead of pulling in whole cold
- *    records;
- *  - reset() recycles the whole arena (slabs, SoA arrays and all)
- *    for the next simulated session, so a fleet worker thread reuses
- *    one warmed-up arena instead of re-faulting fresh slabs per
- *    session.
- *
- * Freeing a record that is still linked on an LRU list, or freeing it
- * twice, is a lifetime bug the arena detects immediately (panic)
- * instead of leaving to a later crash.
+ *  - a PageMeta's address is stable for its whole lifetime, so the
+ *    intrusive LruList hooks and the zpool cookies that store raw
+ *    PageMeta pointers stay valid across any number of later
+ *    allocations;
+ *  - pages live until their session ends, so records are never freed
+ *    one by one: reset() recycles the whole arena for the next
+ *    simulated session, and a fleet worker thread reuses one
+ *    warmed-up arena instead of re-faulting fresh slabs per session.
  */
 
 #ifndef ARIADNE_MEM_PAGE_ARENA_HH
@@ -45,17 +29,11 @@
 namespace ariadne
 {
 
-/** Compact stable handle to an arena record. */
-using PageHandle = std::uint32_t;
-
-/** Sentinel for "no page". */
-constexpr PageHandle invalidPageHandle = UINT32_MAX;
-
-/** Slab allocator with free-list recycling for PageMeta records. */
+/** Bump allocator over slabs of PageMeta records. */
 class PageArena
 {
   public:
-    /** Records per slab; power of two so handle math is shift/mask. */
+    /** Records per slab. */
     static constexpr std::size_t slabPages = std::size_t{1} << 12;
 
     PageArena() = default;
@@ -63,115 +41,29 @@ class PageArena
     PageArena &operator=(const PageArena &) = delete;
 
     /**
-     * Allocate a record. The record is default-initialized (as a
-     * fresh PageMeta) except for its arena handle. Never invalidates
-     * previously returned pointers.
+     * Allocate a record, initialized as a fresh PageMeta. Never
+     * invalidates previously returned pointers.
      */
     PageMeta *alloc();
 
     /**
-     * Return @p page to the free-list. The page must have come from
-     * this arena, must not currently be linked on an LruList, and
-     * must not already be free — violations panic.
+     * Recycle the arena for a fresh session: the slabs keep their
+     * memory and alloc() hands their records out again. All
+     * outstanding PageMeta pointers become invalid; the caller must
+     * have dropped every structure that stored them (LRU lists, page
+     * directories, zpool cookies).
      */
-    void free(PageMeta &page);
+    void reset() noexcept { used = 0; }
 
-    /** Record for @p handle; panics on a stale or invalid handle. */
-    PageMeta &fromHandle(PageHandle handle);
-
-    /**
-     * Recycle the arena for a fresh session: every record returns to
-     * the not-yet-handed-out pool while the slabs and SoA arrays keep
-     * their memory. All outstanding PageMeta pointers and handles
-     * become invalid; the caller must have dropped every structure
-     * that stored them (LRU lists, page directories, zpool cookies).
-     */
-    void reset() noexcept;
-
-    // --- Scan metadata (SoA; see the file comment) -----------------
-
-    /** Which hotness list the scheme currently keeps the page on. */
-    Hotness
-    level(const PageMeta &page) const noexcept
-    {
-        return soaLevel[page.arenaHandle];
-    }
-
-    void
-    setLevel(const PageMeta &page, Hotness h) noexcept
-    {
-        soaLevel[page.arenaHandle] = h;
-    }
-
-    /** Where the page's data currently lives. */
-    PageLocation
-    location(const PageMeta &page) const noexcept
-    {
-        return soaLocation[page.arenaHandle];
-    }
-
-    void
-    setLocation(const PageMeta &page, PageLocation loc) noexcept
-    {
-        soaLocation[page.arenaHandle] = loc;
-    }
-
-    /** Last simulated access time of the page. */
-    Tick
-    lastAccess(const PageMeta &page) const noexcept
-    {
-        return soaLastAccess[page.arenaHandle];
-    }
-
-    void
-    setLastAccess(const PageMeta &page, Tick now) noexcept
-    {
-        soaLastAccess[page.arenaHandle] = now;
-    }
-
-    /** Handle of a record obtained from alloc(). */
-    static PageHandle
-    handleOf(const PageMeta &page) noexcept
-    {
-        return page.arenaHandle;
-    }
-
-    /** True when @p handle names a currently-allocated record. */
-    bool
-    liveHandle(PageHandle handle) const noexcept
-    {
-        return handle < totalRecords() &&
-               !slabs[handle >> slabShift][handle & slabMask].arenaFree;
-    }
-
-    /** Currently allocated records. */
-    std::size_t liveCount() const noexcept { return liveRecords; }
-
-    /** Records ever created (live + free-listed). */
-    std::size_t totalRecords() const noexcept { return freshUsed; }
+    /** Records handed out since construction or the last reset(). */
+    std::size_t liveCount() const noexcept { return used; }
 
     /** Slabs allocated so far. */
     std::size_t slabCount() const noexcept { return slabs.size(); }
 
   private:
-    static constexpr std::uint32_t slabShift = 12;
-    static constexpr std::uint32_t slabMask = slabPages - 1;
-
-    void growSlab();
-
     std::vector<std::unique_ptr<PageMeta[]>> slabs;
-    /** Per-field scan metadata, indexed by handle (one element per
-     * slab record; grown alongside the slabs, kept across reset()). */
-    std::vector<Hotness> soaLevel;
-    std::vector<PageLocation> soaLocation;
-    std::vector<Tick> soaLastAccess;
-    /** Free-list head, chained through PageMeta::lruNext. */
-    PageMeta *freeHead = nullptr;
-    /** Records handed out fresh so far (monotonic within a session;
-     * rewound to zero by reset()). Handles [0, freshUsed) are the
-     * records that exist. */
-    std::size_t freshUsed = 0;
-    std::size_t liveRecords = 0;
+    std::size_t used = 0;
 };
 
 /**

@@ -25,17 +25,9 @@ class DramOnlyScheme : public SwapScheme
 
     std::string name() const override { return "dram"; }
 
-    void
-    onAdmit(PageMeta &page) override
-    {
-        ctx.arena.setLastAccess(page, ctx.clock.now());
-    }
+    void onAdmit(PageMeta &) override {}
 
-    void
-    onAccess(PageMeta &page) override
-    {
-        ctx.arena.setLastAccess(page, ctx.clock.now());
-    }
+    void onAccess(PageMeta &) override {}
 
     SwapInResult
     swapIn(PageMeta &) override

@@ -62,7 +62,7 @@ FlashSwapScheme::evict(PageMeta &victim, bool synchronous)
         telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                                telemetry::JourneyStep::Lost,
                                ctx.clock.now());
-        ctx.arena.setLocation(victim, PageLocation::Lost);
+        victim.location = PageLocation::Lost;
         ++lost;
         return;
     }
@@ -77,14 +77,14 @@ FlashSwapScheme::evict(PageMeta &victim, bool synchronous)
     telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                            telemetry::JourneyStep::Flash,
                            ctx.clock.now());
-    ctx.arena.setLocation(victim, PageLocation::Flash);
+    victim.location = PageLocation::Flash;
     victim.flashSlot = slot;
 }
 
 SwapInResult
 FlashSwapScheme::swapIn(PageMeta &page)
 {
-    panicIf(ctx.arena.location(page) != PageLocation::Flash,
+    panicIf(page.location != PageLocation::Flash,
             "FlashSwapScheme::swapIn on non-flash page");
     c_swapin.add();
     telemetry::ScopedTimer timer(d_swapin);

@@ -94,7 +94,7 @@ void
 LruScheme::readmit(PageMeta &page)
 {
     allocateResident(reclaimBatch);
-    ctx.arena.setLocation(page, PageLocation::Resident);
+    page.location = PageLocation::Resident;
     LruScheme::onAdmit(page);
     chargeLruOps();
 }

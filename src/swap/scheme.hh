@@ -24,7 +24,6 @@
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "mem/page.hh"
-#include "mem/page_arena.hh"
 #include "mem/zpool.hh"
 #include "sim/clock.hh"
 #include "sim/cpu_account.hh"
@@ -44,9 +43,6 @@ struct SwapContext
     ActivityTotals &activity;
     Dram &dram;
     PageCompressor &compressor;
-    /** Arena owning every PageMeta plus the SoA scan metadata
-     * (level / location / lastAccess accessors). */
-    PageArena &arena;
 };
 
 /** Per-app compression/decompression accounting (Figs. 11-13). */

@@ -145,7 +145,7 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
                     victim->key.uid, victim->key.pfn,
                     telemetry::JourneyStep::Writeback,
                     ctx.clock.now());
-                ctx.arena.setLocation(*victim, PageLocation::Flash);
+                victim->location = PageLocation::Flash;
                 victim->flashSlot = slot;
                 victim->objectId = invalidObject;
                 pool.erase(obj);
@@ -158,7 +158,7 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
         telemetry::journeyMark(victim->key.uid, victim->key.pfn,
                                telemetry::JourneyStep::Lost,
                                ctx.clock.now());
-        ctx.arena.setLocation(*victim, PageLocation::Lost);
+        victim->location = PageLocation::Lost;
         victim->objectId = invalidObject;
         ++lost;
         pool.erase(obj);
@@ -177,7 +177,7 @@ ZramScheme::evict(PageMeta &victim, bool synchronous)
         telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                                telemetry::JourneyStep::Lost,
                                ctx.clock.now());
-        ctx.arena.setLocation(victim, PageLocation::Lost);
+        victim.location = PageLocation::Lost;
         ++lost;
         return;
     }
@@ -189,7 +189,7 @@ ZramScheme::evict(PageMeta &victim, bool synchronous)
     telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                            telemetry::JourneyStep::Zram,
                            ctx.clock.now(), csize);
-    ctx.arena.setLocation(victim, PageLocation::Zpool);
+    victim.location = PageLocation::Zpool;
     victim.objectId = obj;
     compressedFifo.emplace_back(obj, &victim);
     compLog.push_back(CompressionEvent{victim.key, victim.truth});
@@ -225,7 +225,7 @@ ZramScheme::swapIn(PageMeta &page)
     ctx.cpu.charge(CpuRole::FaultPath, fault);
     ctx.clock.advance(fault);
 
-    if (ctx.arena.location(page) == PageLocation::Zpool) {
+    if (page.location == PageLocation::Zpool) {
         c_swapinZpool.add();
         sectorLog.push_back(pool.sectorOf(page.objectId));
         std::size_t csize = pool.objectSize(page.objectId);
@@ -233,7 +233,7 @@ ZramScheme::swapIn(PageMeta &page)
         page.objectId = invalidObject;
         chargeDecompression(page.key.uid, codec->cost(), cfg.chunkBytes,
                             pageSize, csize, true);
-    } else if (ctx.arena.location(page) == PageLocation::Flash) {
+    } else if (page.location == PageLocation::Flash) {
         c_swapinFlash.add();
         panicIf(!flashDev, "flash swap-in without writeback device");
         std::size_t csize = flashDev->read(page.flashSlot);

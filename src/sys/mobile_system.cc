@@ -85,7 +85,7 @@ MobileSystem::MobileSystem(const SystemConfig &config,
     makeScheme();
     reclaimDaemon = std::make_unique<Kswapd>(
         SwapContext{simClock, timing, cpuAccount, activity, *dramModel,
-                    *pageCompressor, arena},
+                    *pageCompressor},
         *swapScheme);
 
     for (const auto &p : appProfiles) {
@@ -107,8 +107,8 @@ MobileSystem::MobileSystem(const SystemConfig &config,
 void
 MobileSystem::makeScheme()
 {
-    SwapContext ctx{simClock, timing,     cpuAccount,     activity,
-                    *dramModel, *pageCompressor, arena};
+    SwapContext ctx{simClock, timing, cpuAccount, activity, *dramModel,
+                    *pageCompressor};
 
     swapScheme = SchemeRegistry::instance().build(
         cfg.scheme, ctx, cfg.schemeParams, cfg.scale);
@@ -269,7 +269,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
     PageMeta &meta = *slot;
     meta.truth = ev.truth;
 
-    switch (arena.location(meta)) {
+    switch (meta.location) {
       case PageLocation::Resident:
         cpuAccount.charge(CpuRole::AppExecution, cfg.pageTouchNs);
         simClock.advance(cfg.pageTouchNs);
@@ -284,7 +284,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
         if (stats)
             ++stats->lostRecreated;
         swapScheme->allocateResident(cfg.directReclaimBatch);
-        arena.setLocation(meta, PageLocation::Resident);
+        meta.location = PageLocation::Resident;
         swapScheme->onAdmit(meta);
         Tick rebuild = cfg.pageTouchNs + timing.params().dramPageCopyNs;
         cpuAccount.charge(CpuRole::AppExecution, rebuild);
@@ -316,7 +316,6 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
       }
     }
     meta.version = ev.version;
-    arena.setLastAccess(meta, simClock.now());
     if (!inRelaunch)
         maybeKswapd();
     maybeSample();

@@ -31,8 +31,8 @@ struct SchemeHarness
     SwapContext
     context()
     {
-        return SwapContext{clock, timing,     cpu,  activity,
-                           dram,  compressor, arena};
+        return SwapContext{clock, timing, cpu, activity, dram,
+                           compressor};
     }
 
     /** Create (or fetch) a page owned by @p uid. */
@@ -59,7 +59,7 @@ struct SchemeHarness
         for (std::size_t i = 0; i < n; ++i) {
             PageMeta &p = page(uid, first_pfn + i, truth);
             scheme.allocateResident(32);
-            arena.setLocation(p, PageLocation::Resident);
+            p.location = PageLocation::Resident;
             scheme.onAdmit(p);
             result.push_back(&p);
         }

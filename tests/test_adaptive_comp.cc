@@ -54,10 +54,8 @@ TEST(AdaptiveComp, CreateAssignsPageBackrefs)
     EXPECT_EQ(u.levelAtCompression, Hotness::Cold);
     EXPECT_EQ(u.object, 77u);
     EXPECT_EQ(u.uncompressedBytes(), 4 * pageSize);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(pages[i]->objectId, id);
-        EXPECT_EQ(pages[i]->objectSlot, i);
-    }
+    for (const auto &p : pages)
+        EXPECT_EQ(p->objectId, id);
 }
 
 TEST(AdaptiveComp, DestroyAndIdReuse)

@@ -29,7 +29,7 @@ TEST(FlashSwap, ReclaimWritesRawPages)
     std::size_t freed = swap.reclaim(8, false);
     EXPECT_EQ(freed, 8u);
     for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Flash);
+        EXPECT_EQ(pages[i]->location, PageLocation::Flash);
     // Raw pages: one full page per victim.
     EXPECT_EQ(swap.flash()->hostWriteBytes(), 8 * pageSize);
     // No compression happened.
@@ -44,7 +44,7 @@ TEST(FlashSwap, SwapInPaysFlashLatency)
     swap.reclaim(8, false);
     SwapInResult res = swap.swapIn(*pages[0]);
     EXPECT_TRUE(res.fromFlash);
-    EXPECT_EQ(h.arena.location(*pages[0]), PageLocation::Resident);
+    EXPECT_EQ(pages[0]->location, PageLocation::Resident);
     // Effective flash read latency dwarfs fault bookkeeping.
     EXPECT_GT(res.latencyNs, h.timing.params().flashReadPageNs /
                                  h.timing.params().flashReadaheadPages);

@@ -2,46 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
-#include "mem/lru_list.hh"
 #include "mem/page_arena.hh"
 
 using namespace ariadne;
 
-TEST(PageArena, AllocGivesFreshRecordsWithStableHandles)
+TEST(PageArena, AllocGivesFreshRecords)
 {
     PageArena arena;
     PageMeta *a = arena.alloc();
     PageMeta *b = arena.alloc();
     ASSERT_NE(a, b);
     EXPECT_EQ(arena.liveCount(), 2u);
-    EXPECT_NE(PageArena::handleOf(*a), PageArena::handleOf(*b));
-    EXPECT_EQ(&arena.fromHandle(PageArena::handleOf(*a)), a);
-    EXPECT_EQ(&arena.fromHandle(PageArena::handleOf(*b)), b);
-    EXPECT_EQ(arena.location(*a), PageLocation::Resident);
+    EXPECT_EQ(a->level, Hotness::Cold);
+    EXPECT_EQ(a->location, PageLocation::Resident);
     EXPECT_EQ(a->lruOwner, nullptr);
-}
-
-TEST(PageArena, SoaMetadataDefaultsAndRoundTrips)
-{
-    PageArena arena;
-    PageMeta *a = arena.alloc();
-    // Fresh records start Cold / Resident / never-accessed.
-    EXPECT_EQ(arena.level(*a), Hotness::Cold);
-    EXPECT_EQ(arena.location(*a), PageLocation::Resident);
-    EXPECT_EQ(arena.lastAccess(*a), 0u);
-    arena.setLevel(*a, Hotness::Hot);
-    arena.setLocation(*a, PageLocation::Zpool);
-    arena.setLastAccess(*a, 12345);
-    EXPECT_EQ(arena.level(*a), Hotness::Hot);
-    EXPECT_EQ(arena.location(*a), PageLocation::Zpool);
-    EXPECT_EQ(arena.lastAccess(*a), 12345u);
-    // Neighbouring records are unaffected (distinct SoA slots).
-    PageMeta *b = arena.alloc();
-    EXPECT_EQ(arena.level(*b), Hotness::Cold);
-    EXPECT_EQ(arena.location(*b), PageLocation::Resident);
 }
 
 TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
@@ -52,15 +28,14 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
     for (std::size_t i = 0; i < count; ++i) {
         PageMeta *page = arena.alloc();
         page->key = PageKey{9, static_cast<Pfn>(i)};
-        arena.setLevel(*page, Hotness::Hot);
-        arena.setLocation(*page, PageLocation::Flash);
-        arena.setLastAccess(*page, 777);
+        page->level = Hotness::Hot;
+        page->location = PageLocation::Flash;
         first.push_back(page);
     }
     const std::size_t slabs_before = arena.slabCount();
     arena.reset();
     EXPECT_EQ(arena.liveCount(), 0u);
-    // Slabs (and SoA arrays) are retained for reuse...
+    // Slabs are retained for reuse...
     EXPECT_EQ(arena.slabCount(), slabs_before);
     // ...and re-allocation hands back the same records, fully reset
     // to fresh defaults despite the dirt left by the first life.
@@ -68,144 +43,29 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
         PageMeta *page = arena.alloc();
         EXPECT_EQ(page, first[i]);
         EXPECT_EQ(page->key.pfn, PageKey{}.pfn);
-        EXPECT_EQ(arena.level(*page), Hotness::Cold);
-        EXPECT_EQ(arena.location(*page), PageLocation::Resident);
-        EXPECT_EQ(arena.lastAccess(*page), 0u);
+        EXPECT_EQ(page->level, Hotness::Cold);
+        EXPECT_EQ(page->location, PageLocation::Resident);
     }
     EXPECT_EQ(arena.slabCount(), slabs_before);
     EXPECT_EQ(arena.liveCount(), count);
 }
 
-TEST(PageArena, ResetAfterFreeDiscardsFreeList)
-{
-    // A free-list survivor from before reset() must not leak into the
-    // fresh allocation order (reset rewinds to slab start instead).
-    PageArena arena;
-    PageMeta *a = arena.alloc();
-    PageMeta *b = arena.alloc();
-    arena.free(*b);
-    arena.reset();
-    PageMeta *first = arena.alloc();
-    EXPECT_EQ(first, a); // slab slot 0, not the stale free-list head b
-    EXPECT_EQ(arena.liveCount(), 1u);
-}
-
 TEST(PageArena, PointersStayValidAcrossSlabGrowth)
 {
-    // Allocate well past one slab and make sure early records (and
-    // their handles) survive every growth step.
+    // Allocate well past one slab and make sure early records survive
+    // every growth step.
     PageArena arena;
     std::vector<PageMeta *> pages;
-    std::vector<PageHandle> handles;
     const std::size_t count = PageArena::slabPages * 3 + 17;
     for (std::size_t i = 0; i < count; ++i) {
         PageMeta *page = arena.alloc();
         page->key = PageKey{1, static_cast<Pfn>(i)};
         pages.push_back(page);
-        handles.push_back(PageArena::handleOf(*page));
     }
     EXPECT_GE(arena.slabCount(), 4u);
     EXPECT_EQ(arena.liveCount(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(&arena.fromHandle(handles[i]), pages[i]);
+    for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(pages[i]->key.pfn, static_cast<Pfn>(i));
-    }
-}
-
-TEST(PageArena, FreeListRecyclesRecords)
-{
-    PageArena arena;
-    PageMeta *a = arena.alloc();
-    PageHandle ha = PageArena::handleOf(*a);
-    a->key = PageKey{7, 99};
-    arena.free(*a);
-    EXPECT_EQ(arena.liveCount(), 0u);
-    EXPECT_FALSE(arena.liveHandle(ha));
-
-    // The freed record comes back first, reset to a fresh PageMeta
-    // but keeping its handle identity.
-    PageMeta *b = arena.alloc();
-    EXPECT_EQ(b, a);
-    EXPECT_EQ(PageArena::handleOf(*b), ha);
-    EXPECT_EQ(b->key.pfn, PageKey{}.pfn); // reset, not our 99
-    EXPECT_EQ(b->lruOwner, nullptr);
-    EXPECT_TRUE(arena.liveHandle(ha));
-    // No new slab was needed for the recycled record.
-    EXPECT_EQ(arena.slabCount(), 1u);
-}
-
-TEST(PageArena, RecyclingDoesNotDisturbLiveListMembers)
-{
-    // Free half the records while the other half stays linked on a
-    // live intrusive list; recycled records must not corrupt it.
-    PageArena arena;
-    LruList list;
-    std::vector<PageMeta *> kept;
-    std::vector<PageMeta *> dropped;
-    for (std::size_t i = 0; i < 256; ++i) {
-        PageMeta *page = arena.alloc();
-        page->key = PageKey{1, static_cast<Pfn>(i)};
-        if (i % 2 == 0) {
-            list.pushFront(*page);
-            kept.push_back(page);
-        } else {
-            dropped.push_back(page);
-        }
-    }
-    for (PageMeta *page : dropped)
-        arena.free(*page);
-    // Recycle: the new allocations reuse exactly the dropped records.
-    std::set<PageMeta *> recycled;
-    for (std::size_t i = 0; i < dropped.size(); ++i)
-        recycled.insert(arena.alloc());
-    EXPECT_EQ(recycled,
-              std::set<PageMeta *>(dropped.begin(), dropped.end()));
-    // The list still holds every kept page, newest first.
-    EXPECT_EQ(list.size(), kept.size());
-    PageMeta *cursor = list.front();
-    for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
-        ASSERT_NE(cursor, nullptr);
-        EXPECT_EQ(cursor, *it);
-        cursor = cursor->lruNext;
-    }
-    EXPECT_EQ(cursor, nullptr);
-}
-
-TEST(PageArenaDeathTest, DoubleFreePanics)
-{
-    PageArena arena;
-    PageMeta *page = arena.alloc();
-    arena.free(*page);
-    EXPECT_DEATH(arena.free(*page), "double free");
-}
-
-TEST(PageArenaDeathTest, FreeWhileOnListPanics)
-{
-    PageArena arena;
-    LruList list;
-    PageMeta *page = arena.alloc();
-    list.pushFront(*page);
-    EXPECT_DEATH(arena.free(*page), "still linked");
-}
-
-TEST(PageArenaDeathTest, ForeignRecordPanics)
-{
-    PageArena arena;
-    arena.alloc();
-    PageMeta stray;
-    stray.arenaHandle = 0; // plausible handle, wrong address
-    EXPECT_DEATH(arena.free(stray), "not from this arena");
-}
-
-TEST(PageArenaDeathTest, StaleHandlePanics)
-{
-    PageArena arena;
-    PageMeta *page = arena.alloc();
-    PageHandle handle = PageArena::handleOf(*page);
-    arena.free(*page);
-    EXPECT_DEATH(arena.fromHandle(handle), "freed record");
-    EXPECT_DEATH(arena.fromHandle(PageHandle{12345}),
-                 "out of range");
 }
 
 TEST(PfnBitmap, SetTestAndSortedExtraction)

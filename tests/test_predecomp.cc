@@ -20,7 +20,7 @@ makeZpoolPages(PageArena &arena, std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         PageMeta *p = arena.alloc();
         p->key = PageKey{1, i};
-        arena.setLocation(*p, PageLocation::Zpool);
+        p->location = PageLocation::Zpool;
         pages.push_back(p);
     }
     return pages;
@@ -31,10 +31,10 @@ makeZpoolPages(PageArena &arena, std::size_t n)
 TEST(PreDecomp, StageMarksPageStaged)
 {
     PageArena arena;
-    PreDecomp buf(4, arena);
+    PreDecomp buf(4);
     auto pages = makeZpoolPages(arena, 1);
     EXPECT_TRUE(buf.stage(*pages[0]));
-    EXPECT_EQ(arena.location(*pages[0]), PageLocation::Staged);
+    EXPECT_EQ(pages[0]->location, PageLocation::Staged);
     EXPECT_TRUE(buf.contains(*pages[0]));
     EXPECT_EQ(buf.size(), 1u);
     EXPECT_EQ(buf.staged(), 1u);
@@ -43,16 +43,16 @@ TEST(PreDecomp, StageMarksPageStaged)
 TEST(PreDecomp, ZeroCapacityStagesNothing)
 {
     PageArena arena;
-    PreDecomp buf(0, arena);
+    PreDecomp buf(0);
     auto pages = makeZpoolPages(arena, 1);
     EXPECT_FALSE(buf.stage(*pages[0]));
-    EXPECT_EQ(arena.location(*pages[0]), PageLocation::Zpool);
+    EXPECT_EQ(pages[0]->location, PageLocation::Zpool);
 }
 
 TEST(PreDecomp, DoubleStageRejected)
 {
     PageArena arena;
-    PreDecomp buf(4, arena);
+    PreDecomp buf(4);
     auto pages = makeZpoolPages(arena, 1);
     EXPECT_TRUE(buf.stage(*pages[0]));
     EXPECT_FALSE(buf.stage(*pages[0]));
@@ -62,7 +62,7 @@ TEST(PreDecomp, DoubleStageRejected)
 TEST(PreDecomp, ConsumeCountsHit)
 {
     PageArena arena;
-    PreDecomp buf(4, arena);
+    PreDecomp buf(4);
     auto pages = makeZpoolPages(arena, 1);
     buf.stage(*pages[0]);
     EXPECT_TRUE(buf.consume(*pages[0]));
@@ -75,14 +75,14 @@ TEST(PreDecomp, ConsumeCountsHit)
 TEST(PreDecomp, FifoEvictionRevertsOldest)
 {
     PageArena arena;
-    PreDecomp buf(2, arena);
+    PreDecomp buf(2);
     auto pages = makeZpoolPages(arena, 3);
     buf.stage(*pages[0]);
     buf.stage(*pages[1]);
     buf.stage(*pages[2]); // evicts pages[0]
-    EXPECT_EQ(arena.location(*pages[0]), PageLocation::Zpool);
-    EXPECT_EQ(arena.location(*pages[1]), PageLocation::Staged);
-    EXPECT_EQ(arena.location(*pages[2]), PageLocation::Staged);
+    EXPECT_EQ(pages[0]->location, PageLocation::Zpool);
+    EXPECT_EQ(pages[1]->location, PageLocation::Staged);
+    EXPECT_EQ(pages[2]->location, PageLocation::Staged);
     EXPECT_EQ(buf.wasted(), 1u);
     EXPECT_EQ(buf.size(), 2u);
 }
@@ -90,7 +90,7 @@ TEST(PreDecomp, FifoEvictionRevertsOldest)
 TEST(PreDecomp, InvalidateDropsWithoutHitOrWaste)
 {
     PageArena arena;
-    PreDecomp buf(4, arena);
+    PreDecomp buf(4);
     auto pages = makeZpoolPages(arena, 2);
     buf.stage(*pages[0]);
     buf.stage(*pages[1]);
@@ -104,7 +104,7 @@ TEST(PreDecomp, InvalidateDropsWithoutHitOrWaste)
 TEST(PreDecomp, StaleDequeEntriesSkippedOnEviction)
 {
     PageArena arena;
-    PreDecomp buf(2, arena);
+    PreDecomp buf(2);
     auto pages = makeZpoolPages(arena, 3);
     buf.stage(*pages[0]);
     buf.stage(*pages[1]);
@@ -118,7 +118,7 @@ TEST(PreDecomp, StaleDequeEntriesSkippedOnEviction)
 TEST(PreDecomp, HitRateOverStaged)
 {
     PageArena arena;
-    PreDecomp buf(8, arena);
+    PreDecomp buf(8);
     auto pages = makeZpoolPages(arena, 4);
     for (auto *p : pages)
         buf.stage(*p);
@@ -130,7 +130,7 @@ TEST(PreDecomp, HitRateOverStaged)
 TEST(PreDecompDeath, StagingResidentPagePanics)
 {
     PageArena arena;
-    PreDecomp buf(4, arena);
+    PreDecomp buf(4);
     PageMeta *p = arena.alloc(); // alloc() defaults to Resident
     EXPECT_DEATH(buf.stage(*p), "zpool-resident");
 }

@@ -34,9 +34,9 @@ TEST(Zram, ReclaimCompressesLruVictims)
     EXPECT_EQ(h.dram.usedPages(), 48u);
     // LRU: the earliest-admitted pages were compressed first.
     for (std::size_t i = 0; i < 16; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Zpool) << i;
+        EXPECT_EQ(pages[i]->location, PageLocation::Zpool) << i;
     for (std::size_t i = 16; i < 64; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Resident) << i;
+        EXPECT_EQ(pages[i]->location, PageLocation::Resident) << i;
     EXPECT_EQ(zram.totalStats().compOps, 16u);
     EXPECT_GT(zram.zpool()->storedBytes(), 0u);
 }
@@ -51,7 +51,7 @@ TEST(Zram, AppGroupingEvictsOldestAppFirst)
     zram.reclaim(32, false);
     // All 32 victims came from app 1 (least recently used app).
     for (PageMeta *p : app2)
-        EXPECT_EQ(h.arena.location(*p), PageLocation::Resident);
+        EXPECT_EQ(p->location, PageLocation::Resident);
     EXPECT_EQ(zram.appStats(1).compOps, 32u);
     EXPECT_EQ(zram.appStats(2).compOps, 0u);
 }
@@ -62,11 +62,11 @@ TEST(Zram, SwapInRestoresResidency)
     ZramScheme zram(h.context(), smallConfig());
     auto pages = h.admitPages(zram, 1, 8);
     zram.reclaim(8, false);
-    ASSERT_EQ(h.arena.location(*pages[0]), PageLocation::Zpool);
+    ASSERT_EQ(pages[0]->location, PageLocation::Zpool);
 
     Tick before = h.clock.now();
     SwapInResult res = zram.swapIn(*pages[0]);
-    EXPECT_EQ(h.arena.location(*pages[0]), PageLocation::Resident);
+    EXPECT_EQ(pages[0]->location, PageLocation::Resident);
     EXPECT_GT(res.latencyNs, 0u);
     EXPECT_EQ(h.clock.now() - before, res.latencyNs);
     EXPECT_FALSE(res.fromFlash);
@@ -82,7 +82,7 @@ TEST(Zram, SwapInTriggersDirectReclaimWhenFull)
     ASSERT_EQ(h.dram.freePages(), 1u);
     h.dram.allocate(1); // simulate another consumer taking the page
     SwapInResult res = zram.swapIn(*pages[0]);
-    EXPECT_EQ(h.arena.location(*pages[0]), PageLocation::Resident);
+    EXPECT_EQ(pages[0]->location, PageLocation::Resident);
     EXPECT_GE(zram.directReclaims(), 1u);
     EXPECT_GT(res.latencyNs, 0u);
 }
@@ -115,7 +115,7 @@ TEST(Zram, ZswapWritebackSpillsToFlash)
     // A page that went to flash swaps back in with the flash flag.
     PageMeta *flash_page = nullptr;
     for (PageMeta *p : pages) {
-        if (h.arena.location(*p) == PageLocation::Flash) {
+        if (p->location == PageLocation::Flash) {
             flash_page = p;
             break;
         }
@@ -123,7 +123,7 @@ TEST(Zram, ZswapWritebackSpillsToFlash)
     ASSERT_NE(flash_page, nullptr);
     SwapInResult res = zram.swapIn(*flash_page);
     EXPECT_TRUE(res.fromFlash);
-    EXPECT_EQ(h.arena.location(*flash_page), PageLocation::Resident);
+    EXPECT_EQ(flash_page->location, PageLocation::Resident);
 }
 
 TEST(Zram, CompressionLogRecordsTruth)
