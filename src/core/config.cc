@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "compress/chunked.hh"
+#include "mem/zpool.hh"
 #include "sim/log.hh"
 #include "sim/parse_count.hh"
 
@@ -12,6 +14,16 @@ namespace ariadne
 
 namespace
 {
+
+/**
+ * Largest LargeSize whose cold unit fits one zpool object. A cold
+ * unit holds at most LargeSize bytes in one chunk, and a chunk that
+ * does not shrink is stored raw, so its worst-case frame is the
+ * header, one 4-byte size record and LargeSize bytes.
+ */
+constexpr std::size_t maxLargeSize = Zpool::maxObjectBytes -
+                                     ChunkedFrame::headerBytes -
+                                     sizeof(std::uint32_t);
 
 std::string
 sizeToken(std::size_t bytes)
@@ -114,6 +126,11 @@ AriadneConfig::tryParse(const std::string &text, std::string *error)
     if (cfg.smallSize > cfg.mediumSize || cfg.mediumSize > cfg.largeSize)
         return fail("Ariadne chunk sizes must be ordered "
                     "small<=medium<=large: " +
+                    text);
+    if (cfg.largeSize > maxLargeSize)
+        return fail("Ariadne LargeSize must be at most " +
+                    std::to_string(maxLargeSize) +
+                    " bytes so a cold unit fits one zpool object: " +
                     text);
     return cfg;
 }

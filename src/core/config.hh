@@ -72,7 +72,9 @@ struct AriadneConfig
 
     /**
      * Parse "EHL-1K-2K-16K" / "AL-256-2K-32K" (sizes accept a K
-     * suffix). Calls fatal() on malformed input.
+     * suffix). Calls fatal() on malformed input, including a
+     * LargeSize above 1019K, whose cold unit one zpool object cannot
+     * hold.
      */
     static AriadneConfig parse(const std::string &text);
 

@@ -141,8 +141,8 @@ Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
 {
     if (csize > blockBytes) {
         // Huge object: contiguous run of blocks.
+        panicIf(csize > maxObjectBytes, "object too large for zpool");
         std::size_t span = (csize + blockBytes - 1) / blockBytes;
-        panicIf(span > 255, "object too large for zpool");
         std::uint32_t start;
         if (!findHugeRun(span, start))
             return invalidObject;

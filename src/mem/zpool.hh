@@ -50,11 +50,15 @@ class Zpool
     /** Granularity of size classes for sub-block objects. */
     static constexpr std::size_t classStep = 64;
 
+    /** Largest object insert() stores: a huge object's block run
+     * length is one byte, so it spans at most 255 blocks. */
+    static constexpr std::size_t maxObjectBytes = 255 * blockBytes;
+
     /** @param capacity_bytes Total pool size (the paper's S = 3 GB). */
     explicit Zpool(std::size_t capacity_bytes);
 
     /**
-     * Store an object of @p csize bytes.
+     * Store an object of @p csize bytes; panics above maxObjectBytes.
      * @param cookie Caller-owned tag (schemes store their unit id).
      * @return handle, or invalidObject when the pool cannot fit it.
      */

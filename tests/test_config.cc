@@ -52,6 +52,11 @@ TEST(Config, ColdUnitPages)
     EXPECT_EQ(cfg.coldUnitPages(), 4u);
     cfg = AriadneConfig::parse("EHL-1K-2K-32K");
     EXPECT_EQ(cfg.coldUnitPages(), 8u);
+    // The largest LargeSize whose cold unit fits one zpool object
+    // (ScenarioSpec.RejectsBadValues rejects 1020K).
+    cfg = AriadneConfig::parse("EHL-1K-2K-1019K");
+    EXPECT_EQ(cfg.largeSize, std::size_t{1019} * 1024);
+    EXPECT_EQ(cfg.coldUnitPages(), 254u);
 }
 
 TEST(Config, TableFiveDefaults)

@@ -524,6 +524,8 @@ TEST(ScenarioSpec, RejectsBadValues)
                  SpecError);
     EXPECT_THROW(ariadne_config("EHL-1K-2K-99999999999999999999"),
                  SpecError);
+    // A LargeSize whose cold unit one zpool object cannot hold.
+    EXPECT_THROW(ariadne_config("EHL-1K-2K-1020K"), SpecError);
 }
 
 TEST(ScenarioSpec, AppListMayFollowTheEventsUsingIt)
