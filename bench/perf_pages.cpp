@@ -2,7 +2,7 @@
  * @file
  * perf_pages — page synthesis + compression throughput harness.
  *
- * Streams synthesized pages through every registered codec via the
+ * Streams synthesized pages through lz4 and lzo via the
  * PageCompressor (each page is compressed exactly once) and emits
  * BENCH_pages.json with per-codec pages/sec rates in the stable
  * `ariadneBench` schema. This isolates the simulator's real
@@ -66,8 +66,7 @@ main(int argc, char **argv)
     report.meta.scenario = "perf_pages";
     report.totals.emplace_back("pagesPerCodec", pages);
 
-    constexpr CodecKind kinds[] = {CodecKind::Lz4, CodecKind::Lzo,
-                                   CodecKind::Bdi, CodecKind::Null};
+    constexpr CodecKind kinds[] = {CodecKind::Lz4, CodecKind::Lzo};
     auto total_start = std::chrono::steady_clock::now();
     for (CodecKind kind : kinds) {
         PageCompressor compressor(synth);

@@ -28,7 +28,7 @@ using ConstBytes = std::span<const std::uint8_t>;
 using MutableBytes = std::span<std::uint8_t>;
 
 /** Identity of a compression algorithm. */
-enum class CodecKind { Lz4, Lzo, Bdi, Null };
+enum class CodecKind { Lz4, Lzo };
 
 /** Stable lowercase name for a codec kind. */
 const char *codecKindName(CodecKind kind) noexcept;

@@ -1,9 +1,7 @@
 #include "compress/registry.hh"
 
-#include "compress/bdi.hh"
 #include "compress/lz4.hh"
 #include "compress/lzo.hh"
-#include "compress/null_codec.hh"
 #include "sim/log.hh"
 
 namespace ariadne
@@ -15,8 +13,6 @@ codecKindName(CodecKind kind) noexcept
     switch (kind) {
       case CodecKind::Lz4: return "lz4";
       case CodecKind::Lzo: return "lzo";
-      case CodecKind::Bdi: return "bdi";
-      case CodecKind::Null: return "null";
       default: return "unknown";
     }
 }
@@ -27,31 +23,14 @@ makeCodec(CodecKind kind)
     switch (kind) {
       case CodecKind::Lz4: return std::make_unique<Lz4Codec>();
       case CodecKind::Lzo: return std::make_unique<LzoCodec>();
-      case CodecKind::Bdi: return std::make_unique<BdiCodec>();
-      case CodecKind::Null: return std::make_unique<NullCodec>();
     }
     panic("unreachable codec kind");
-}
-
-std::unique_ptr<Codec>
-makeCodec(const std::string &name)
-{
-    if (name == "lz4")
-        return makeCodec(CodecKind::Lz4);
-    if (name == "lzo")
-        return makeCodec(CodecKind::Lzo);
-    if (name == "bdi")
-        return makeCodec(CodecKind::Bdi);
-    if (name == "null")
-        return makeCodec(CodecKind::Null);
-    fatal("unknown codec name: " + name);
 }
 
 std::vector<CodecKind>
 allCodecKinds()
 {
-    return {CodecKind::Lz4, CodecKind::Lzo, CodecKind::Bdi,
-            CodecKind::Null};
+    return {CodecKind::Lz4, CodecKind::Lzo};
 }
 
 } // namespace ariadne

@@ -3,15 +3,14 @@
  * Codec factory.
  *
  * Ariadne "naturally supports different compression algorithms, such
- * as switching between LZO and LZ4" (§4.5); schemes look codecs up by
- * kind or by name so experiments can swap them from configuration.
+ * as switching between LZO and LZ4" (§4.5). The schemes compress with
+ * LZO, as Android's ZRAM does; Fig. 6 also times LZ4.
  */
 
 #ifndef ARIADNE_COMPRESS_REGISTRY_HH
 #define ARIADNE_COMPRESS_REGISTRY_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "compress/codec.hh"
@@ -21,12 +20,6 @@ namespace ariadne
 
 /** Create a codec by kind. */
 std::unique_ptr<Codec> makeCodec(CodecKind kind);
-
-/**
- * Create a codec by lowercase name ("lz4", "lzo", "bdi", "null").
- * Calls fatal() on unknown names (a configuration error).
- */
-std::unique_ptr<Codec> makeCodec(const std::string &name);
 
 /** All codec kinds, for parameterized tests and sweeps. */
 std::vector<CodecKind> allCodecKinds();

@@ -7,11 +7,11 @@ namespace ariadne
 {
 
 AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
-    : SwapScheme(context), cfg(config), codec(makeCodec(cfg.codec)),
-      pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
-      profiles(cfg.defaultHotInitPages),
+    : SwapScheme(context), cfg(config),
+      codec(makeCodec(CodecKind::Lzo)), pool(cfg.zpoolBytes),
+      flashDev(cfg.flashBytes), profiles(cfg.defaultHotInitPages),
       hotOrg(&lruOpCount, profiles), units(cfg),
-      stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0)
+      stagingBuf(cfg.preDecompEnabled ? PreDecomp::bufferPages : 0)
 {
 }
 
@@ -35,17 +35,8 @@ ariadneSchemeInfo()
                                    "'config': " + error);
          }},
         {"zpool_mb", "mb", "3072", "zpool capacity (paper scale)"},
-        {"flash_mb", "mb", "8192", "flash swap space for compressed "
-                                   "cold writeback (paper scale)"},
-        {"reclaim_batch", "u64", "32",
-         "pages reclaimed per batch"},
-        {"codec", "string", "lzo",
-         "compression codec (lzo|lz4|bdi|null)",
-         [](const std::string &value) { parseCodecKnob(value); }},
         {"predecomp", "bool", "true",
          "predictive pre-decompression (the D3 ablation axis)"},
-        {"predecomp_buffer_pages", "u64", "8",
-         "staging-buffer capacity in pages"},
         {"hot_init_pages", "u64", "4096",
          "fallback hot-list seed when no profile exists (the D1 "
          "ablation axis)"},
@@ -64,23 +55,16 @@ ariadneSchemeInfo()
                                   "'config': " + error);
             ac = *parsed;
         }
-        ac.zpoolBytes = params.getMiB("zpool_mb", ac.zpoolBytes);
-        ac.flashBytes = params.getMiB("flash_mb", ac.flashBytes);
-        ac.reclaimBatch =
-            params.getU64("reclaim_batch", ac.reclaimBatch);
-        if (const std::string *codec = params.raw("codec"))
-            ac.codec = parseCodecKnob(*codec);
+        ac.zpoolBytes = scaledBytes(
+            params.getMiB("zpool_mb", ac.zpoolBytes), scale);
+        ac.flashBytes = scaledBytes(ac.flashBytes, scale);
         ac.preDecompEnabled =
             params.getBool("predecomp", ac.preDecompEnabled);
-        ac.preDecompBufferPages = params.getU64(
-            "predecomp_buffer_pages", ac.preDecompBufferPages);
         ac.defaultHotInitPages = params.getU64(
             "hot_init_pages", ac.defaultHotInitPages);
         // `seed_profiles` is schema-validated here but consumed by
         // MobileSystem, which owns the app profiles the seeding
         // derives its hot-set sizes from.
-        ac.zpoolBytes = scaledBytes(ac.zpoolBytes, scale);
-        ac.flashBytes = scaledBytes(ac.flashBytes, scale);
         return std::make_unique<AriadneScheme>(ctx, ac);
     };
     return info;
@@ -305,7 +289,7 @@ AriadneScheme::residentizeUnit(CompUnit &unit, PageMeta *hit)
 {
     Tick now = ctx.clock.now();
     for (PageMeta *p : unit.pages) {
-        allocateResident(cfg.reclaimBatch);
+        allocateResident();
         p->location = PageLocation::Resident;
         p->objectId = invalidObject;
         p->flashSlot = invalidFlashSlot;
@@ -424,7 +408,7 @@ AriadneScheme::swapIn(PageMeta &page)
         ctx.cpu.charge(CpuRole::FaultPath, t);
         ctx.clock.advance(t);
 
-        allocateResident(cfg.reclaimBatch);
+        allocateResident();
         page.location = PageLocation::Resident;
         page.objectId = invalidObject;
         hotOrg.placeAfterSwapIn(page, ctx.clock.now());

@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 
-#include "compress/codec.hh"
 #include "sim/types.hh"
 
 namespace ariadne
@@ -43,15 +42,8 @@ struct AriadneConfig
     /** Flash swap space for compressed cold writeback. */
     std::size_t flashBytes = std::size_t{8} * 1024 * 1024 * 1024;
 
-    CodecKind codec = CodecKind::Lzo;
-
-    /** Pages reclaimed per batch. */
-    std::size_t reclaimBatch = 32;
-
     /** Enable predictive pre-decompression. */
     bool preDecompEnabled = true;
-    /** Staging-buffer capacity in pages (paper: small FIFO). */
-    std::size_t preDecompBufferPages = 8;
 
     /** Fallback hot-list seed when no profile exists (pages). */
     std::size_t defaultHotInitPages = 4096;

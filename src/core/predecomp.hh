@@ -29,6 +29,9 @@ namespace ariadne
 class PreDecomp
 {
   public:
+    /** AriadneScheme's buffer capacity in pages (paper: small FIFO). */
+    static constexpr std::size_t bufferPages = 8;
+
     /** @param capacity_pages Buffer capacity (paper: small FIFO). */
     explicit PreDecomp(std::size_t capacity_pages)
         : capacity(capacity_pages)

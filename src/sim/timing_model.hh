@@ -68,13 +68,6 @@ constexpr CodecCost lz4Cost{0.80, 0.25, 1.63, 1.15, 2.75,
 constexpr CodecCost lzoCost{1.00, 0.35, 1.55, 1.12, 2.60,
                             1.45, 1.25, 1.80};
 
-/** Base-delta-immediate: near-constant cost per byte. */
-constexpr CodecCost bdiCost{0.08, 0.05, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-
-/** Null codec (memcpy). */
-constexpr CodecCost nullCost{0.02, 0.02, 1.0, 1.0, 1.0,
-                             1.0, 1.0, 1.0};
-
 /** Tunable device constants; defaults approximate a Pixel 7. */
 struct TimingParams
 {

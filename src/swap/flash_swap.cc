@@ -21,8 +21,7 @@ telemetry::DurationProbe d_swapin("flash.swapin");
 
 FlashSwapScheme::FlashSwapScheme(SwapContext context,
                                  FlashSwapConfig config)
-    : LruScheme(context, config.reclaimBatch),
-      flashDev(config.flashBytes)
+    : LruScheme(context), flashDev(config.flashBytes)
 {
 }
 
@@ -34,19 +33,10 @@ flashSwapSchemeInfo()
     info.displayName = "SWAP";
     info.description = "uncompressed flash swap with readahead "
                        "clustering (low CPU, high latency and wear)";
-    info.knobs = {
-        {"flash_mb", "mb", "8192",
-         "swap partition capacity (paper scale)"},
-        {"reclaim_batch", "u64", "32", "pages written per reclaim "
-                                       "batch"},
-    };
-    info.build = [](SwapContext ctx, const SchemeParams &params,
+    info.build = [](SwapContext ctx, const SchemeParams &,
                     double scale) {
         FlashSwapConfig fc;
-        fc.flashBytes = scaledBytes(
-            params.getMiB("flash_mb", fc.flashBytes), scale);
-        fc.reclaimBatch =
-            params.getU64("reclaim_batch", fc.reclaimBatch);
+        fc.flashBytes = scaledBytes(fc.flashBytes, scale);
         return std::make_unique<FlashSwapScheme>(ctx, fc);
     };
     return info;

@@ -22,8 +22,6 @@ struct FlashSwapConfig
 {
     /** Swap partition capacity. */
     std::size_t flashBytes = std::size_t{8} * 1024 * 1024 * 1024;
-    /** Pages written per reclaim batch. */
-    std::size_t reclaimBatch = 32;
 };
 
 /** Flash-memory-based swap without compression. */

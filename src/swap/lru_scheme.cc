@@ -80,7 +80,7 @@ LruScheme::reclaim(std::size_t pages, bool direct)
         AppState *app = oldestAppWithPages();
         if (!app)
             break;
-        std::size_t batch = std::min(reclaimBatch, pages - freed);
+        std::size_t batch = std::min(reclaimBatchPages, pages - freed);
         std::size_t done = evictTail(app->uid, batch, direct);
         if (done == 0)
             break;
@@ -93,7 +93,7 @@ LruScheme::reclaim(std::size_t pages, bool direct)
 void
 LruScheme::readmit(PageMeta &page)
 {
-    allocateResident(reclaimBatch);
+    allocateResident();
     page.location = PageLocation::Resident;
     LruScheme::onAdmit(page);
     chargeLruOps();

@@ -5,8 +5,8 @@
  * Android groups anonymous pages per application and reclaims in LRU
  * order across applications (§2.2): the victim app is the least
  * recently used one that still has resident pages, and its LRU-tail
- * pages go first, up to reclaimBatch at a time. LruScheme owns that
- * policy; a subclass decides only what happens to each victim
+ * pages go first, up to reclaimBatchPages at a time. LruScheme owns
+ * that policy; a subclass decides only what happens to each victim
  * (evict()) and how a swap-in is charged, then hands the page back
  * through readmit().
  */
@@ -32,10 +32,7 @@ class LruScheme : public SwapScheme
     std::size_t reclaim(std::size_t pages, bool direct) override;
 
   protected:
-    /** @param reclaim_batch Victims taken from one app per pass. */
-    LruScheme(SwapContext context, std::size_t reclaim_batch)
-        : SwapScheme(context), reclaimBatch(reclaim_batch)
-    {}
+    explicit LruScheme(SwapContext context) : SwapScheme(context) {}
 
     /**
      * Move @p victim's data out of DRAM (compress it, write it to
@@ -59,9 +56,6 @@ class LruScheme : public SwapScheme
      * end.
      */
     void readmit(PageMeta &page);
-
-    /** Victims taken from one app per reclaim pass. */
-    const std::size_t reclaimBatch;
 
   private:
     struct AppState

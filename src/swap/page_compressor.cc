@@ -18,11 +18,8 @@ compressProbe(CodecKind kind)
     static telemetry::DurationProbe probes[] = {
         telemetry::DurationProbe("compressor.compress.lz4"),
         telemetry::DurationProbe("compressor.compress.lzo"),
-        telemetry::DurationProbe("compressor.compress.bdi"),
-        telemetry::DurationProbe("compressor.compress.null"),
     };
-    auto i = static_cast<std::size_t>(kind);
-    return probes[i < 4 ? i : 3];
+    return probes[static_cast<std::size_t>(kind)];
 }
 
 } // namespace
@@ -41,8 +38,8 @@ PageCompressor::compressedSize(std::span<const PageRef> unit,
                             {unitScratch.data() + i * pageSize,
                              pageSize});
     }
-    auto i = static_cast<std::size_t>(codec.kind());
-    std::unique_ptr<Codec::BatchState> &state = batchStates[i < 4 ? i : 3];
+    std::unique_ptr<Codec::BatchState> &state =
+        batchStates[static_cast<std::size_t>(codec.kind())];
     if (!state)
         state = codec.makeBatchState();
     std::size_t frame_size = ChunkedFrame::compressInto(

@@ -62,9 +62,8 @@ class PageCompressor
 
   private:
     const PageContentSource &content;
-    /** Lazily created per-codec batch state, indexed by CodecKind
-     * (stays null for codecs without one). */
-    std::unique_ptr<Codec::BatchState> batchStates[4];
+    /** Lazily created per-codec batch state, indexed by CodecKind. */
+    std::unique_ptr<Codec::BatchState> batchStates[2];
     std::vector<std::uint8_t> unitScratch;  //!< materialized pages
     std::vector<std::uint8_t> frameScratch; //!< reused frame output
     std::vector<std::uint8_t> chunkScratch; //!< reused codec dst

@@ -92,11 +92,11 @@ SwapScheme::chargeDecompression(AppId uid, const CodecCost &cost,
 }
 
 void
-SwapScheme::allocateResident(std::size_t batch)
+SwapScheme::allocateResident()
 {
     if (ctx.dram.allocate(1))
         return;
-    reclaim(batch, /*direct=*/true);
+    reclaim(reclaimBatchPages, /*direct=*/true);
     panicIf(!ctx.dram.allocate(1),
             "direct reclaim failed to free memory");
 }

@@ -34,6 +34,13 @@
 namespace ariadne
 {
 
+/**
+ * Pages one reclaim pass takes: a direct-reclaim call on the fault
+ * path asks for this many, and an LRU scheme takes at most this many
+ * victims from one app before it picks the oldest app again.
+ */
+constexpr std::size_t reclaimBatchPages = 32;
+
 /** Shared services every scheme operates against. */
 struct SwapContext
 {
@@ -129,11 +136,11 @@ class SwapScheme
 
     /**
      * Take one DRAM page for a page becoming resident. When memory
-     * is full, direct-reclaim @p batch pages first (on-demand
-     * compression on the fault path, §2.3); panics if that frees
-     * nothing.
+     * is full, direct-reclaim reclaimBatchPages pages first
+     * (on-demand compression on the fault path, §2.3); panics if
+     * that frees nothing.
      */
-    void allocateResident(std::size_t batch);
+    void allocateResident();
 
     /** App lifecycle hints. */
     virtual void onRelaunchStart(AppId) {}

@@ -44,18 +44,6 @@ SchemeParams::set(const std::string &key, std::string value)
     values[key] = std::move(value);
 }
 
-void
-SchemeParams::erase(const std::string &key)
-{
-    values.erase(key);
-}
-
-bool
-SchemeParams::has(const std::string &key) const noexcept
-{
-    return values.count(key) != 0;
-}
-
 const std::string *
 SchemeParams::raw(const std::string &key) const noexcept
 {
@@ -100,22 +88,6 @@ SchemeParams::getU64(const std::string &key, std::uint64_t def) const
     return n;
 }
 
-double
-SchemeParams::getDouble(const std::string &key, double def) const
-{
-    const std::string *v = raw(key);
-    if (!v)
-        return def;
-    char *end = nullptr;
-    double parsed = std::strtod(v->c_str(), &end);
-    // Reject NaN/inf too: no knob wants them and NaN silently escapes
-    // every range check downstream.
-    if (v->empty() || end != v->c_str() + v->size() ||
-        !(parsed - parsed == 0.0))
-        badValue(key, *v, "a finite number");
-    return parsed;
-}
-
 std::size_t
 SchemeParams::getMiB(const std::string &key,
                      std::size_t def_bytes) const
@@ -134,22 +106,6 @@ std::size_t
 scaledBytes(std::size_t bytes, double scale) noexcept
 {
     return static_cast<std::size_t>(static_cast<double>(bytes) * scale);
-}
-
-CodecKind
-parseCodecKnob(const std::string &name)
-{
-    std::string t = lowered(name);
-    if (t == "lz4")
-        return CodecKind::Lz4;
-    if (t == "lzo")
-        return CodecKind::Lzo;
-    if (t == "bdi")
-        return CodecKind::Bdi;
-    if (t == "null")
-        return CodecKind::Null;
-    throw SchemeError("unknown codec '" + name +
-                      "' (lz4|lzo|bdi|null)");
 }
 
 // --- SchemeRegistry --------------------------------------------------
@@ -262,8 +218,6 @@ SchemeRegistry::validate(const std::string &key,
             params.getBool(knob_key, false);
         else if (it->type == "u64")
             params.getU64(knob_key, 0);
-        else if (it->type == "double")
-            params.getDouble(knob_key, 0.0);
         else if (it->type == "mb")
             params.getMiB(knob_key, 0);
         else if (it->type != "string")

@@ -61,10 +61,6 @@ class SchemeParams
     /** Set (or overwrite) knob @p key to the raw text @p value. */
     void set(const std::string &key, std::string value);
 
-    /** Remove knob @p key if present. */
-    void erase(const std::string &key);
-
-    bool has(const std::string &key) const noexcept;
     bool empty() const noexcept { return values.empty(); }
 
     /** Raw text of @p key, or nullptr when absent. */
@@ -78,8 +74,6 @@ class SchemeParams
 
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t def) const;
-
-    double getDouble(const std::string &key, double def) const;
 
     /** Capacity knob: the value is mebibytes, the result bytes. */
     std::size_t getMiB(const std::string &key,
@@ -113,17 +107,17 @@ struct SchemeKnob
 
     /** Knob key as configured (`scheme.<name> = ...`). */
     std::string name;
-    /** Value type: "string", "bool", "u64", "double" or "mb". */
+    /** Value type: "string", "bool", "u64" or "mb". */
     std::string type;
     /** Default shown by `--list-schemes` (display only). */
     std::string defaultValue;
     /** One-line description. */
     std::string description;
     /**
-     * Optional value check beyond the type (grammar of a config
-     * string, range of a fraction, ...); throws SchemeError on bad
-     * values. Runs at validation time, so config errors surface with
-     * the offending line instead of deep inside a factory.
+     * Optional value check beyond the type (the grammar of a config
+     * string); throws SchemeError on bad values. Runs at validation
+     * time, so config errors surface with the offending line instead
+     * of deep inside a factory.
      */
     std::function<void(const std::string &value)> check;
 };
@@ -207,12 +201,6 @@ class SchemeRegistry
 
 /** Scale a paper-scale byte capacity by the run's footprint scale. */
 std::size_t scaledBytes(std::size_t bytes, double scale) noexcept;
-
-/**
- * Parse a codec knob ("lzo", "lz4", "bdi", "null"); throws
- * SchemeError on unknown names.
- */
-CodecKind parseCodecKnob(const std::string &name);
 
 } // namespace ariadne
 

@@ -20,8 +20,8 @@ telemetry::DurationProbe d_swapin("zram.swapin");
 } // namespace
 
 ZramScheme::ZramScheme(SwapContext context, ZramConfig config)
-    : LruScheme(context, config.reclaimBatch), cfg(config),
-      codec(makeCodec(cfg.codec)), pool(cfg.zpoolBytes)
+    : LruScheme(context), cfg(config), codec(makeCodec(CodecKind::Lzo)),
+      pool(cfg.zpoolBytes)
 {
     if (cfg.writeback)
         flashDev = std::make_unique<FlashDevice>(cfg.flashBytes);
@@ -37,7 +37,7 @@ namespace
 {
 
 /** Shared schema/factory of the zram and zswap registrations; they
- * differ only in the writeback axis (and zswap's flash knob). */
+ * differ only in the writeback axis. */
 SchemeInfo
 zramFamilyInfo(bool writeback)
 {
@@ -53,28 +53,7 @@ zramFamilyInfo(bool writeback)
                     "decompression";
     info.knobs = {
         {"zpool_mb", "mb", "3072", "zpool capacity (paper scale)"},
-        {"reclaim_batch", "u64", "32",
-         "pages compressed per reclaim batch"},
-        {"proactive_fraction", "double", "0.03",
-         "share of a backgrounded app's resident pages compressed "
-         "proactively",
-         [](const std::string &value) {
-             SchemeParams probe;
-             probe.set("proactive_fraction", value);
-             double v = probe.getDouble("proactive_fraction", 0.0);
-             if (v < 0.0 || v > 1.0)
-                 throw SchemeError("scheme knob 'proactive_fraction' "
-                                   "must be in [0, 1], got '" + value +
-                                   "'");
-         }},
-        {"codec", "string", "lzo",
-         "compression codec (lzo|lz4|bdi|null)",
-         [](const std::string &value) { parseCodecKnob(value); }},
     };
-    if (writeback)
-        info.knobs.push_back({"flash_mb", "mb", "8192",
-                              "flash swap-space capacity for "
-                              "compressed writeback (paper scale)"});
     info.build = [writeback](SwapContext ctx,
                              const SchemeParams &params,
                              double scale) {
@@ -82,15 +61,7 @@ zramFamilyInfo(bool writeback)
         zc.writeback = writeback;
         zc.zpoolBytes = scaledBytes(
             params.getMiB("zpool_mb", zc.zpoolBytes), scale);
-        zc.flashBytes = scaledBytes(
-            params.getMiB("flash_mb", zc.flashBytes), scale);
-        zc.reclaimBatch =
-            params.getU64("reclaim_batch", zc.reclaimBatch);
-        // Range-checked by the knob's check lambda at validate time.
-        zc.proactiveFraction = params.getDouble("proactive_fraction",
-                                                zc.proactiveFraction);
-        if (const std::string *codec = params.raw("codec"))
-            zc.codec = parseCodecKnob(*codec);
+        zc.flashBytes = scaledBytes(zc.flashBytes, scale);
         return std::make_unique<ZramScheme>(ctx, zc);
     };
     return info;
@@ -172,7 +143,7 @@ ZramScheme::evict(PageMeta &victim, bool synchronous)
     c_compressOut.add();
     PageRef ref{victim.key, victim.version};
     std::size_t csize =
-        ctx.compressor.compressedSize({&ref, 1}, *codec, cfg.chunkBytes);
+        ctx.compressor.compressedSize({&ref, 1}, *codec, pageSize);
     if (!ensureZpoolSpace(csize, synchronous)) {
         telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                                telemetry::JourneyStep::Lost,
@@ -194,7 +165,7 @@ ZramScheme::evict(PageMeta &victim, bool synchronous)
     compressedFifo.emplace_back(obj, &victim);
     compLog.push_back(CompressionEvent{victim.key, victim.truth});
 
-    chargeCompression(victim.key.uid, codec->cost(), cfg.chunkBytes,
+    chargeCompression(victim.key.uid, codec->cost(), pageSize,
                       pageSize, csize, synchronous);
 }
 
@@ -231,7 +202,7 @@ ZramScheme::swapIn(PageMeta &page)
         std::size_t csize = pool.objectSize(page.objectId);
         pool.erase(page.objectId);
         page.objectId = invalidObject;
-        chargeDecompression(page.key.uid, codec->cost(), cfg.chunkBytes,
+        chargeDecompression(page.key.uid, codec->cost(), pageSize,
                             pageSize, csize, true);
     } else if (page.location == PageLocation::Flash) {
         c_swapinFlash.add();
@@ -243,7 +214,7 @@ ZramScheme::swapIn(PageMeta &page)
         ctx.cpu.charge(CpuRole::IoSubmit, submit);
         ctx.clock.advance(submit + ctx.timing.flashReadNs(1));
         ctx.activity.flashReadBytes += csize;
-        chargeDecompression(page.key.uid, codec->cost(), cfg.chunkBytes,
+        chargeDecompression(page.key.uid, codec->cost(), pageSize,
                             pageSize, csize, true);
         res.fromFlash = true;
     } else {

@@ -28,17 +28,12 @@ namespace ariadne
 /** Configuration for ZramScheme. */
 struct ZramConfig
 {
-    CodecKind codec = CodecKind::Lzo;
     /** zpool capacity (the paper's S = 3 GB, scaled by callers). */
     std::size_t zpoolBytes = std::size_t{3} * 1024 * 1024 * 1024;
-    /** Compression chunk size; baseline Android uses one page. */
-    std::size_t chunkBytes = pageSize;
     /** Enable ZSWAP-style writeback of compressed data to flash. */
     bool writeback = false;
     /** Flash swap-space capacity (used when writeback is on). */
     std::size_t flashBytes = std::size_t{8} * 1024 * 1024 * 1024;
-    /** Pages compressed per reclaim batch. */
-    std::size_t reclaimBatch = 32;
 
     /**
      * Fraction of a backgrounded app's resident pages compressed

@@ -251,7 +251,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
         dir.pages[ev.pfn] = &ref;
 
         c_alloc.add();
-        swapScheme->allocateResident(cfg.directReclaimBatch);
+        swapScheme->allocateResident();
         telemetry::journeyMark(dir.uid, ev.pfn,
                                telemetry::JourneyStep::Alloc,
                                simClock.now());
@@ -283,7 +283,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
         ++lostPages;
         if (stats)
             ++stats->lostRecreated;
-        swapScheme->allocateResident(cfg.directReclaimBatch);
+        swapScheme->allocateResident();
         meta.location = PageLocation::Resident;
         swapScheme->onAdmit(meta);
         Tick rebuild = cfg.pageTouchNs + timing.params().dramPageCopyNs;

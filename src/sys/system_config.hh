@@ -46,11 +46,6 @@ struct SystemConfig
      * (`scheme.<knob>` keys of a scenario config). */
     SchemeParams schemeParams;
 
-    /** Pages requested per synchronous direct-reclaim call on the
-     * fault path (scheme-independent; kswapd sizes its own batches
-     * from the watermarks). */
-    std::size_t directReclaimBatch = 32;
-
     /** File pages written back per anonymous page allocated; models
      * the file-cache share of kswapd work that exists under every
      * scheme (the DRAM bars of Fig. 3). */

@@ -58,7 +58,7 @@ struct SchemeHarness
         result.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             PageMeta &p = page(uid, first_pfn + i, truth);
-            scheme.allocateResident(32);
+            scheme.allocateResident();
             p.location = PageLocation::Resident;
             scheme.onAdmit(p);
             result.push_back(&p);

@@ -141,8 +141,6 @@ TEST_P(ChunkedSweep, RoundtripAcrossCodecsAndChunkSizes)
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, ChunkedSweep,
-    ::testing::Combine(::testing::Values(CodecKind::Lz4, CodecKind::Lzo,
-                                         CodecKind::Bdi,
-                                         CodecKind::Null),
+    ::testing::Combine(::testing::Values(CodecKind::Lz4, CodecKind::Lzo),
                        ::testing::Values(128, 256, 512, 1024, 2048,
                                          4096, 16384, 65536)));

@@ -103,21 +103,19 @@ TEST_P(CodecProperty, AllZerosAndAllOnes)
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecProperty,
                          ::testing::Values(CodecKind::Lz4,
-                                           CodecKind::Lzo,
-                                           CodecKind::Bdi,
-                                           CodecKind::Null));
+                                           CodecKind::Lzo));
 
 TEST(Registry, CreatesByNameAndKind)
 {
-    EXPECT_EQ(makeCodec("lz4")->kind(), CodecKind::Lz4);
-    EXPECT_EQ(makeCodec("lzo")->kind(), CodecKind::Lzo);
-    EXPECT_EQ(makeCodec("bdi")->kind(), CodecKind::Bdi);
-    EXPECT_EQ(makeCodec("null")->kind(), CodecKind::Null);
-    EXPECT_EQ(allCodecKinds().size(), 4u);
+    EXPECT_EQ(makeCodec(CodecKind::Lz4)->kind(), CodecKind::Lz4);
+    EXPECT_EQ(makeCodec(CodecKind::Lzo)->kind(), CodecKind::Lzo);
+    EXPECT_EQ(makeCodec(CodecKind::Lz4)->name(), "lz4");
+    EXPECT_EQ(makeCodec(CodecKind::Lzo)->name(), "lzo");
+    EXPECT_EQ(allCodecKinds().size(), 2u);
 }
 
 TEST(Registry, KindNamesRoundtrip)
 {
     for (CodecKind kind : allCodecKinds())
-        EXPECT_EQ(makeCodec(codecKindName(kind))->kind(), kind);
+        EXPECT_EQ(makeCodec(kind)->name(), codecKindName(kind));
 }

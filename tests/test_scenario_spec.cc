@@ -282,7 +282,7 @@ TEST(ScenarioSpec, WorkloadKeyCombinationsAreValidated)
         "trace = x.trace\n"
         "scheme.zpool_mb = 64\n");
     EXPECT_TRUE(knob_only.replayScheme.empty());
-    EXPECT_TRUE(knob_only.replayParams.has("zpool_mb"));
+    EXPECT_NE(knob_only.replayParams.raw("zpool_mb"), nullptr);
     // ...but workload-identity keys are still rejected.
     EXPECT_THROW(ScenarioSpec::parseString("workload = trace\n"
                                            "trace = x.trace\n"

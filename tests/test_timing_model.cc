@@ -115,15 +115,6 @@ TEST(TimingModel, FlashWriteScalesPerPage)
               2 * t.params().flashWritePageNs);
 }
 
-TEST(TimingModel, BdiAndNullAreFlat)
-{
-    TimingModel t;
-    EXPECT_DOUBLE_EQ(t.compNsPerByte(bdiCost, 128),
-                     t.compNsPerByte(bdiCost, 131072));
-    EXPECT_DOUBLE_EQ(t.compNsPerByte(nullCost, 128),
-                     t.compNsPerByte(nullCost, 131072));
-}
-
 class ChunkSweep : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -132,7 +123,7 @@ TEST_P(ChunkSweep, CompressionCostsArePositiveAndFinite)
 {
     TimingModel t;
     std::size_t chunk = GetParam();
-    for (const CodecCost &cost : {lz4Cost, lzoCost, bdiCost, nullCost}) {
+    for (const CodecCost &cost : {lz4Cost, lzoCost}) {
         Tick comp = t.compressNs(cost, chunk, 1 << 20);
         Tick decomp = t.decompressNs(cost, chunk, 1 << 20);
         EXPECT_GT(comp, 0u);
