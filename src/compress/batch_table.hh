@@ -18,6 +18,9 @@
  * claim would push a stored position past 32 bits, the table is
  * zero-refilled once and the bias restarts at 1 (amortized over ~4 GB
  * of input).
+ *
+ * The codecs read entries through entryOffset(), which folds the
+ * sentinel test into the window test: one unsigned compare per probe.
  */
 
 #ifndef ARIADNE_COMPRESS_BATCH_TABLE_HH
@@ -66,6 +69,21 @@ class PosTableState final : public Codec::BatchState
     /** Bias of the next claim; positions stored as p + bias. */
     std::uint32_t bias = 1;
 };
+
+/**
+ * Distance back from position @p cur_pos of a call with bias @p bias
+ * to the position table @p entry holds: cur_pos - p for an entry this
+ * buffer stored at position p, and more than cur_pos for an entry
+ * below the bias (stored by an earlier buffer, or never). So
+ * `offset <= min(cur_pos, window)` is both the sentinel and the window
+ * test. claim() keeps cur_pos + bias below 2^32, so nothing wraps.
+ */
+constexpr std::uint32_t
+entryOffset(std::uint32_t entry, std::uint32_t cur_pos,
+            std::uint32_t bias) noexcept
+{
+    return cur_pos + bias - entry;
+}
 
 } // namespace ariadne::compress_detail
 

@@ -1,5 +1,6 @@
 #include "compress/lz4.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -127,9 +128,8 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
     // a ctz), then byte-wise over the tail — the same length a byte
     // loop finds. Out of line for the same reason as emit_sequence:
     // it runs once per sequence, not once per byte.
-    auto on_match = [&](std::uint32_t ref_pos, std::uint32_t cur_pos)
-        __attribute__((noinline)) {
-        const std::uint8_t *ref = src.data() + ref_pos;
+    auto on_match = [&](std::uint32_t offset) __attribute__((noinline)) {
+        const std::uint8_t *ref = ip - offset;
         const std::uint8_t *mip = ip + minMatch;
         const std::uint8_t *mref = ref + minMatch;
         bool diff_found = false;
@@ -150,8 +150,7 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
             }
         }
         std::size_t match_len = static_cast<std::size_t>(mip - ip);
-        emit_sequence(ip, match_len,
-                      static_cast<std::size_t>(cur_pos - ref_pos));
+        emit_sequence(ip, match_len, offset);
         ip += match_len;
         anchor = ip;
     };
@@ -164,17 +163,23 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
     // same as the one-position-per-load loop this replaces.
     auto try_match = [&](std::uint32_t val) -> bool {
         std::uint32_t h = hash32(val);
-        std::uint32_t entry = table[h];
         auto cur_pos = static_cast<std::uint32_t>(ip - src.data());
+        std::uint32_t offset =
+            compress_detail::entryOffset(table[h], cur_pos, bias);
         table[h] = cur_pos + bias;
 
-        // Entries below the bias were written by earlier buffers of
-        // the batch (or never) — the fresh-table sentinel test.
-        std::uint32_t ref_pos = entry - bias;
-        if (entry >= bias &&
-            (!checkOffset || cur_pos - ref_pos <= maxOffset) &&
-            read32(src.data() + ref_pos) == val) {
-            on_match(ref_pos, cur_pos);
+        // Entries below the bias (earlier buffers of the batch, or
+        // never written) and beyond the window lie past the limit. A
+        // far entry compares ip with itself, so its flag alone makes
+        // the miss word nonzero: one branch per probe (see lzo.cc).
+        std::uint32_t limit =
+            checkOffset
+                ? std::min(cur_pos, static_cast<std::uint32_t>(maxOffset))
+                : cur_pos;
+        std::uint32_t far = offset > limit;
+        const std::uint8_t *ref = ip - (offset & (far - 1u));
+        if (((read32(ref) ^ val) | far) == 0) {
+            on_match(offset);
             return true;
         }
         ++ip;

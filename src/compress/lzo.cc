@@ -1,5 +1,6 @@
 #include "compress/lzo.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -77,8 +78,16 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
     const std::uint8_t *const iend = ip + n;
     std::uint8_t *op = dst.data();
 
+    // The largest offset an entry may have at cur_pos: stale entries
+    // and those beyond the window lie above it (entryOffset).
+    auto limit = [](std::uint32_t cur_pos) {
+        return checkOffset
+                   ? std::min(cur_pos, static_cast<std::uint32_t>(maxOffset))
+                   : cur_pos;
+    };
+
     // A group far enough from the end can never exhaust the input
-    // (8 items consume at most 8 * maxMatch bytes) and every 4-byte
+    // (8 items consume at most 8 * maxMatch bytes) and every 8-byte
     // load stays in bounds, so its items skip all per-item bounds
     // checks. The checked loop below handles the remainder; both
     // produce identical items.
@@ -90,55 +99,48 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
         std::uint8_t *flags = op++;
         std::uint8_t flag_byte = 0;
         if (static_cast<std::size_t>(iend - ip) >= fastGroupBytes) {
-            // One 64-bit load holds the 3-byte probe windows of six
-            // consecutive positions; literal items slide through it
-            // instead of reloading. Reload after a match (ip jumped)
-            // or once the window is spent. Always in bounds: even the
-            // group's last item has >= fastGroupBytes - 7 * maxMatch
-            // = 22 input bytes left.
-            std::uint64_t w = 0;
-            unsigned wpos = 6; // spent — forces a load on entry
             for (unsigned bit = 0; bit < 8; ++bit) {
-                if (wpos >= 6) {
-                    w = read64(ip);
-                    wpos = 0;
-                }
-                std::uint32_t v24 =
-                    static_cast<std::uint32_t>(w >> (8 * wpos)) &
-                    0xffffffu;
-                std::uint32_t h = hashOf24(v24);
-                std::uint32_t entry = table[h];
+                std::uint32_t v = read32(ip);
+                std::uint32_t h = hashOf24(v & 0xffffffu);
                 auto cur_pos =
                     static_cast<std::uint32_t>(ip - src.data());
+                std::uint32_t offset =
+                    compress_detail::entryOffset(table[h], cur_pos, bias);
                 table[h] = cur_pos + bias;
-                // Entries below the bias were written by earlier
-                // buffers of the batch (or never) — the fresh-table
-                // sentinel test.
-                std::uint32_t ref_pos = entry - bias;
-                if (entry >= bias &&
-                    (!checkOffset ||
-                     cur_pos - ref_pos <= maxOffset) &&
-                    (read32(src.data() + ref_pos) & 0xffffffu) ==
-                        v24) {
-                    const std::uint8_t *ref = src.data() + ref_pos;
-                    // Extend eight bytes per compare (in bounds: the
-                    // group keeps maxMatch + word slack ahead), then
-                    // byte-wise — the same length a byte loop finds.
-                    std::size_t len = minMatch;
-                    while (len + 8 <= maxMatch) {
-                        std::uint64_t diff = read64(ip + len) ^
-                                             read64(ref + len);
-                        if (diff) {
-                            len += static_cast<std::size_t>(
-                                       __builtin_ctzll(diff)) >>
-                                   3;
-                            break;
-                        }
-                        len += 8;
+                // One branch per item. A far entry compares ip with
+                // itself, so its flag alone makes the miss word
+                // nonzero. The flag must be OR-ed into the compare,
+                // not `&&`-ed (or `&`-ed as a bool) with it: GCC
+                // then branches on the flag first, and once the
+                // table is half written by earlier buffers that
+                // branch is a coin flip.
+                std::uint32_t far = offset > limit(cur_pos);
+                const std::uint8_t *ref = ip - (offset & (far - 1u));
+                std::uint32_t miss =
+                    ((read32(ref) ^ v) & 0xffffffu) | far;
+                if (miss == 0) {
+                    // Size the match with two overlapping 8-byte
+                    // compares, bytes [3, 11) and [10, 18), in bounds
+                    // since the group keeps maxMatch + word slack
+                    // ahead.
+                    static_assert(maxMatch == 18);
+                    std::size_t len;
+                    std::uint64_t diff =
+                        read64(ip + minMatch) ^ read64(ref + minMatch);
+                    if (diff) {
+                        len = minMatch +
+                              (static_cast<std::size_t>(
+                                   __builtin_ctzll(diff)) >>
+                               3);
+                    } else {
+                        diff = read64(ip + maxMatch - 8) ^
+                               read64(ref + maxMatch - 8);
+                        len = diff ? maxMatch - 8 +
+                                         (static_cast<std::size_t>(
+                                              __builtin_ctzll(diff)) >>
+                                          3)
+                                   : maxMatch;
                     }
-                    while (len < maxMatch && ref[len] == ip[len])
-                        ++len;
-                    std::size_t offset = cur_pos - ref_pos;
                     flag_byte |=
                         static_cast<std::uint8_t>(1u << bit);
                     *op++ = static_cast<std::uint8_t>(
@@ -146,10 +148,8 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                         ((offset >> 8) & 0x0f));
                     *op++ = static_cast<std::uint8_t>(offset & 0xff);
                     ip += len;
-                    wpos = 6; // window no longer covers ip
                 } else {
                     *op++ = *ip++;
-                    ++wpos;
                 }
             }
             *flags = flag_byte;
@@ -168,27 +168,22 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                 std::uint32_t v24 =
                     word_safe ? (read32(ip) & 0xffffffu) : load24(ip);
                 std::uint32_t h = hashOf24(v24);
-                std::uint32_t entry = table[h];
                 auto cur_pos =
                     static_cast<std::uint32_t>(ip - src.data());
+                std::uint32_t offset =
+                    compress_detail::entryOffset(table[h], cur_pos, bias);
                 table[h] = cur_pos + bias;
-                std::uint32_t ref_pos = entry - bias;
-                if (entry >= bias &&
-                    (!checkOffset ||
-                     cur_pos - ref_pos <= maxOffset) &&
+                if (offset <= limit(cur_pos) &&
                     (word_safe
-                         ? (read32(src.data() + ref_pos) &
-                            0xffffffu) == v24
-                         : std::memcmp(src.data() + ref_pos, ip,
-                                       minMatch) == 0)) {
-                    const std::uint8_t *ref = src.data() + ref_pos;
+                         ? (read32(ip - offset) & 0xffffffu) == v24
+                         : std::memcmp(ip - offset, ip, minMatch) == 0)) {
+                    const std::uint8_t *ref = ip - offset;
                     std::size_t len = minMatch;
-                    std::size_t limit = std::min(
+                    std::size_t max_len = std::min(
                         maxMatch,
                         static_cast<std::size_t>(iend - ip));
-                    while (len < limit && ref[len] == ip[len])
+                    while (len < max_len && ref[len] == ip[len])
                         ++len;
-                    std::size_t offset = cur_pos - ref_pos;
                     flag_byte |=
                         static_cast<std::uint8_t>(1u << bit);
                     *op++ = static_cast<std::uint8_t>(

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "codec_test_util.hh"
+#include "compress/batch_table.hh"
 #include "compress/chunked.hh"
 #include "compress/registry.hh"
 #include "sim/types.hh"
@@ -165,6 +166,59 @@ TEST_P(CodecBatch, ChunkedFrameStatefulMatchesStateless)
             EXPECT_EQ(out, plain);
         }
     }
+}
+
+TEST_P(CodecBatch, BiasNearWrapMatchesStateless)
+{
+    // The codecs compute an entry's offset as cur_pos + bias - entry,
+    // which needs claim() to keep cur_pos + bias below 2^32. Drive
+    // the bias to the top of its range: a 16 KB buffer that uses the
+    // last 16 KB of room exactly, then 4 KB pages across the refill
+    // that follows, and again with under 4 KB of room left.
+    auto codec = makeCodec(GetParam());
+    auto state = codec->makeBatchState();
+    auto &pos = static_cast<compress_detail::PosTableState &>(*state);
+    std::vector<std::uint8_t> dst(codec->compressBound(4 * pageSize));
+    std::vector<std::uint8_t> solo(codec->compressBound(4 * pageSize));
+
+    auto check = [&](const std::vector<std::uint8_t> &buf,
+                     const char *what) {
+        ConstBytes src{buf.data(), buf.size()};
+        std::size_t got =
+            codec->compress(src, {dst.data(), dst.size()}, state.get());
+        std::size_t want =
+            codec->compress(src, {solo.data(), solo.size()});
+        ASSERT_EQ(got, want) << what;
+        EXPECT_TRUE(std::equal(dst.begin(),
+                               dst.begin() + static_cast<long>(got),
+                               solo.begin()))
+            << what;
+    };
+    // claim(0) reads the bias without moving it; claim(k) moves it by
+    // k. Leave exactly @p room bytes below 2^32 - 1.
+    auto leaveRoom = [&](std::uint32_t room) {
+        pos.claim(0xffffffffu - pos.claim(0) - room);
+        ASSERT_EQ(pos.claim(0), 0xffffffffu - room);
+    };
+
+    auto pages = makePages(8);
+    std::vector<std::uint8_t> unit;
+    for (std::size_t i = 0; i < 4; ++i)
+        unit.insert(unit.end(), pages[i].begin(), pages[i].end());
+
+    // Stale entries from earlier buffers fill the table first.
+    for (const auto &page : pages)
+        check(page, "page before the climb");
+    leaveRoom(4 * pageSize);
+    check(unit, "16 KB buffer in the last 16 KB of room");
+    EXPECT_EQ(pos.claim(0), 0xffffffffu);
+    for (const auto &page : pages)
+        check(page, "page after the 16 KB buffer's refill");
+
+    leaveRoom(pageSize - 1);
+    for (const auto &page : pages)
+        check(page, "page across a refill with under 4 KB of room");
+    check(unit, "16 KB buffer after the refill");
 }
 
 TEST_P(CodecBatch, CompressedSizeEachMatchesOne)
