@@ -7,11 +7,13 @@ Usage:
 
 Rates (sessions/sec, pages/sec.*) may regress by at most
 --rate-tolerance relative to the baseline (improvements always pass).
-Telemetry counters are deterministic functions of the workload, so
-they must match the baseline within --counter-tolerance (default:
-exactly); a counter drift means the simulator does different *work*
-than it did at the baseline commit, which is a behavioural change
-that deserves a baseline refresh in the same PR.
+Totals (sessions, relaunches, compressed bytes, ...) and telemetry
+counters are deterministic functions of the workload, so they must
+match the baseline within --counter-tolerance (default: exactly); a
+drift means the simulator does different *work* than it did at the
+baseline commit (a codec that emits other sizes moves a
+compressedBytes total), which is a behavioural change that deserves a
+baseline refresh in the same PR.
 
 Every run prints a per-metric delta table — pass or fail — so a CI
 log always shows how far each rate and counter moved, not just which
@@ -81,7 +83,8 @@ def main():
     ap.add_argument("--rate-tolerance", type=float, default=0.25,
                     help="max fractional rate regression (default 0.25)")
     ap.add_argument("--counter-tolerance", type=float, default=0.0,
-                    help="max fractional counter drift (default exact)")
+                    help="max fractional total and counter drift "
+                         "(default exact)")
     ap.add_argument("--update", action="store_true",
                     help="re-record: copy CURRENT over BASELINE after "
                          "comparing (always exits 0)")
@@ -124,32 +127,36 @@ def main():
                 f"rate '{name}' absent from baseline — it is not "
                 f"gated; refresh the baseline to start tracking it")
 
-    cur_counters = cur.get("counters", {})
-    for name, base_val in base.get("counters", {}).items():
-        cur_val = cur_counters.get(name)
-        if cur_val is None:
-            failures.append(f"counter '{name}' missing from current run")
-            rows.append(("counter", name, "missing", str(base_val),
-                         "n/a", "FAIL"))
-            continue
-        limit = abs(base_val) * args.counter_tolerance
-        ok = abs(cur_val - base_val) <= limit
-        rows.append(("counter", name, str(cur_val), str(base_val),
-                     fmt_delta(cur_val, base_val),
-                     "ok" if ok else "FAIL"))
-        if not ok:
-            failures.append(
-                f"counter '{name}' drifted: {cur_val} vs baseline "
-                f"{base_val} (tolerance {args.counter_tolerance:.0%})")
+    for kind, section in (("total", "totals"), ("counter", "counters")):
+        cur_vals = cur.get(section, {})
+        base_vals = base.get(section, {})
+        for name, base_val in base_vals.items():
+            cur_val = cur_vals.get(name)
+            if cur_val is None:
+                failures.append(f"{kind} '{name}' missing from current "
+                                f"run")
+                rows.append((kind, name, "missing", str(base_val),
+                             "n/a", "FAIL"))
+                continue
+            limit = abs(base_val) * args.counter_tolerance
+            ok = abs(cur_val - base_val) <= limit
+            rows.append((kind, name, str(cur_val), str(base_val),
+                         fmt_delta(cur_val, base_val),
+                         "ok" if ok else "FAIL"))
+            if not ok:
+                failures.append(
+                    f"{kind} '{name}' drifted: {cur_val} vs baseline "
+                    f"{base_val} (tolerance "
+                    f"{args.counter_tolerance:.0%})")
 
-    for name in cur_counters:
-        if name not in base.get("counters", {}):
-            rows.append(("counter", name, str(cur_counters[name]),
-                         "absent", "new", "WARN"))
-            warnings.append(
-                f"counter '{name}' absent from baseline — new "
-                f"instrumentation is not gated; refresh the "
-                f"baseline to start tracking it")
+        for name in cur_vals:
+            if name not in base_vals:
+                rows.append((kind, name, str(cur_vals[name]),
+                             "absent", "new", "WARN"))
+                warnings.append(
+                    f"{kind} '{name}' absent from baseline — it is "
+                    f"not gated; refresh the baseline to start "
+                    f"tracking it")
 
     print(f"{cur['bench']}: current vs baseline")
     print_table(rows)
@@ -173,7 +180,7 @@ def main():
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
     print(f"PASS: {cur['bench']} within tolerance "
-          f"(rates {args.rate_tolerance:.0%}, counters "
+          f"(rates {args.rate_tolerance:.0%}, totals and counters "
           f"{args.counter_tolerance:.0%})")
     return 0
 

@@ -2,22 +2,28 @@
  * @file
  * perf_pages — page synthesis + compression throughput harness.
  *
- * Streams synthesized pages through lz4 and lzo via the
- * PageCompressor (each page is compressed exactly once) and emits
- * BENCH_pages.json with per-codec pages/sec rates in the stable
- * `ariadneBench` schema. This isolates the simulator's real
- * compute-bound inner loop — content materialization plus codec —
- * from the scheduling and bookkeeping perf_fleet measures.
+ * Streams synthesized pages of app 0 through lz4 and lzo via the
+ * PageCompressor in two unit shapes: 1-page units at a 4 KB chunk
+ * (ZRAM's pages) and 4-page units at a 16 KB chunk (Ariadne's cold
+ * units). Each shape compresses every page exactly once. It emits
+ * BENCH_pages.json with per-codec, per-shape pages/sec rates and
+ * compressed bytes in the stable `ariadneBench` schema. This isolates
+ * the simulator's real compute-bound inner loop — content
+ * materialization plus codec — from the scheduling and bookkeeping
+ * perf_fleet measures.
  *
- * After the timed loop, every page is framed again with
+ * After each timed loop, every unit is framed again with
  * ChunkedFrame::compress and decompressed (untimed); a frame that does
  * not restore the original bytes fails the run with exit status 1.
  *
  *     perf_pages [--pages N] [--out FILE]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <span>
+#include <vector>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -66,52 +72,75 @@ main(int argc, char **argv)
     report.meta.scenario = "perf_pages";
     report.totals.emplace_back("pagesPerCodec", pages);
 
+    // A unit shape: pages per unit, chunk size, metric-name suffix.
+    struct Shape
+    {
+        std::size_t unitPages;
+        std::size_t chunkBytes;
+        const char *suffix;
+    };
+    constexpr Shape shapes[] = {{1, 4096, ""}, {4, 16384, ".unit16k"}};
+
+    AppId uid = apps.front().uid;
+    std::vector<PageRef> refs;
+    for (std::size_t i = 0; i < pages; ++i)
+        refs.push_back(PageRef{PageKey{uid, static_cast<Pfn>(i)}, 0});
+
     constexpr CodecKind kinds[] = {CodecKind::Lz4, CodecKind::Lzo};
     auto total_start = std::chrono::steady_clock::now();
     for (CodecKind kind : kinds) {
         PageCompressor compressor(synth);
         auto codec = makeCodec(kind);
-        AppId uid = apps.front().uid;
+        for (const Shape &shape : shapes) {
+            auto unitAt = [&](std::size_t first) {
+                return std::span<const PageRef>(
+                    refs.data() + first,
+                    std::min(shape.unitPages, pages - first));
+            };
 
-        auto start = std::chrono::steady_clock::now();
-        std::uint64_t compressed_bytes = 0;
-        for (std::size_t i = 0; i < pages; ++i) {
-            PageRef ref{PageKey{uid, static_cast<Pfn>(i)}, 0};
-            compressed_bytes += compressor.compressedSize(
-                {&ref, 1}, *codec, std::size_t{4096});
-        }
-        std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - start;
+            auto start = std::chrono::steady_clock::now();
+            std::uint64_t compressed_bytes = 0;
+            for (std::size_t i = 0; i < pages; i += shape.unitPages) {
+                compressed_bytes += compressor.compressedSize(
+                    unitAt(i), *codec, shape.chunkBytes);
+            }
+            std::chrono::duration<double> wall =
+                std::chrono::steady_clock::now() - start;
 
-        std::string name = codecKindName(kind);
-        report.rates.emplace_back(
-            "pagesPerSec." + name,
-            static_cast<double>(pages) /
-                std::max(wall.count(), 1e-9));
-        report.totals.emplace_back("compressedBytes." + name,
-                                   compressed_bytes);
-        std::cerr << "perf_pages: " << name << " "
-                  << static_cast<double>(pages) / wall.count()
-                  << " pages/s\n";
+            std::string name = codecKindName(kind) + std::string(shape.suffix);
+            double rate = static_cast<double>(pages) /
+                          std::max(wall.count(), 1e-9);
+            report.rates.emplace_back("pagesPerSec." + name, rate);
+            report.totals.emplace_back("compressedBytes." + name,
+                                       compressed_bytes);
+            std::cerr << "perf_pages: " << name << " " << rate
+                      << " pages/s\n";
 
-        // Round-trip oracle, untimed: every frame must decompress to
-        // the page it was built from.
-        std::vector<std::uint8_t> page(pageSize);
-        std::vector<std::uint8_t> restored(pageSize);
-        for (std::size_t i = 0; i < pages; ++i) {
-            synth.materialize(PageKey{uid, static_cast<Pfn>(i)}, 0,
-                              {page.data(), page.size()});
-            auto frame = ChunkedFrame::compress(
-                *codec, {page.data(), page.size()}, std::size_t{4096});
-            std::size_t got = ChunkedFrame::decompress(
-                *codec, {frame.data(), frame.size()},
-                {restored.data(), restored.size()});
-            if (got != pageSize ||
-                std::memcmp(restored.data(), page.data(), pageSize)) {
-                std::cerr << "perf_pages: " << name
-                          << " round-trip mismatch on page " << i
-                          << "\n";
-                return 1;
+            // Round-trip oracle, untimed: every frame must decompress
+            // to the unit it was built from.
+            std::vector<std::uint8_t> unit;
+            std::vector<std::uint8_t> restored;
+            for (std::size_t i = 0; i < pages; i += shape.unitPages) {
+                std::span<const PageRef> refs_i = unitAt(i);
+                unit.resize(refs_i.size() * pageSize);
+                for (std::size_t k = 0; k < refs_i.size(); ++k) {
+                    synth.materialize(refs_i[k].key, 0,
+                                      {unit.data() + k * pageSize,
+                                       pageSize});
+                }
+                auto frame = ChunkedFrame::compress(
+                    *codec, {unit.data(), unit.size()},
+                    shape.chunkBytes);
+                restored.assign(unit.size(), 0);
+                std::size_t got = ChunkedFrame::decompress(
+                    *codec, {frame.data(), frame.size()},
+                    {restored.data(), restored.size()});
+                if (got != unit.size() || restored != unit) {
+                    std::cerr << "perf_pages: " << name
+                              << " round-trip mismatch on page " << i
+                              << "\n";
+                    return 1;
+                }
             }
         }
     }
