@@ -34,6 +34,13 @@ read64(const std::uint8_t *p) noexcept
     return v;
 }
 
+/** Index of the first nonzero byte of a little-endian XOR word. */
+std::size_t
+firstDiffByte(std::uint64_t diff) noexcept
+{
+    return static_cast<std::size_t>(__builtin_ctzll(diff)) >> 3;
+}
+
 /** The three match bytes as a little-endian word. */
 std::uint32_t
 load24(const std::uint8_t *p) noexcept
@@ -120,27 +127,18 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                     ((read32(ref) ^ v) & 0xffffffu) | far;
                 if (miss == 0) {
                     // Size the match with two overlapping 8-byte
-                    // compares, bytes [3, 11) and [10, 18), in bounds
+                    // compares, bytes [3, 11) and [10, 18): in bounds,
                     // since the group keeps maxMatch + word slack
                     // ahead.
-                    static_assert(maxMatch == 18);
-                    std::size_t len;
-                    std::uint64_t diff =
-                        read64(ip + minMatch) ^ read64(ref + minMatch);
-                    if (diff) {
-                        len = minMatch +
-                              (static_cast<std::size_t>(
-                                   __builtin_ctzll(diff)) >>
-                               3);
-                    } else {
-                        diff = read64(ip + maxMatch - 8) ^
-                               read64(ref + maxMatch - 8);
-                        len = diff ? maxMatch - 8 +
-                                         (static_cast<std::size_t>(
-                                              __builtin_ctzll(diff)) >>
-                                          3)
-                                   : maxMatch;
-                    }
+                    constexpr std::size_t tail = maxMatch - 8;
+                    static_assert(tail <= minMatch + 8);
+                    std::size_t len = maxMatch;
+                    if (std::uint64_t d1 = read64(ip + minMatch) ^
+                                           read64(ref + minMatch))
+                        len = minMatch + firstDiffByte(d1);
+                    else if (std::uint64_t d2 =
+                                 read64(ip + tail) ^ read64(ref + tail))
+                        len = tail + firstDiffByte(d2);
                     flag_byte |=
                         static_cast<std::uint8_t>(1u << bit);
                     *op++ = static_cast<std::uint8_t>(
