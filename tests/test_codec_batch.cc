@@ -211,14 +211,18 @@ TEST_P(CodecBatch, BiasNearWrapMatchesStateless)
         check(page, "page before the climb");
     leaveRoom(4 * pageSize);
     check(unit, "16 KB buffer in the last 16 KB of room");
-    EXPECT_EQ(pos.claim(0), 0xffffffffu);
+    EXPECT_EQ(pos.claim(0), 0xffffffffu) << "an exact fit must not refill";
+    check(pages[0], "page that refills after the 16 KB buffer");
+    EXPECT_EQ(pos.claim(0), 1 + pageSize) << "the refill restarts at 1";
     for (const auto &page : pages)
         check(page, "page after the 16 KB buffer's refill");
 
     leaveRoom(pageSize - 1);
+    check(pages[0], "page that refills with under 4 KB of room");
+    EXPECT_EQ(pos.claim(0), 1 + pageSize) << "the refill restarts at 1";
     for (const auto &page : pages)
-        check(page, "page across a refill with under 4 KB of room");
-    check(unit, "16 KB buffer after the refill");
+        check(page, "page after the second refill");
+    check(unit, "16 KB buffer after the second refill");
 }
 
 TEST_P(CodecBatch, CompressedSizeEachMatchesOne)
