@@ -22,11 +22,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <span>
-#include <vector>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "compress/chunked.hh"
 #include "compress/codec.hh"
@@ -121,10 +121,11 @@ main(int argc, char **argv)
             std::vector<std::uint8_t> unit;
             std::vector<std::uint8_t> restored;
             for (std::size_t i = 0; i < pages; i += shape.unitPages) {
-                std::span<const PageRef> refs_i = unitAt(i);
-                unit.resize(refs_i.size() * pageSize);
-                for (std::size_t k = 0; k < refs_i.size(); ++k) {
-                    synth.materialize(refs_i[k].key, 0,
+                std::span<const PageRef> unit_refs = unitAt(i);
+                unit.resize(unit_refs.size() * pageSize);
+                for (std::size_t k = 0; k < unit_refs.size(); ++k) {
+                    synth.materialize(unit_refs[k].key,
+                                      unit_refs[k].version,
                                       {unit.data() + k * pageSize,
                                        pageSize});
                 }
