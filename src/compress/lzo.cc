@@ -118,9 +118,9 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                 // itself, so its flag alone makes the miss word
                 // nonzero. The flag must be OR-ed into the compare,
                 // not `&&`-ed (or `&`-ed as a bool) with it: GCC
-                // then branches on the flag first, and once the
-                // table is half written by earlier buffers that
-                // branch is a coin flip.
+                // then keeps a branch on the flag, and once earlier
+                // buffers have half written the table that branch is
+                // a coin flip.
                 std::uint32_t far = offset > limit(cur_pos);
                 const std::uint8_t *ref = ip - (offset & (far - 1u));
                 std::uint32_t miss =

@@ -195,7 +195,7 @@ TEST_P(CodecBatch, BiasNearWrapMatchesStateless)
             << what;
     };
     // claim(0) reads the bias without moving it; claim(k) moves it by
-    // k. Leave exactly @p room bytes below 2^32 - 1.
+    // k. Leave exactly room bytes below 2^32 - 1.
     auto leaveRoom = [&](std::uint32_t room) {
         pos.claim(0xffffffffu - pos.claim(0) - room);
         ASSERT_EQ(pos.claim(0), 0xffffffffu - room);

@@ -70,8 +70,9 @@ struct Shape
 };
 
 /**
- * ZRAM's and Ariadne's hot 1-page units at a 1 KB and a 4 KB chunk,
- * and 4-page cold units at a 16 KB and a 4 KB chunk.
+ * 1-page units at a 1 KB chunk (Ariadne's hot pages) and a 4 KB chunk
+ * (ZRAM's pages), and 4-page units at a 16 KB chunk (Ariadne's cold
+ * units) and a 4 KB chunk.
  */
 constexpr Shape shapes[] = {{1, 1024}, {1, 4096}, {4, 16384}, {4, 4096}};
 
@@ -108,10 +109,12 @@ hashUnits(const Codec &codec, Codec::BatchState *state, Shape shape)
 
 /**
  * A 64-byte random segment, zeros, the same segment again starting
- * @p distance bytes after the first, and a 256-byte random tail. The
- * coder crosses the zeros with distance-1 matches, which probe one
- * table slot, so the segment's slots survive and its second copy's
- * probes find the first at exactly @p distance.
+ * @p distance bytes after the first, and a 256-byte random tail that
+ * keeps the second copy inside lzo's fast group. The coder crosses the
+ * zeros with distance-1 matches, which probe one table slot, so the
+ * segment's slots survive and its second copy's probes find the first
+ * at exactly @p distance. Random filler would not do: lz4 would probe
+ * 64 K literals into its 8 K slots and overwrite them.
  */
 std::vector<std::uint8_t>
 repeatAt(std::size_t distance)
