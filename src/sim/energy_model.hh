@@ -5,9 +5,10 @@
  * Replaces the paper's Power Rails measurements (Table 2). Total energy
  * is base power over the scenario wall time plus marginal costs per
  * unit of CPU work and per byte moved through DRAM and flash. The
- * constants are calibrated so the three baseline schemes reproduce the
- * normalized ordering of Table 2 (DRAM 1.000, SWAP ~1.003-1.017,
- * ZRAM ~1.12-1.20).
+ * constants aim at the normalized ordering of Table 2 (DRAM 1.000,
+ * SWAP ~1.003-1.017, ZRAM ~1.12-1.20). The reproduction keeps the
+ * order but falls short on ZRAM: table2_energy prints 1.019 on both
+ * mixes (ROADMAP.md, item 10).
  */
 
 #ifndef ARIADNE_SIM_ENERGY_MODEL_HH

@@ -43,10 +43,12 @@ namespace ariadne
  *  - above 32 KB, the working set spills the caches and cost per
  *    byte explodes — `growthLarge`.
  *
- * The regime boundaries reconcile the paper's two observations: the
+ * The regime boundaries aim at the paper's two observations: the
  * 59.2x/41.8x total-time span of Fig. 6 (driven by the extremes) and
- * Fig. 11's CPU *reduction* with 16-32 KB cold chunks (which requires
- * mid-range chunks to be only mildly more expensive than 4 KB).
+ * Fig. 11's CPU reduction with 16-32 KB cold chunks (mid-range chunks
+ * only mildly dearer than 4 KB). The reproduction meets the first but
+ * falls short of the second: fig11_cpu_usage averages 1.10 of ZRAM's
+ * CPU, a 9.8 % increase (ROADMAP.md, item 10).
  */
 struct CodecCost
 {
