@@ -10,7 +10,7 @@
  * compressed bytes in the stable `ariadneBench` schema. This isolates
  * the simulator's real compute-bound inner loop — content
  * materialization plus codec — from the scheduling and bookkeeping
- * perf_fleet measures.
+ * around it, which perfbench's fleet workloads time end to end.
  *
  * After each timed loop, every unit is framed again with
  * ChunkedFrame::compress and decompressed (untimed); a frame that does

@@ -5,8 +5,8 @@
  * Two documents share one metadata envelope:
  *
  *  - BenchReport (`"ariadneBench": 1`) — what `bench/perf_*` binaries
- *    emit as BENCH_fleet.json / BENCH_pages.json: throughput rates
- *    (sessions/sec, pages/sec), integer totals, wall time, peak RSS,
+ *    emit as BENCH_pages.json / BENCH_pagetable.json: throughput
+ *    rates (pages/sec, ops/sec), integer totals, wall time, peak RSS,
  *    and the run's telemetry counters/durations. CI diffs these
  *    against committed baselines (bench/compare_bench.py).
  *
@@ -53,16 +53,16 @@ struct BenchReport
 {
     static constexpr std::uint64_t schemaVersion = 1;
 
-    std::string bench; //!< harness name: "fleet", "pages", ...
+    std::string bench; //!< harness name: "pages", "pagetable"
     RunMeta meta;
 
     double wallSeconds = 0.0;
     std::uint64_t peakRssBytes = 0;
 
-    /** Throughput rates, e.g. ("sessionsPerSec", 812.4). */
+    /** Throughput rates, e.g. ("pagesPerSec.lzo", 812.4). */
     std::vector<std::pair<std::string, double>> rates;
 
-    /** Integer totals, e.g. ("sessions", 64). */
+    /** Integer totals, e.g. ("pagesPerCodec", 64). */
     std::vector<std::pair<std::string, std::uint64_t>> totals;
 
     /** Telemetry of the measured run (merged across threads). */
