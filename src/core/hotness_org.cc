@@ -16,7 +16,7 @@ namespace
 // only the hot list (the only pages whose level changes) keeps it
 // cheap.
 telemetry::Counter c_decayPages("hotness.decay_pages");
-telemetry::DurationProbe d_decay("hotness.decay");
+telemetry::SpanProbe d_decay("hotness.decay");
 
 telemetry::JourneyStep
 journeyLevel(Hotness level) noexcept
@@ -197,7 +197,7 @@ HotnessOrg::beginRelaunch(AppId uid, Tick now)
     // Pages already on warm keep their Warm level, so demoting the
     // hot list *before* the splice touches exactly the pages whose
     // level changes, instead of walking the whole combined warm list.
-    telemetry::ScopedTimer timer(d_decay);
+    telemetry::ScopedSpan span(d_decay);
     std::uint64_t walked = 0;
     for (PageMeta *p = app.hot.front(); p; p = p->lruNext) {
         telemetry::journeyMark(p->key.uid, p->key.pfn,

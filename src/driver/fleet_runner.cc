@@ -24,7 +24,7 @@ namespace
 {
 
 telemetry::Counter c_sessions("fleet.sessions");
-telemetry::DurationProbe d_session("fleet.session");
+telemetry::SpanProbe d_session("fleet.session", "session", "index");
 
 void
 writeSummary(JsonWriter &w, const std::string &name,
@@ -146,8 +146,7 @@ FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
                         PageArena *arena) const
 {
     c_sessions.add();
-    telemetry::ScopedTimer timer(d_session);
-    telemetry::TraceSpan span("session", "index", index);
+    telemetry::ScopedSpan span(d_session, index);
     telemetry::beginSession(static_cast<std::uint32_t>(index));
     SessionResult result;
     result.index = index;

@@ -15,7 +15,7 @@ namespace
 telemetry::Counter c_swapout("flash.swapout");
 telemetry::Counter c_swapoutDropped("flash.swapout_dropped");
 telemetry::Counter c_swapin("flash.swapin");
-telemetry::DurationProbe d_swapin("flash.swapin");
+telemetry::SpanProbe d_swapin("flash.swapin");
 
 } // namespace
 
@@ -77,7 +77,7 @@ FlashSwapScheme::swapIn(PageMeta &page)
     panicIf(page.location != PageLocation::Flash,
             "FlashSwapScheme::swapIn on non-flash page");
     c_swapin.add();
-    telemetry::ScopedTimer timer(d_swapin);
+    telemetry::ScopedSpan span(d_swapin);
     SwapInResult res;
     res.fromFlash = true;
     Stopwatch sw(ctx.clock);

@@ -10,7 +10,7 @@ namespace
 
 telemetry::Counter c_wakeup("kswapd.wakeup");
 telemetry::Counter c_reclaimedPages("kswapd.reclaimed_pages");
-telemetry::DurationProbe d_run("kswapd.run");
+telemetry::SpanProbe d_run("kswapd.run");
 
 } // namespace
 
@@ -18,7 +18,7 @@ std::size_t
 Kswapd::runReclaim()
 {
     c_wakeup.add();
-    telemetry::ScopedTimer timer(d_run);
+    telemetry::ScopedSpan span(d_run);
     ++runs;
     ctx.cpu.charge(CpuRole::Kswapd, wakeupCpuNs);
     totalCpuNs += wakeupCpuNs;

@@ -11,13 +11,13 @@ namespace
 
 // Per-codec host-time compression cost, indexed by CodecKind. These
 // are the only probes measuring *real* compression work (the schemes
-// charge modeled sim-time separately).
-telemetry::DurationProbe &
+// charge modeled sim-time separately); page synthesis is a child span.
+telemetry::SpanProbe &
 compressProbe(CodecKind kind)
 {
-    static telemetry::DurationProbe probes[] = {
-        telemetry::DurationProbe("compressor.compress.lz4"),
-        telemetry::DurationProbe("compressor.compress.lzo"),
+    static telemetry::SpanProbe probes[] = {
+        telemetry::SpanProbe("compressor.compress.lz4"),
+        telemetry::SpanProbe("compressor.compress.lzo"),
     };
     return probes[static_cast<std::size_t>(kind)];
 }
@@ -31,12 +31,15 @@ PageCompressor::compressedSize(std::span<const PageRef> unit,
 {
     if (unit.empty())
         return 0;
-    telemetry::ScopedTimer timer(compressProbe(codec.kind()));
+    telemetry::ScopedSpan span(compressProbe(codec.kind()));
     unitScratch.resize(unit.size() * pageSize);
-    for (std::size_t i = 0; i < unit.size(); ++i) {
-        content.materialize(unit[i].key, unit[i].version,
-                            {unitScratch.data() + i * pageSize,
-                             pageSize});
+    {
+        static telemetry::SpanProbe d_synth("compressor.materialize");
+        telemetry::ScopedSpan synthesizing(d_synth);
+        for (std::size_t i = 0; i < unit.size(); ++i)
+            content.materialize(unit[i].key, unit[i].version,
+                                {unitScratch.data() + i * pageSize,
+                                 pageSize});
     }
     std::unique_ptr<Codec::BatchState> &state =
         batchStates[static_cast<std::size_t>(codec.kind())];

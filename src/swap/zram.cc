@@ -15,7 +15,7 @@ telemetry::Counter c_writeback("zram.writeback");
 telemetry::Counter c_dropped("zram.dropped");
 telemetry::Counter c_swapinZpool("zram.swapin_zpool");
 telemetry::Counter c_swapinFlash("zram.swapin_flash");
-telemetry::DurationProbe d_swapin("zram.swapin");
+telemetry::SpanProbe d_swapin("zram.swapin");
 
 } // namespace
 
@@ -188,7 +188,7 @@ ZramScheme::onBackground(AppId uid)
 SwapInResult
 ZramScheme::swapIn(PageMeta &page)
 {
-    telemetry::ScopedTimer timer(d_swapin);
+    telemetry::ScopedSpan span(d_swapin);
     SwapInResult res;
     Stopwatch sw(ctx.clock);
 

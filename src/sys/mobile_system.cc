@@ -8,7 +8,6 @@
 #include "telemetry/journey.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/timeline.hh"
-#include "telemetry/trace_log.hh"
 
 namespace ariadne
 {
@@ -27,9 +26,9 @@ telemetry::Counter c_relaunch("sys.relaunch");
 telemetry::Counter c_background("sys.background");
 telemetry::Counter c_execute("sys.execute");
 telemetry::Counter c_idle("sys.idle");
-telemetry::DurationProbe d_launch("sys.launch");
-telemetry::DurationProbe d_execute("sys.execute");
-telemetry::DurationProbe d_relaunch("sys.relaunch");
+telemetry::SpanProbe d_launch("sys.launch", "cold_launch", "uid");
+telemetry::SpanProbe d_execute("sys.execute");
+telemetry::SpanProbe d_relaunch("sys.relaunch", "relaunch", "uid");
 
 // Flight-recorder gauges, sampled on the timeline_interval_ms
 // cadence (sampleGauges). Values are simulated state at simulated
@@ -345,8 +344,7 @@ MobileSystem::runColdLaunch(AppId uid,
                             const std::vector<TouchEvent> &events)
 {
     c_launch.add();
-    telemetry::ScopedTimer timer(d_launch);
-    telemetry::TraceSpan span("cold_launch", "uid", uid);
+    telemetry::ScopedSpan span(d_launch, uid);
     if (observer)
         observer->onOp(TraceOp::Launch, uid, 0, simClock.now());
     Tick create = timing.params().processCreateNs;
@@ -367,7 +365,7 @@ MobileSystem::runExecute(AppId uid, Tick dt,
                          const std::vector<TouchEvent> &events)
 {
     c_execute.add();
-    telemetry::ScopedTimer timer(d_execute);
+    telemetry::ScopedSpan span(d_execute);
     if (observer)
         observer->onOp(TraceOp::Execute, uid, dt, simClock.now());
     Tick start = simClock.now();
@@ -398,8 +396,7 @@ MobileSystem::runRelaunch(AppId uid,
                           const std::vector<TouchEvent> &events)
 {
     c_relaunch.add();
-    telemetry::ScopedTimer timer(d_relaunch);
-    telemetry::TraceSpan span("relaunch", "uid", uid);
+    telemetry::ScopedSpan span(d_relaunch, uid);
     if (observer)
         observer->onOp(TraceOp::Relaunch, uid, 0, simClock.now());
     RelaunchStats stats;

@@ -47,6 +47,7 @@ writeSnapshot(driver::JsonWriter &w,
         w.beginObject();
         w.field("count", d.count);
         w.field("totalNs", d.totalNs);
+        w.field("selfNs", d.selfNs);
         w.field("meanNs", d.meanNs());
         w.endObject();
     }

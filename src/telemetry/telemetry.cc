@@ -1,8 +1,10 @@
 #include "telemetry/telemetry.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/log.hh"
+#include "telemetry/trace_log.hh"
 
 namespace ariadne::telemetry
 {
@@ -10,12 +12,19 @@ namespace ariadne::telemetry
 namespace detail
 {
 std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_traceEnabled{false};
 } // namespace detail
 
 void
 setEnabled(bool on) noexcept
 {
     detail::g_enabled.store(on, std::memory_order_relaxed);
+}
+
+void
+setTraceEnabled(bool on) noexcept
+{
+    detail::g_traceEnabled.store(on, std::memory_order_relaxed);
 }
 
 Registry::Shard &
@@ -29,6 +38,9 @@ Registry::attachShard()
 namespace
 {
 
+/** The innermost recording span open on this thread. */
+thread_local ScopedSpan *t_innermost = nullptr;
+
 std::size_t
 slotWidth(Registry::Kind kind)
 {
@@ -36,7 +48,7 @@ slotWidth(Registry::Kind kind)
     case Registry::Kind::Counter:
         return 1;
     case Registry::Kind::Duration:
-        return 2;
+        return 3;
     case Registry::Kind::Gauge:
         return 4;
     case Registry::Kind::Histogram:
@@ -89,6 +101,29 @@ Registry::histogramSlot(const std::string &name)
     return intern(name, Kind::Histogram);
 }
 
+void
+ScopedSpan::open() noexcept
+{
+    if (recording)
+        parent = std::exchange(t_innermost, this);
+    startNs = hostNowNs();
+}
+
+void
+ScopedSpan::close() noexcept
+{
+    std::uint64_t end = hostNowNs(), ns = end - startNs;
+    if (recording) {
+        t_innermost = parent;
+        if (parent)
+            parent->childNs += ns;
+        Registry::global().recordDuration(probe.base, ns, ns - childNs);
+    }
+    if (tracing)
+        TraceLog::global().complete(probe.traceName, startNs, end,
+                                    probe.argKey, argValue);
+}
+
 std::size_t
 AppHistogram::internApp(std::uint32_t uid)
 {
@@ -119,7 +154,8 @@ Registry::snapshot() const
             break;
         case Kind::Duration:
             snap.durations.push_back(DurationValue{
-                e.name, slot_total(e.slot + 1), slot_total(e.slot)});
+                e.name, slot_total(e.slot + 1), slot_total(e.slot),
+                slot_total(e.slot + 2)});
             break;
         case Kind::Gauge: {
             // min/max are only meaningful in shards whose thread
@@ -195,7 +231,7 @@ Registry::Snapshot::duration(const std::string &name) const noexcept
     for (const DurationValue &d : durations)
         if (d.name == name)
             return d;
-    return DurationValue{name, 0, 0};
+    return DurationValue{name, 0, 0, 0};
 }
 
 Registry::GaugeValue

@@ -4,8 +4,8 @@
  *
  * The telemetry layer counts what the simulator *does* (pages
  * touched, compressions run, kswapd wakeups) and how long the host
- * spends doing it (scoped-timer duration accumulators over the
- * steady clock). It is strictly out-of-band: probes only ever write
+ * spends doing it (span durations over the steady clock, inclusive
+ * and self). It is strictly out-of-band: probes only ever write
  * into telemetry's own per-thread shards, never into simulator state,
  * so enabling any amount of telemetry cannot change a report byte —
  * reports are functions of (spec, seed) and telemetry reads are
@@ -51,8 +51,9 @@ namespace ariadne::telemetry
 
 namespace detail
 {
-/** Global enable flag; read relaxed on every probe hit. */
+/** Global enable flags; read relaxed on every probe hit. */
 extern std::atomic<bool> g_enabled;
+extern std::atomic<bool> g_traceEnabled;
 } // namespace detail
 
 /** Whether counter/duration probes record anything. */
@@ -64,6 +65,16 @@ enabled() noexcept
 
 /** Turn probe recording on or off (off by default). */
 void setEnabled(bool on) noexcept;
+
+/** Whether spans emit their probe's trace event (TraceLog). */
+inline bool
+traceEnabled() noexcept
+{
+    return detail::g_traceEnabled.load(std::memory_order_relaxed);
+}
+
+/** Turn trace-event recording on or off (off by default). */
+void setTraceEnabled(bool on) noexcept;
 
 /** Monotonic nanoseconds of the host steady clock. */
 inline std::uint64_t
@@ -88,7 +99,7 @@ hostNowNs() noexcept
 class Registry
 {
   public:
-    /** Total slots across counters (1 each), durations (2 each),
+    /** Total slots across counters (1 each), durations (3 each),
      * gauges (4 each) and histograms (histogramBuckets + 1 each). */
     static constexpr std::size_t maxSlots = 4096;
 
@@ -118,7 +129,7 @@ class Registry
     std::size_t counterSlot(const std::string &name);
 
     /** Intern a duration name; returns the base of its (total-ns,
-     * count) slot pair. Idempotent. */
+     * count, self-ns) slot triple. Idempotent. */
     std::size_t durationSlot(const std::string &name);
 
     /** Intern a gauge name; returns the base of its (count, sum,
@@ -138,13 +149,15 @@ class Registry
             delta, std::memory_order_relaxed);
     }
 
-    /** Record one duration of @p ns against a durationSlot() base. */
+    /** Record one span of @p ns (@p self_ns outside child spans). */
     void
-    recordDuration(std::size_t base, std::uint64_t ns) noexcept
+    recordDuration(std::size_t base, std::uint64_t ns,
+                   std::uint64_t self_ns) noexcept
     {
         Shard &s = shardForThisThread();
         s.slots[base].fetch_add(ns, std::memory_order_relaxed);
         s.slots[base + 1].fetch_add(1, std::memory_order_relaxed);
+        s.slots[base + 2].fetch_add(self_ns, std::memory_order_relaxed);
     }
 
     /** Record one gauge sample against a gaugeSlot() base. Each shard
@@ -199,7 +212,8 @@ class Registry
     {
         std::string name;
         std::uint64_t count = 0;
-        std::uint64_t totalNs = 0;
+        std::uint64_t totalNs = 0; //!< inclusive of child spans
+        std::uint64_t selfNs = 0;  //!< exclusive of child spans
 
         /** Mean nanoseconds per recorded span (0 when empty). */
         double
@@ -390,53 +404,64 @@ class AppHistogram
     std::atomic<std::size_t> perApp[maxLabeledApps] = {};
 };
 
-/** A named duration accumulator; pair with ScopedTimer. */
-class DurationProbe
+/**
+ * A named host-time span probe, a namespace-scope static at the
+ * instrumentation site: one registry duration and, optionally, the
+ * trace event (and its arg key) its spans emit while tracing is on.
+ */
+struct SpanProbe
 {
-  public:
-    explicit DurationProbe(const char *name)
-        : base(Registry::global().durationSlot(name))
+    explicit SpanProbe(const char *name, const char *trace_name = nullptr,
+                       const char *arg_key = nullptr)
+        : base(Registry::global().durationSlot(name)),
+          traceName(trace_name), argKey(arg_key)
     {
     }
 
-    /** Record one explicit span of @p ns. */
-    void
-    record(std::uint64_t ns) noexcept
-    {
-        if (enabled())
-            Registry::global().recordDuration(base, ns);
-    }
-
-  private:
-    std::size_t base;
+    const std::size_t base;
+    const char *const traceName;
+    const char *const argKey;
 };
 
 /**
- * RAII host-time span feeding a DurationProbe. The enabled check is
- * taken once at construction; nesting works naturally (each timer
- * records its own probe independently).
+ * RAII span of a SpanProbe; it reads the host clock once at each end.
+ * With telemetry on at construction it records its inclusive ns and
+ * its self ns (inclusive minus its direct children's inclusive). Its
+ * parent is the innermost recording span open on its thread, so self
+ * times add up to the outermost spans' inclusive time. With tracing
+ * on at construction it emits its probe's event, if named, with @p arg.
  */
-class ScopedTimer
+class ScopedSpan
 {
   public:
-    explicit ScopedTimer(DurationProbe &p) noexcept
-        : probe(enabled() ? &p : nullptr),
-          start(probe ? hostNowNs() : 0)
+    explicit ScopedSpan(const SpanProbe &p, std::uint64_t arg = 0) noexcept
+        : probe(p), argValue(arg), recording(enabled()),
+          tracing(p.traceName && traceEnabled())
     {
+        if (recording || tracing)
+            open();
     }
 
-    ~ScopedTimer()
+    ~ScopedSpan()
     {
-        if (probe)
-            probe->record(hostNowNs() - start);
+        if (recording || tracing)
+            close();
     }
 
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
+    ScopedSpan(const ScopedSpan &) = delete;
+    ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-    DurationProbe *probe;
-    std::uint64_t start;
+    void open() noexcept;
+    void close() noexcept;
+
+    const SpanProbe &probe;
+    std::uint64_t argValue;
+    bool recording;
+    bool tracing;
+    ScopedSpan *parent = nullptr;
+    std::uint64_t startNs = 0;
+    std::uint64_t childNs = 0;
 };
 
 } // namespace ariadne::telemetry

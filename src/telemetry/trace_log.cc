@@ -8,17 +8,6 @@
 namespace ariadne::telemetry
 {
 
-namespace detail
-{
-std::atomic<bool> g_traceEnabled{false};
-} // namespace detail
-
-void
-setTraceEnabled(bool on) noexcept
-{
-    detail::g_traceEnabled.store(on, std::memory_order_relaxed);
-}
-
 TraceLog &
 TraceLog::global()
 {
@@ -60,13 +49,11 @@ TraceLog::complete(const char *name, std::uint64_t start_ns,
     Buffer &buf = bufferForThisThread();
     TraceEvent ev;
     ev.name = name;
-    ev.tsNs = start_ns;
+    ev.tsNs = start_ns > originNs ? start_ns - originNs : 0;
     ev.durNs = end_ns > start_ns ? end_ns - start_ns : 0;
     ev.tid = buf.tid;
-    if (arg_key) {
-        ev.argKey = arg_key;
-        ev.argValue = arg_value;
-    }
+    ev.argKey = arg_key ? arg_key : "";
+    ev.argValue = arg_value;
     // The buffer belongs to this thread alone; events() snapshots it
     // under the log mutex, so only the size update needs care — and
     // vectors grow only here, on the owning thread, while readers

@@ -24,7 +24,6 @@
 #ifndef ARIADNE_TELEMETRY_TRACE_LOG_HH
 #define ARIADNE_TELEMETRY_TRACE_LOG_HH
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -37,23 +36,7 @@
 namespace ariadne::telemetry
 {
 
-namespace detail
-{
-extern std::atomic<bool> g_traceEnabled;
-} // namespace detail
-
-/** Whether TraceSpan records anything. */
-inline bool
-traceEnabled() noexcept
-{
-    return detail::g_traceEnabled.load(std::memory_order_relaxed);
-}
-
-/** Turn span recording on or off (off by default). */
-void setTraceEnabled(bool on) noexcept;
-
-/** One recorded span (or thread-metadata record when dur == 0 and
- * metadata is set). */
+/** One recorded span or instant mark. */
 struct TraceEvent
 {
     std::string name;
@@ -75,7 +58,7 @@ class TraceLog
     /** ns since the log origin on the host steady clock. */
     std::uint64_t nowNs() const noexcept;
 
-    /** Record one complete span on the calling thread. */
+    /** Record one span on this thread from two hostNowNs() readings. */
     void complete(const char *name, std::uint64_t start_ns,
                   std::uint64_t end_ns, const char *arg_key = nullptr,
                   std::uint64_t arg_value = 0);
@@ -133,40 +116,6 @@ class TraceLog
     std::uint32_t nextTid = 1;
     /** (tid, name) for synthetic tracks (not backed by a thread). */
     std::vector<std::pair<std::uint32_t, std::string>> syntheticNames;
-};
-
-/**
- * RAII span: records [construction, destruction) on the calling
- * thread under @p name when tracing is enabled at construction.
- */
-class TraceSpan
-{
-  public:
-    explicit TraceSpan(const char *span_name,
-                       const char *arg_key = nullptr,
-                       std::uint64_t arg_value = 0) noexcept
-        : name(traceEnabled() ? span_name : nullptr), argKey(arg_key),
-          argValue(arg_value),
-          start(name ? TraceLog::global().nowNs() : 0)
-    {
-    }
-
-    ~TraceSpan()
-    {
-        if (name) {
-            TraceLog &log = TraceLog::global();
-            log.complete(name, start, log.nowNs(), argKey, argValue);
-        }
-    }
-
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-
-  private:
-    const char *name;
-    const char *argKey;
-    std::uint64_t argValue;
-    std::uint64_t start;
 };
 
 } // namespace ariadne::telemetry

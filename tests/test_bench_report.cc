@@ -42,9 +42,9 @@ TEST(BenchReportJson, EmitsStableSchema)
     telemetry::setEnabled(true);
     telemetry::Registry::global().reset();
     telemetry::Counter c("bench_test.counter");
-    telemetry::DurationProbe d("bench_test.duration");
+    telemetry::Registry &r = telemetry::Registry::global();
     c.add(3);
-    d.record(500);
+    r.recordDuration(r.durationSlot("bench_test.duration"), 500, 200);
 
     BenchReport report;
     report.bench = "unit";
@@ -80,6 +80,7 @@ TEST(BenchReportJson, EmitsStableSchema)
     const auto &dur = doc.at("durations").at("bench_test.duration");
     EXPECT_EQ(dur.at("count").asU64(), 1u);
     EXPECT_EQ(dur.at("totalNs").asU64(), 500u);
+    EXPECT_EQ(dur.at("selfNs").asU64(), 200u);
     EXPECT_DOUBLE_EQ(dur.at("meanNs").asDouble(), 500.0);
 }
 

@@ -1,4 +1,5 @@
-/** @file Unit tests for the telemetry counter/duration registry. */
+/** @file Unit tests for the telemetry counter/duration registry and
+ * its host-time spans. */
 
 #include <gtest/gtest.h>
 
@@ -9,12 +10,21 @@
 
 using namespace ariadne;
 using telemetry::Counter;
-using telemetry::DurationProbe;
 using telemetry::Registry;
-using telemetry::ScopedTimer;
+using telemetry::ScopedSpan;
+using telemetry::SpanProbe;
 
 namespace
 {
+
+/** Burn a little host time so a span is non-zero. */
+void
+spin()
+{
+    volatile unsigned sink = 0;
+    for (unsigned i = 0; i < 10000; ++i)
+        sink = sink + i;
+}
 
 /** Every test starts from zeroed shards with probes disabled. */
 class TelemetryTest : public ::testing::Test
@@ -72,13 +82,14 @@ TEST_F(TelemetryTest, InterningIsIdempotent)
 TEST_F(TelemetryTest, CounterAndDurationNamespacesAreSeparate)
 {
     Counter c("test.both");
-    DurationProbe d("test.both");
+    Registry &r = Registry::global();
     c.add(7);
-    d.record(100);
-    auto snap = Registry::global().snapshot();
+    r.recordDuration(r.durationSlot("test.both"), 100, 60);
+    auto snap = r.snapshot();
     EXPECT_EQ(snap.counter("test.both"), 7u);
     EXPECT_EQ(snap.duration("test.both").count, 1u);
     EXPECT_EQ(snap.duration("test.both").totalNs, 100u);
+    EXPECT_EQ(snap.duration("test.both").selfNs, 60u);
 }
 
 TEST_F(TelemetryTest, UnknownNamesReadAsZero)
@@ -86,46 +97,48 @@ TEST_F(TelemetryTest, UnknownNamesReadAsZero)
     auto snap = Registry::global().snapshot();
     EXPECT_EQ(snap.counter("test.never_registered"), 0u);
     EXPECT_EQ(snap.duration("test.never_registered").count, 0u);
+    EXPECT_EQ(snap.duration("test.never_registered").selfNs, 0u);
 }
 
 TEST_F(TelemetryTest, DurationAccumulatesTotalAndCount)
 {
-    DurationProbe d("test.dur");
-    d.record(10);
-    d.record(20);
-    d.record(30);
-    auto v = Registry::global().snapshot().duration("test.dur");
+    Registry &r = Registry::global();
+    std::size_t d = r.durationSlot("test.dur");
+    r.recordDuration(d, 10, 10);
+    r.recordDuration(d, 20, 5);
+    r.recordDuration(d, 30, 0);
+    auto v = r.snapshot().duration("test.dur");
     EXPECT_EQ(v.count, 3u);
     EXPECT_EQ(v.totalNs, 60u);
+    EXPECT_EQ(v.selfNs, 15u);
     EXPECT_DOUBLE_EQ(v.meanNs(), 20.0);
 }
 
-TEST_F(TelemetryTest, ScopedTimerRecordsRealTime)
+TEST_F(TelemetryTest, SpanRecordsRealTime)
 {
-    DurationProbe d("test.timer");
+    SpanProbe d("test.timer");
     {
-        ScopedTimer t(d);
-        // Burn a little host time so the span is non-zero.
-        volatile unsigned sink = 0;
-        for (unsigned i = 0; i < 10000; ++i)
-            sink = sink + i;
+        ScopedSpan s(d);
+        spin();
     }
     auto v = Registry::global().snapshot().duration("test.timer");
     EXPECT_EQ(v.count, 1u);
     EXPECT_GT(v.totalNs, 0u);
+    // A span without children spends all of its time in itself.
+    EXPECT_EQ(v.selfNs, v.totalNs);
 }
 
 TEST_F(TelemetryTest, NestedTimersRecordIndependently)
 {
-    DurationProbe outer("test.outer");
-    DurationProbe inner("test.inner");
+    SpanProbe outer("test.outer");
+    SpanProbe inner("test.inner");
     {
-        ScopedTimer to(outer);
+        ScopedSpan so(outer);
         {
-            ScopedTimer ti(inner);
+            ScopedSpan si(inner);
         }
         {
-            ScopedTimer ti(inner);
+            ScopedSpan si(inner);
         }
     }
     auto snap = Registry::global().snapshot();
@@ -136,18 +149,112 @@ TEST_F(TelemetryTest, NestedTimersRecordIndependently)
               snap.duration("test.inner").totalNs);
 }
 
+TEST_F(TelemetryTest, ParentSelfIsInclusiveMinusChildren)
+{
+    SpanProbe root("test.self_root");
+    SpanProbe child("test.self_child");
+    SpanProbe leaf("test.self_leaf");
+    {
+        ScopedSpan sr(root);
+        spin();
+        {
+            ScopedSpan sc(child);
+            spin();
+            {
+                ScopedSpan sl(leaf);
+                spin();
+            }
+        }
+        {
+            ScopedSpan sc(child);
+            spin();
+        }
+        spin();
+    }
+    auto snap = Registry::global().snapshot();
+    auto r = snap.duration("test.self_root");
+    auto c = snap.duration("test.self_child");
+    auto l = snap.duration("test.self_leaf");
+    ASSERT_EQ(c.count, 2u);
+    // Exact: each parent's children are subtracted from the same
+    // clock readings that make up their inclusive times.
+    EXPECT_EQ(r.selfNs, r.totalNs - c.totalNs);
+    EXPECT_EQ(c.selfNs, c.totalNs - l.totalNs);
+    EXPECT_EQ(l.selfNs, l.totalNs);
+    EXPECT_EQ(r.selfNs + c.selfNs + l.selfNs, r.totalNs);
+    EXPECT_GT(r.selfNs, 0u);
+}
+
 TEST_F(TelemetryTest, TimerCapturesEnabledAtConstruction)
 {
-    DurationProbe d("test.capture");
+    SpanProbe d("test.capture");
     telemetry::setEnabled(false);
     {
-        ScopedTimer t(d);
+        ScopedSpan s(d);
         // Enabling mid-span must not make this span record.
         telemetry::setEnabled(true);
     }
     EXPECT_EQ(Registry::global().snapshot().duration("test.capture")
                   .count,
               0u);
+}
+
+TEST_F(TelemetryTest, DisabledSpanRecordsNothingAndIsNeverAParent)
+{
+    SpanProbe root("test.dis_root");
+    SpanProbe off("test.dis_off");
+    SpanProbe child("test.dis_child");
+    {
+        ScopedSpan sr(root);
+        telemetry::setEnabled(false);
+        ScopedSpan so(off);
+        telemetry::setEnabled(true);
+        {
+            ScopedSpan sc(child);
+            spin();
+        }
+    }
+    auto snap = Registry::global().snapshot();
+    auto r = snap.duration("test.dis_root");
+    auto c = snap.duration("test.dis_child");
+    EXPECT_EQ(snap.duration("test.dis_off").count, 0u);
+    EXPECT_EQ(snap.duration("test.dis_off").totalNs, 0u);
+    // The child's time comes off the nearest recording ancestor.
+    EXPECT_EQ(c.count, 1u);
+    EXPECT_EQ(c.selfNs, c.totalNs);
+    EXPECT_EQ(r.selfNs, r.totalNs - c.totalNs);
+}
+
+TEST_F(TelemetryTest, SpansOnTwoThreadsAreNeverParents)
+{
+    SpanProbe a("test.thread_a");
+    SpanProbe b("test.thread_b");
+    {
+        ScopedSpan sa(a);
+        // b opens and closes on another thread while a is open.
+        std::thread other([&] {
+            ScopedSpan sb(b);
+            spin();
+        });
+        other.join();
+    }
+    std::thread other([&] {
+        ScopedSpan sb(b);
+        // a opens on this thread while b is open on the other.
+        std::thread inner([&] {
+            ScopedSpan sa(a);
+            spin();
+        });
+        inner.join();
+    });
+    other.join();
+    auto snap = Registry::global().snapshot();
+    auto va = snap.duration("test.thread_a");
+    auto vb = snap.duration("test.thread_b");
+    ASSERT_EQ(va.count, 2u);
+    ASSERT_EQ(vb.count, 2u);
+    EXPECT_EQ(va.selfNs, va.totalNs);
+    EXPECT_EQ(vb.selfNs, vb.totalNs);
 }
 
 TEST_F(TelemetryTest, MergeOnFinalizeSumsThreadShards)

@@ -148,6 +148,41 @@ TEST(TelemetryOutOfBand, CountersObserveTheRun)
     }
 }
 
+TEST(TelemetryOutOfBand, SelfTimesSumToSessionTime)
+{
+    // The daily program of scenarios/daily.cfg, cut to 4 sessions.
+    FleetRunner runner(ScenarioSpec::parseString(R"(
+name = daily
+scheme = ariadne
+scheme.config = EHL-1K-2K-16K
+scale = 0.0625
+seed = 42
+fleet = 4
+event = warmup
+event = repeat 120
+event =   switch_next 2s 1s
+event = end
+)"));
+    std::ostringstream progress;
+    AllTelemetryOn on(&progress);
+    runner.run(0, 2);
+    auto snap = telemetry::Registry::global().snapshot();
+    // Every span nests in a session span on its own thread, so the
+    // exclusive times partition the sessions' inclusive time exactly.
+    std::uint64_t self_sum = 0;
+    for (const auto &d : snap.durations)
+        self_sum += d.selfNs;
+    auto session = snap.duration("fleet.session");
+    EXPECT_EQ(session.count, 4u);
+    EXPECT_EQ(self_sum, session.totalNs);
+    // Page synthesis is split out of every codec call.
+    auto lzo = snap.duration("compressor.compress.lzo");
+    auto synth = snap.duration("compressor.materialize");
+    EXPECT_GT(lzo.count, 0u);
+    EXPECT_EQ(synth.count, lzo.count);
+    EXPECT_EQ(lzo.selfNs + synth.totalNs, lzo.totalNs);
+}
+
 TEST(TelemetryOutOfBand, CountersAreThreadInvariant)
 {
     std::ostringstream progress;

@@ -6,11 +6,13 @@
 #include <thread>
 
 #include "report/json_reader.hh"
+#include "telemetry/telemetry.hh"
 #include "telemetry/trace_log.hh"
 
 using namespace ariadne;
+using telemetry::ScopedSpan;
+using telemetry::SpanProbe;
 using telemetry::TraceLog;
-using telemetry::TraceSpan;
 
 namespace
 {
@@ -45,8 +47,9 @@ exported()
 
 TEST_F(TraceLogTest, RecordsCompleteSpans)
 {
+    SpanProbe p("test.unit_span", "unit_span");
     {
-        TraceSpan span("unit_span");
+        ScopedSpan span(p);
     }
     auto events = TraceLog::global().events();
     ASSERT_EQ(events.size(), 1u);
@@ -56,31 +59,59 @@ TEST_F(TraceLogTest, RecordsCompleteSpans)
 
 TEST_F(TraceLogTest, DisabledSpanRecordsNothing)
 {
+    SpanProbe p("test.invisible", "invisible");
     telemetry::setTraceEnabled(false);
     {
-        TraceSpan span("invisible");
+        ScopedSpan span(p);
     }
     EXPECT_TRUE(TraceLog::global().events().empty());
 }
 
 TEST_F(TraceLogTest, SpanCapturesEnabledAtConstruction)
 {
+    SpanProbe p("test.race", "race");
     telemetry::setTraceEnabled(false);
     {
-        TraceSpan span("race");
+        ScopedSpan span(p);
         telemetry::setTraceEnabled(true);
     }
     EXPECT_TRUE(TraceLog::global().events().empty());
 }
 
+TEST_F(TraceLogTest, OnlyProbesThatNameAnEventEmitOne)
+{
+    SpanProbe unnamed("test.unnamed");
+    SpanProbe named("test.named", "named", "uid");
+    {
+        ScopedSpan span(unnamed, 5);
+    }
+    EXPECT_TRUE(TraceLog::global().events().empty());
+    std::uint64_t before = TraceLog::global().nowNs();
+    {
+        ScopedSpan span(named, 3);
+    }
+    std::uint64_t after = TraceLog::global().nowNs();
+    auto events = TraceLog::global().events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].phase, 'X');
+    EXPECT_EQ(events[0].name, "named");
+    EXPECT_EQ(events[0].argKey, "uid");
+    EXPECT_EQ(events[0].argValue, 3u);
+    // The event sits on nowNs()'s axis.
+    EXPECT_LE(before, events[0].tsNs);
+    EXPECT_LE(events[0].tsNs + events[0].durNs, after);
+}
+
 TEST_F(TraceLogTest, EventsSortedByStartAcrossThreads)
 {
-    std::thread other([] {
-        TraceSpan span("thread_b");
+    SpanProbe a("test.thread_a", "thread_a");
+    SpanProbe b("test.thread_b", "thread_b");
+    std::thread other([&] {
+        ScopedSpan span(b);
     });
     other.join();
     {
-        TraceSpan span("thread_a");
+        ScopedSpan span(a);
     }
     auto events = TraceLog::global().events();
     ASSERT_EQ(events.size(), 2u);
@@ -92,9 +123,11 @@ TEST_F(TraceLogTest, EventsSortedByStartAcrossThreads)
 TEST_F(TraceLogTest, ExportIsWellFormedChromeTraceJson)
 {
     TraceLog::global().nameThisThread("main");
+    SpanProbe outer("test.outer", "outer", "index");
+    SpanProbe inner("test.inner", "inner");
     {
-        TraceSpan outer("outer", "index", 7);
-        TraceSpan inner("inner");
+        ScopedSpan so(outer, 7);
+        ScopedSpan si(inner);
     }
     report::JsonValue doc = report::JsonValue::parseText(exported());
     EXPECT_EQ(doc.at("displayTimeUnit").asString(), "ms");
@@ -135,8 +168,9 @@ TEST_F(TraceLogTest, EmptyLogExportsValidDocument)
 TEST_F(TraceLogTest, ClearDropsEventsAndNames)
 {
     TraceLog::global().nameThisThread("gone");
+    SpanProbe p("test.gone_too", "gone_too");
     {
-        TraceSpan span("gone_too");
+        ScopedSpan span(p);
     }
     TraceLog::global().clear();
     EXPECT_TRUE(TraceLog::global().events().empty());
@@ -145,10 +179,12 @@ TEST_F(TraceLogTest, ClearDropsEventsAndNames)
 
 TEST_F(TraceLogTest, NestedSpanContainedInOuterInterval)
 {
+    SpanProbe outer_probe("test.contain_outer", "contain_outer");
+    SpanProbe inner_probe("test.contain_inner", "contain_inner");
     {
-        TraceSpan outer("contain_outer");
+        ScopedSpan outer(outer_probe);
         {
-            TraceSpan inner("contain_inner");
+            ScopedSpan inner(inner_probe);
             volatile unsigned sink = 0;
             for (unsigned i = 0; i < 1000; ++i)
                 sink = sink + i;
