@@ -80,9 +80,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** PreDecomp staging statistics. */
     const PreDecomp &preDecomp() const noexcept { return stagingBuf; }
 
-    /** Hotness organization (exposed for tests and analysis). */
-    const HotnessOrg &hotnessOrg() const noexcept { return hotOrg; }
-
     /** Configuration in effect. */
     const AriadneConfig &config() const noexcept { return cfg; }
 

@@ -83,9 +83,10 @@ AriadneConfig::toString() const
 {
     std::string s = "Ariadne-";
     s += excludeHotList ? "EHL" : "AL";
-    s += "-" + sizeToken(smallSize);
-    s += "-" + sizeToken(mediumSize);
-    s += "-" + sizeToken(largeSize);
+    for (std::size_t size : {smallSize, mediumSize, largeSize}) {
+        s += '-';
+        s += sizeToken(size);
+    }
     return s;
 }
 

@@ -299,11 +299,4 @@ HotnessOrg::predictedHotSet(AppId uid) const
     return app->relaunchTouched;
 }
 
-std::size_t
-HotnessOrg::lastRelaunchTouched(AppId uid) const
-{
-    const AppLists *app = findLists(uid);
-    return app ? app->relaunchTouched.size() : 0;
-}
-
 } // namespace ariadne

@@ -98,9 +98,6 @@ class HotnessOrg
      */
     std::vector<PageKey> predictedHotSet(AppId uid) const;
 
-    /** Number of pages touched in the current/last relaunch window. */
-    std::size_t lastRelaunchTouched(AppId uid) const;
-
   private:
     struct AppLists
     {

@@ -279,25 +279,6 @@ Event::custom(std::size_t hook_index)
     return ev;
 }
 
-bool
-Event::operator==(const Event &o) const
-{
-    return kind == o.kind && app == o.app && duration == o.duration &&
-           gap == o.gap && variant == o.variant && count == o.count &&
-           hook == o.hook && body == o.body;
-}
-
-const char *
-workloadKindName(WorkloadKind kind) noexcept
-{
-    switch (kind) {
-      case WorkloadKind::Profiles: return "profiles";
-      case WorkloadKind::Trace: return "trace";
-      case WorkloadKind::Synthetic: return "synthetic";
-      default: return "unknown";
-    }
-}
-
 WorkloadKind
 parseWorkloadKind(const std::string &text)
 {
@@ -953,22 +934,6 @@ ScenarioSpec::parse(std::istream &in)
     while (std::getline(in, raw))
         parser.feed(raw, ++lineno);
     return parser.finish();
-}
-
-bool
-ScenarioSpec::operator==(const ScenarioSpec &o) const
-{
-    return name == o.name && scheme == o.scheme &&
-           params == o.params && scale == o.scale && seed == o.seed &&
-           fleet == o.fleet && percentiles == o.percentiles &&
-           sketchK == o.sketchK &&
-           timelineIntervalMs == o.timelineIntervalMs &&
-           journeySample == o.journeySample && apps == o.apps &&
-           program == o.program && workload == o.workload &&
-           tracePath == o.tracePath &&
-           replayScheme == o.replayScheme &&
-           replayParams == o.replayParams &&
-           population == o.population;
 }
 
 } // namespace ariadne::driver

@@ -129,7 +129,7 @@ struct Event
     static Event repeat(std::size_t count, std::vector<Event> body);
     static Event custom(std::size_t hook_index);
 
-    bool operator==(const Event &o) const;
+    bool operator==(const Event &o) const = default;
 };
 
 /** Which workload source drives a scenario's sessions. */
@@ -139,9 +139,6 @@ enum class WorkloadKind
     Trace,     //!< replay a recorded trace file bit-identically
     Synthetic, //!< per-session synthetic user population
 };
-
-/** Stable config-format name ("profiles" / "trace" / "synthetic"). */
-const char *workloadKindName(WorkloadKind kind) noexcept;
 
 /** Parse a workload kind (case-insensitive); throws SpecError. */
 WorkloadKind parseWorkloadKind(const std::string &text);
@@ -278,7 +275,7 @@ struct ScenarioSpec
      * unreadable. */
     static ScenarioSpec loadFile(const std::string &path);
 
-    bool operator==(const ScenarioSpec &o) const;
+    bool operator==(const ScenarioSpec &o) const = default;
 };
 
 /**

@@ -169,12 +169,6 @@ SweepSpec::toString() const
 }
 
 bool
-SweepSpec::operator==(const SweepSpec &o) const
-{
-    return name == o.name && variants == o.variants;
-}
-
-bool
 looksLikeSweepConfig(std::istream &in)
 {
     std::string raw;

@@ -64,7 +64,7 @@ struct SweepSpec
      * unreadable. */
     static SweepSpec loadFile(const std::string &path);
 
-    bool operator==(const SweepSpec &o) const;
+    bool operator==(const SweepSpec &o) const = default;
 };
 
 /**

@@ -54,7 +54,6 @@ class JsonValue
 
     bool isNull() const noexcept { return type == Type::Null; }
     bool isObject() const noexcept { return type == Type::Object; }
-    bool isArray() const noexcept { return type == Type::Array; }
 
     /** Typed accessors; throw JsonError naming the expected type. */
     bool asBool() const;

@@ -164,14 +164,6 @@ MobileSystem::dirFor(AppId uid)
     return **appDirs.insert(it, std::move(dir));
 }
 
-PageMeta &
-MobileSystem::metaFor(const PageKey &key)
-{
-    PageMeta *meta = dirFor(key.uid).page(key.pfn);
-    panicIf(!meta, "metaFor on unknown page");
-    return *meta;
-}
-
 void
 MobileSystem::chargeFileWriteback(std::size_t new_pages)
 {

@@ -207,7 +207,6 @@ class MobileSystem
     void makeScheme();
     /** Directory for @p uid, created on first use (sorted by uid). */
     AppDir &dirFor(AppId uid);
-    PageMeta &metaFor(const PageKey &key);
     void processTouch(AppDir &dir, const TouchEvent &ev,
                       RelaunchStats *stats);
     void runTouches(AppId uid, const std::vector<TouchEvent> &events,

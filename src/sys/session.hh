@@ -99,9 +99,6 @@ class SessionDriver
     }
 
   private:
-    /** All uids of the system's profiles. */
-    std::vector<AppId> allApps() const;
-
     MobileSystem &sys;
     std::unordered_set<AppId> launched;
 };

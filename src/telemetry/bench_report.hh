@@ -80,8 +80,9 @@ void writeMetricsJson(std::ostream &os, const RunMeta &meta,
  * gauge sample point buffered by the TimelineRecorder, grouped into
  * per-gauge series of {session, tMs, v} sorted by (gauge, session,
  * time). @p interval_ms is the sampling cadence the run used (0 when
- * mixed, e.g. across sweep variants); `droppedPoints` reports ring
- * overflow so truncation is never silent.
+ * mixed, e.g. across sweep variants); `droppedPoints` counts the
+ * points dropped past the per-thread cap, so truncation is never
+ * silent.
  */
 void writeTimelineJson(std::ostream &os, const RunMeta &meta,
                        std::uint64_t interval_ms);

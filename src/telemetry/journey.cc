@@ -62,73 +62,38 @@ JourneyLog::global()
     return instance;
 }
 
-JourneyLog::Buffer &
-JourneyLog::attachBuffer()
-{
-    std::lock_guard<std::mutex> lk(mu);
-    buffers.push_back(std::make_unique<Buffer>());
-    return *buffers.back();
-}
-
-JourneyLog::Buffer &
-JourneyLog::bufferForThisThread()
-{
-    thread_local Buffer *t_buffer = nullptr;
-    if (!t_buffer)
-        t_buffer = &attachBuffer();
-    return *t_buffer;
-}
-
 void
 JourneyLog::record(std::uint32_t uid, std::uint64_t pfn,
                    JourneyStep step, std::uint64_t t_ns,
                    std::uint64_t detail) noexcept
 {
-    Buffer &b = bufferForThisThread();
-    if (b.events.size() >= eventCap) {
-        ++b.dropped;
-        return;
-    }
-    b.events.push_back(Event{uid, pfn, currentSession(), step, t_ns,
-                             detail, b.seq++});
+    log.push(Event{uid, pfn, currentSession(), step, t_ns, detail});
 }
 
 std::vector<JourneyLog::Event>
 JourneyLog::events() const
 {
-    std::vector<Event> all;
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto &b : buffers)
-        all.insert(all.end(), b->events.begin(), b->events.end());
-    std::sort(all.begin(), all.end(),
-              [](const Event &a, const Event &b) {
-                  return std::tie(a.session, a.uid, a.pfn, a.tNs,
-                                  a.seq) < std::tie(b.session, b.uid,
-                                                    b.pfn, b.tNs,
-                                                    b.seq);
-              });
+    std::vector<Event> all = log.items();
+    std::stable_sort(all.begin(), all.end(),
+                     [](const Event &a, const Event &b) {
+                         return std::tie(a.session, a.uid, a.pfn,
+                                         a.tNs) <
+                                std::tie(b.session, b.uid, b.pfn,
+                                         b.tNs);
+                     });
     return all;
 }
 
 std::uint64_t
 JourneyLog::droppedEvents() const
 {
-    std::lock_guard<std::mutex> lk(mu);
-    std::uint64_t total = 0;
-    for (const auto &b : buffers)
-        total += b->dropped;
-    return total;
+    return log.dropped();
 }
 
 void
 JourneyLog::clear()
 {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto &b : buffers) {
-        b->events.clear();
-        b->dropped = 0;
-        b->seq = 0;
-    }
+    log.clear();
 }
 
 } // namespace ariadne::telemetry

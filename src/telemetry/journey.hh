@@ -13,10 +13,11 @@
  *
  * Same contract as the rest of src/telemetry/: strictly out-of-band
  * (sites read state, never mutate it), one relaxed load + branch
- * when disabled, per-thread bounded buffers when enabled, canonical
- * sort on export. Events feed two sinks: the `--journeys FILE` JSON
- * summary (grouped per page) and, when `--trace-events` is also on,
- * instant events injected into the Chrome trace.
+ * when disabled, a per-thread BoundedLog (per_thread.hh) when
+ * enabled, canonical sort on export. Events feed two sinks: the
+ * `--journeys FILE` JSON summary (grouped per page) and, when
+ * `--trace-events` is also on, instant events injected into the
+ * Chrome trace.
  */
 
 #ifndef ARIADNE_TELEMETRY_JOURNEY_HH
@@ -24,12 +25,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "sim/rng.hh"
+#include "telemetry/per_thread.hh"
 
 namespace ariadne::telemetry
 {
@@ -107,8 +106,6 @@ class JourneyLog
         std::uint64_t tNs = 0;
         /** Step-specific payload (e.g. swap-in latency ns). */
         std::uint64_t detail = 0;
-        /** Per-thread issue order; breaks same-timestamp ties. */
-        std::uint32_t seq = 0;
     };
 
     /** Record one step for a sampled page at simulated @p t_ns,
@@ -116,9 +113,9 @@ class JourneyLog
     void record(std::uint32_t uid, std::uint64_t pfn, JourneyStep step,
                 std::uint64_t t_ns, std::uint64_t detail = 0) noexcept;
 
-    /** Every buffered event, merged and sorted by (session, uid,
-     * pfn, time, seq) — one page's journey is contiguous and in
-     * order. */
+    /** Every buffered event, merged and stably sorted by (session,
+     * uid, pfn, time) — one page's journey is contiguous and, since a
+     * session runs on one thread, in issue order. */
     std::vector<Event> events() const;
 
     /** Events lost to per-thread buffer overflow. */
@@ -128,20 +125,9 @@ class JourneyLog
     void clear();
 
   private:
-    struct Buffer
-    {
-        std::vector<Event> events;
-        std::uint64_t dropped = 0;
-        std::uint32_t seq = 0;
-    };
-
     JourneyLog() = default;
 
-    Buffer &bufferForThisThread();
-    Buffer &attachBuffer();
-
-    mutable std::mutex mu;
-    std::vector<std::unique_ptr<Buffer>> buffers;
+    BoundedLog<Event, eventCap> log;
 };
 
 /** Site helper: record @p step for page (uid, pfn) iff journey

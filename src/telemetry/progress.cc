@@ -71,8 +71,9 @@ ProgressMeter::formatLine(const std::string &label, std::uint64_t done,
     if (total) {
         double pct = 100.0 * static_cast<double>(done) /
                      static_cast<double>(total);
-        line += "/" + std::to_string(total) + " sessions (" +
-                fixed1(pct) + "%)";
+        line += '/';
+        line += std::to_string(total) + " sessions (" + fixed1(pct) +
+                "%)";
     } else {
         line += " sessions";
     }

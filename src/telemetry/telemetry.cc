@@ -27,13 +27,7 @@ setTraceEnabled(bool on) noexcept
     detail::g_traceEnabled.store(on, std::memory_order_relaxed);
 }
 
-Registry::Shard &
-Registry::attachShard()
-{
-    std::lock_guard<std::mutex> lk(mu);
-    shards.push_back(std::make_unique<Shard>());
-    return *shards.back();
-}
+Registry::Registry() = default;
 
 namespace
 {
@@ -139,9 +133,11 @@ Registry::snapshot() const
 {
     Snapshot snap;
     std::lock_guard<std::mutex> lk(mu);
+    std::vector<const Shard *> all;
+    shards.forEach([&](const Shard &s) { all.push_back(&s); });
     auto slot_total = [&](std::size_t slot) {
         std::uint64_t total = 0;
-        for (const auto &shard : shards)
+        for (const Shard *shard : all)
             total +=
                 shard->slots[slot].load(std::memory_order_relaxed);
         return total;
@@ -162,7 +158,7 @@ Registry::snapshot() const
             // actually recorded (count > 0), so widen per shard.
             GaugeValue g;
             g.name = e.name;
-            for (const auto &shard : shards) {
+            for (const Shard *shard : all) {
                 std::uint64_t n = shard->slots[e.slot].load(
                     std::memory_order_relaxed);
                 if (n == 0)
@@ -210,10 +206,10 @@ Registry::snapshot() const
 void
 Registry::reset() noexcept
 {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto &shard : shards)
-        for (std::size_t i = 0; i < maxSlots; ++i)
-            shard->slots[i].store(0, std::memory_order_relaxed);
+    shards.forEach([](Shard &s) {
+        for (std::atomic<std::uint64_t> &slot : s.slots)
+            slot.store(0, std::memory_order_relaxed);
+    });
 }
 
 std::uint64_t

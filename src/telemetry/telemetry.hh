@@ -13,9 +13,9 @@
  *
  * Hot-path cost: a disabled probe is one relaxed load and a branch; an
  * enabled counter increment is a single relaxed fetch_add into the
- * calling thread's own shard (uncontended, no locks). Shards merge on
- * finalize: snapshot() sums every thread's slots, so the totals are
- * the same for any thread split.
+ * calling thread's own shard (a PerThread, per_thread.hh: uncontended,
+ * no locks). Shards merge on finalize: snapshot() sums every thread's
+ * slots, so the totals are the same for any thread split.
  *
  * Naming convention: `subsystem.verb` (e.g. `sys.touch`,
  * `kswapd.wakeup`, `compressor.compress.lzo`). Counters, durations,
@@ -41,10 +41,11 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "telemetry/per_thread.hh"
 
 namespace ariadne::telemetry
 {
@@ -145,8 +146,8 @@ class Registry
     void
     add(std::size_t slot, std::uint64_t delta) noexcept
     {
-        shardForThisThread().slots[slot].fetch_add(
-            delta, std::memory_order_relaxed);
+        shards.local().slots[slot].fetch_add(delta,
+                                             std::memory_order_relaxed);
     }
 
     /** Record one span of @p ns (@p self_ns outside child spans). */
@@ -154,7 +155,7 @@ class Registry
     recordDuration(std::size_t base, std::uint64_t ns,
                    std::uint64_t self_ns) noexcept
     {
-        Shard &s = shardForThisThread();
+        Shard &s = shards.local();
         s.slots[base].fetch_add(ns, std::memory_order_relaxed);
         s.slots[base + 1].fetch_add(1, std::memory_order_relaxed);
         s.slots[base + 2].fetch_add(self_ns, std::memory_order_relaxed);
@@ -166,7 +167,7 @@ class Registry
     void
     recordGauge(std::size_t base, std::uint64_t v) noexcept
     {
-        Shard &s = shardForThisThread();
+        Shard &s = shards.local();
         std::uint64_t n =
             s.slots[base].fetch_add(1, std::memory_order_relaxed);
         s.slots[base + 1].fetch_add(v, std::memory_order_relaxed);
@@ -195,7 +196,7 @@ class Registry
     void
     recordHistogram(std::size_t base, std::uint64_t v) noexcept
     {
-        Shard &s = shardForThisThread();
+        Shard &s = shards.local();
         s.slots[base + histogramBucket(v)].fetch_add(
             1, std::memory_order_relaxed);
         s.slots[base + histogramBuckets].fetch_add(
@@ -306,21 +307,10 @@ class Registry
         std::atomic<std::uint64_t> slots[maxSlots] = {};
     };
 
-    Registry() = default;
-
-    /** The calling thread's shard (attached on first record). The
-     * thread_local pointer is constant-initialized, so the hot path
-     * is one TLS load and a null check. */
-    Shard &
-    shardForThisThread()
-    {
-        thread_local Shard *t_shard = nullptr;
-        if (!t_shard)
-            t_shard = &attachShard();
-        return *t_shard;
-    }
-
-    Shard &attachShard();
+    /** Out of line: the shards' PerThread constructor runs at run
+     * time, so an inline constructor would be copied into the guard
+     * path that global() inlines at every probe site. */
+    Registry();
 
     std::size_t intern(const std::string &name, Kind kind);
 
@@ -334,8 +324,8 @@ class Registry
     mutable std::mutex mu;
     std::vector<Entry> entries;
     std::size_t nextSlot = 0;
-    /** Stable-address shards, one per thread that ever recorded. */
-    std::vector<std::unique_ptr<Shard>> shards;
+    /** One shard per thread that ever recorded. */
+    PerThread<Shard> shards;
 };
 
 /**

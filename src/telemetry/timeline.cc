@@ -51,34 +51,11 @@ TimelineRecorder::seriesId(const std::string &name)
     return static_cast<std::uint32_t>(names.size() - 1);
 }
 
-TimelineRecorder::Buffer &
-TimelineRecorder::attachBuffer()
-{
-    std::lock_guard<std::mutex> lk(mu);
-    buffers.push_back(std::make_unique<Buffer>());
-    return *buffers.back();
-}
-
-TimelineRecorder::Buffer &
-TimelineRecorder::bufferForThisThread()
-{
-    thread_local Buffer *t_buffer = nullptr;
-    if (!t_buffer)
-        t_buffer = &attachBuffer();
-    return *t_buffer;
-}
-
 void
 TimelineRecorder::record(std::uint32_t series, std::uint64_t t_ns,
                          std::uint64_t value) noexcept
 {
-    Buffer &b = bufferForThisThread();
-    if (b.points.size() >= pointCap) {
-        ++b.dropped;
-        return;
-    }
-    b.points.push_back(
-        Point{series, detail::t_sessionIndex, t_ns, value});
+    log.push(Point{series, detail::t_sessionIndex, t_ns, value});
 }
 
 std::vector<std::string>
@@ -91,10 +68,8 @@ TimelineRecorder::seriesNames() const
 std::vector<TimelineRecorder::Point>
 TimelineRecorder::points() const
 {
-    std::vector<Point> all;
+    std::vector<Point> all = log.items();
     std::lock_guard<std::mutex> lk(mu);
-    for (const auto &b : buffers)
-        all.insert(all.end(), b->points.begin(), b->points.end());
     std::sort(all.begin(), all.end(),
               [this](const Point &a, const Point &b) {
                   if (a.series != b.series)
@@ -111,21 +86,13 @@ TimelineRecorder::points() const
 std::uint64_t
 TimelineRecorder::droppedPoints() const
 {
-    std::lock_guard<std::mutex> lk(mu);
-    std::uint64_t total = 0;
-    for (const auto &b : buffers)
-        total += b->dropped;
-    return total;
+    return log.dropped();
 }
 
 void
 TimelineRecorder::clear()
 {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto &b : buffers) {
-        b->points.clear();
-        b->dropped = 0;
-    }
+    log.clear();
 }
 
 TimelineGauge::TimelineGauge(const char *name)

@@ -11,12 +11,12 @@
  *
  * Recording follows the telemetry contract: strictly out-of-band
  * (points are copies of simulator state, never references), one
- * relaxed load + branch when disabled, per-thread append-only
- * buffers when enabled. Sampling happens at deterministic simulated
- * times (MobileSystem crosses `timeline_interval_ms` boundaries), so
- * the set of points per session is a function of (spec, seed); only
- * their distribution across thread buffers varies, and export sorts
- * them into a canonical order.
+ * relaxed load + branch when disabled, a per-thread BoundedLog
+ * (per_thread.hh) when enabled. Sampling happens at deterministic
+ * simulated times (MobileSystem crosses `timeline_interval_ms`
+ * boundaries), so the set of points per session is a function of
+ * (spec, seed); only their distribution across thread buffers
+ * varies, and export sorts them into a canonical order.
  *
  * Buffers are bounded (pointCap per thread); overflow drops points
  * and counts the drops, which the export reports so a truncated
@@ -28,11 +28,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/per_thread.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne::telemetry
@@ -109,20 +109,11 @@ class TimelineRecorder
     void clear();
 
   private:
-    struct Buffer
-    {
-        std::vector<Point> points;
-        std::uint64_t dropped = 0;
-    };
-
     TimelineRecorder() = default;
-
-    Buffer &bufferForThisThread();
-    Buffer &attachBuffer();
 
     mutable std::mutex mu;
     std::vector<std::string> names;
-    std::vector<std::unique_ptr<Buffer>> buffers;
+    BoundedLog<Point, pointCap> log;
 };
 
 /**

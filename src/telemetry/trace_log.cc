@@ -23,42 +23,20 @@ TraceLog::nowNs() const noexcept
     return hostNowNs() - originNs;
 }
 
-TraceLog::Buffer &
-TraceLog::bufferForThisThread()
-{
-    thread_local Buffer *t_buffer = nullptr;
-    if (!t_buffer)
-        t_buffer = &attachBuffer();
-    return *t_buffer;
-}
-
-TraceLog::Buffer &
-TraceLog::attachBuffer()
-{
-    std::lock_guard<std::mutex> lk(mu);
-    buffers.push_back(std::make_unique<Buffer>());
-    buffers.back()->tid = nextTid++;
-    return *buffers.back();
-}
-
 void
 TraceLog::complete(const char *name, std::uint64_t start_ns,
                    std::uint64_t end_ns, const char *arg_key,
                    std::uint64_t arg_value)
 {
-    Buffer &buf = bufferForThisThread();
     TraceEvent ev;
     ev.name = name;
     ev.tsNs = start_ns > originNs ? start_ns - originNs : 0;
     ev.durNs = end_ns > start_ns ? end_ns - start_ns : 0;
-    ev.tid = buf.tid;
     ev.argKey = arg_key ? arg_key : "";
     ev.argValue = arg_value;
-    // The buffer belongs to this thread alone; events() snapshots it
-    // under the log mutex, so only the size update needs care — and
-    // vectors grow only here, on the owning thread, while readers
-    // (events/export) run after the traced work joined.
-    buf.events.push_back(std::move(ev));
+    // The buffer belongs to this thread alone; readers (events/export)
+    // run after the traced work joined. events() fills in the tid.
+    buffers.local().events.push_back(std::move(ev));
 }
 
 void
@@ -66,7 +44,6 @@ TraceLog::instant(std::string name, std::uint64_t ts_ns,
                   std::uint32_t tid, const char *arg_key,
                   std::uint64_t arg_value)
 {
-    Buffer &buf = bufferForThisThread();
     TraceEvent ev;
     ev.name = std::move(name);
     ev.tsNs = ts_ns;
@@ -76,7 +53,7 @@ TraceLog::instant(std::string name, std::uint64_t ts_ns,
         ev.argKey = arg_key;
         ev.argValue = arg_value;
     }
-    buf.events.push_back(std::move(ev));
+    buffers.local().events.push_back(std::move(ev));
 }
 
 void
@@ -97,19 +74,22 @@ TraceLog::nameThisThread(const std::string &name)
 {
     if (!traceEnabled())
         return;
-    bufferForThisThread().threadName = name;
+    buffers.local().threadName = name;
 }
 
 std::vector<TraceEvent>
 TraceLog::events() const
 {
     std::vector<TraceEvent> all;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        for (const auto &buf : buffers)
-            all.insert(all.end(), buf->events.begin(),
-                       buf->events.end());
-    }
+    std::uint32_t tid = 0;
+    buffers.forEach([&](const Buffer &b) {
+        ++tid;
+        for (const TraceEvent &ev : b.events) {
+            all.push_back(ev);
+            if (ev.phase == 'X')
+                all.back().tid = tid;
+        }
+    });
     std::stable_sort(all.begin(), all.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          return a.tsNs < b.tsNs;
@@ -121,10 +101,13 @@ std::vector<std::pair<std::uint32_t, std::string>>
 TraceLog::threadNames() const
 {
     std::vector<std::pair<std::uint32_t, std::string>> names;
+    std::uint32_t tid = 0;
+    buffers.forEach([&](const Buffer &b) {
+        ++tid;
+        if (!b.threadName.empty())
+            names.emplace_back(tid, b.threadName);
+    });
     std::lock_guard<std::mutex> lk(mu);
-    for (const auto &buf : buffers)
-        if (!buf->threadName.empty())
-            names.emplace_back(buf->tid, buf->threadName);
     names.insert(names.end(), syntheticNames.begin(),
                  syntheticNames.end());
     return names;
@@ -179,11 +162,11 @@ TraceLog::writeChromeTrace(std::ostream &os) const
 void
 TraceLog::clear()
 {
+    buffers.forEach([](Buffer &b) {
+        b.events.clear();
+        b.threadName.clear();
+    });
     std::lock_guard<std::mutex> lk(mu);
-    for (const auto &buf : buffers) {
-        buf->events.clear();
-        buf->threadName.clear();
-    }
     syntheticNames.clear();
 }
 

@@ -5,10 +5,11 @@
  * Collects host-time spans (what each worker thread was doing, when)
  * and exports them in the Chrome trace-event JSON format, loadable in
  * Perfetto / chrome://tracing / catapult. Spans are recorded into
- * per-thread buffers (one mutex acquisition per thread lifetime, no
- * locks per span) and merged at export; like the rest of telemetry the
- * log is strictly out-of-band — recording never touches simulator
- * state, so traced runs produce byte-identical reports.
+ * per-thread buffers (a PerThread, per_thread.hh: no locks per span)
+ * and merged at export, where a thread's track id is its buffer's
+ * attach order plus one; like the rest of telemetry the log is
+ * strictly out-of-band — recording never touches simulator state, so
+ * traced runs produce byte-identical reports.
  *
  * Two phases are emitted alongside thread-name metadata events:
  * "complete" spans (ph = "X": name, ts, dur) — the subset every
@@ -26,11 +27,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/per_thread.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne::telemetry
@@ -42,7 +43,8 @@ struct TraceEvent
     std::string name;
     std::uint64_t tsNs = 0;  //!< start, ns since the log origin
     std::uint64_t durNs = 0; //!< span length in ns
-    std::uint32_t tid = 0;   //!< log-assigned thread id
+    std::uint32_t tid = 0;   //!< track: the recording thread's, or
+                             //!< an instant's explicit one
     /** Optional single argument rendered into "args". */
     std::string argKey;
     std::uint64_t argValue = 0;
@@ -100,20 +102,15 @@ class TraceLog
   private:
     struct Buffer
     {
-        std::uint32_t tid = 0;
         std::vector<TraceEvent> events;
         std::string threadName;
     };
 
     TraceLog();
 
-    Buffer &bufferForThisThread();
-    Buffer &attachBuffer();
-
     std::uint64_t originNs = 0;
+    PerThread<Buffer> buffers;
     mutable std::mutex mu;
-    std::vector<std::unique_ptr<Buffer>> buffers;
-    std::uint32_t nextTid = 1;
     /** (tid, name) for synthetic tracks (not backed by a thread). */
     std::vector<std::pair<std::uint32_t, std::string>> syntheticNames;
 };

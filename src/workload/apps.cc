@@ -84,13 +84,6 @@ standardApps()
     return apps;
 }
 
-std::vector<AppProfile>
-tableOneApps()
-{
-    auto all = standardApps();
-    return {all[0], all[1], all[2], all[3], all[4]};
-}
-
 AppProfile
 standardApp(const std::string &name)
 {

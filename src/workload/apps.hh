@@ -24,10 +24,6 @@ namespace ariadne
 /** All ten standard profiles, uid 0..9, in the paper's order. */
 std::vector<AppProfile> standardApps();
 
-/** The five Table-1 apps (YouTube, Twitter, Firefox, GEarth,
- * BangDream) as a subset of standardApps(). */
-std::vector<AppProfile> tableOneApps();
-
 /** Look up a standard profile by name; fatal() when unknown. */
 AppProfile standardApp(const std::string &name);
 

@@ -177,7 +177,6 @@ std::vector<TouchEvent>
 AppInstance::relaunch()
 {
     panicIf(!launched, "relaunch before coldLaunch");
-    ++relaunches;
 
     // --- Churn the hot set (Insight 1 statistics). ---
     std::vector<Pfn> new_hot;

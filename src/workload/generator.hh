@@ -91,9 +91,6 @@ class AppInstance
     /** Current cold pages (unordered). */
     const std::vector<Pfn> &coldSet() const noexcept { return coldList; }
 
-    /** Number of relaunches performed. */
-    unsigned relaunchCount() const noexcept { return relaunches; }
-
     /** Accumulated foreground age. */
     Tick age() const noexcept { return ageNs; }
 
@@ -145,7 +142,6 @@ class AppInstance
 
     Pfn nextPfn = 0;
     Tick ageNs = 0;
-    unsigned relaunches = 0;
     std::size_t hotTargetPages = 0;
     bool launched = false;
 };

@@ -690,11 +690,15 @@ injectJourneysIntoTrace()
     for (const telemetry::JourneyLog::Event &e :
          telemetry::JourneyLog::global().events()) {
         std::uint32_t tid = 1000 + e.session;
-        log.nameSyntheticThread(
-            tid, "journeys session " + std::to_string(e.session));
-        std::string name = "u" + std::to_string(e.uid) + ".p" +
-                           std::to_string(e.pfn) + " " +
-                           telemetry::journeyStepName(e.step);
+        std::string track = "journeys session ";
+        track += std::to_string(e.session);
+        log.nameSyntheticThread(tid, track);
+        std::string name = "u";
+        name += std::to_string(e.uid);
+        name += ".p";
+        name += std::to_string(e.pfn);
+        name += ' ';
+        name += telemetry::journeyStepName(e.step);
         log.instant(std::move(name), e.tNs, tid,
                     e.detail ? "detail" : nullptr, e.detail);
     }
