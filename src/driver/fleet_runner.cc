@@ -7,7 +7,6 @@
 
 #include "driver/json_writer.hh"
 #include "driver/workload_source.hh"
-#include "mem/page_arena.hh"
 #include "report/report_merger.hh"
 #include "sim/log.hh"
 #include "swap/scheme_registry.hh"
@@ -143,7 +142,7 @@ FleetRunner::runSession(std::size_t index) const
 
 SessionResult
 FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
-                        PageArena *arena) const
+                        WorkerState *worker) const
 {
     c_sessions.add();
     telemetry::ScopedSpan span(d_session, index);
@@ -153,7 +152,7 @@ FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
     result.seed = scenario.sessionSeed(index);
 
     MobileSystem sys(scenario.systemConfig(index),
-                     source->sessionProfiles(index), arena);
+                     source->sessionProfiles(index), worker);
     SessionDriver driver(sys);
 
     if (recorder) {
@@ -296,12 +295,14 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
     std::size_t high_water = 0;
 
     auto worker = [&]() {
-        // One arena per worker thread, recycled across every session
-        // this worker runs: slabs reach steady-state capacity after the
-        // first session and later sessions allocate nothing. Sessions
-        // only read/write their own arena, so the aggregate stays
-        // bit-identical to private-arena runs.
-        PageArena workerArena;
+        // One worker state per worker thread and per call, lent to
+        // every session this worker runs. Its arena's slabs reach
+        // steady-state capacity after the first session, so later
+        // sessions allocate nothing; the arena is reset and the memo
+        // returns exact sizes, so the aggregate stays bit-identical to
+        // private-state runs. The memo lives no longer than this call:
+        // a runner that runs its fleet again sizes its units again.
+        WorkerState state;
         for (;;) {
             std::size_t i = next.fetch_add(1);
             if (i >= end)
@@ -311,7 +312,7 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
                 room.wait(lk,
                           [&] { return i < fold_frontier + window; });
             }
-            SessionResult s = runSession(i, recorder, &workerArena);
+            SessionResult s = runSession(i, recorder, &state);
             std::size_t folded = 0;
             {
                 std::unique_lock<std::mutex> lk(mu);

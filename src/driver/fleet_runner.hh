@@ -42,7 +42,7 @@
 
 namespace ariadne
 {
-class PageArena;
+struct WorkerState;
 }
 
 namespace ariadne::driver
@@ -213,13 +213,13 @@ class FleetRunner
     const WorkloadSource &workload() const noexcept { return *source; }
 
   private:
-    /** @p arena Optional slab arena to build the session's
-     * MobileSystem on. Fleet workers pass their thread's arena so
-     * page-metadata slabs are allocated once per worker and recycled
-     * across every session it runs; nullptr makes the session own a
-     * private arena. */
+    /** @p worker Optional worker state to build the session's
+     * MobileSystem on. Fleet workers pass their own, so page-metadata
+     * slabs are allocated once per worker and units one session sized
+     * are not sized again by the next; nullptr makes the session own
+     * a private arena and size every unit. */
     SessionResult runSession(std::size_t index, TraceRecorder *recorder,
-                             PageArena *arena) const;
+                             WorkerState *worker) const;
     FleetResult runFleet(std::size_t fleet, unsigned threads,
                          bool keep_sessions,
                          TraceRecorder *recorder) const;

@@ -52,6 +52,13 @@ struct PageKey
     bool operator==(const PageKey &o) const noexcept = default;
 };
 
+/** Reference to one page's content. */
+struct PageRef
+{
+    PageKey key;
+    std::uint32_t version = 0;
+};
+
 /**
  * Metadata record for one anonymous page, one cache line on 64-bit
  * hosts. Contains intrusive LRU hooks managed exclusively by LruList.

@@ -1,6 +1,7 @@
 #include "swap/page_compressor.hh"
 
 #include "compress/chunked.hh"
+#include "swap/unit_size_memo.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne
@@ -31,6 +32,18 @@ PageCompressor::compressedSize(std::span<const PageRef> unit,
 {
     if (unit.empty())
         return 0;
+    if (!memo)
+        return compressUnit(unit, codec, chunk_bytes);
+    return memo->frameSize(unit, codec.kind(), chunk_bytes, [&] {
+        return compressUnit(unit, codec, chunk_bytes);
+    });
+}
+
+std::size_t
+PageCompressor::compressUnit(std::span<const PageRef> unit,
+                             const Codec &codec,
+                             std::size_t chunk_bytes)
+{
     telemetry::ScopedSpan span(compressProbe(codec.kind()));
     unitScratch.resize(unit.size() * pageSize);
     {

@@ -29,6 +29,8 @@ telemetry::Counter c_idle("sys.idle");
 telemetry::SpanProbe d_launch("sys.launch", "cold_launch", "uid");
 telemetry::SpanProbe d_execute("sys.execute");
 telemetry::SpanProbe d_relaunch("sys.relaunch", "relaunch", "uid");
+telemetry::SpanProbe d_background("sys.background");
+telemetry::SpanProbe d_idle("sys.idle");
 
 // Flight-recorder gauges, sampled on the timeline_interval_ms
 // cadence (sampleGauges). Values are simulated state at simulated
@@ -52,15 +54,14 @@ telemetry::AppHistogram h_relaunchNs("sys.relaunch_ns");
 
 MobileSystem::MobileSystem(const SystemConfig &config,
                            const std::vector<AppProfile> &profiles,
-                           PageArena *shared_arena)
+                           WorkerState *worker)
     : cfg(config), timing(cfg.timing), appProfiles(profiles),
-      ownedArena(shared_arena ? nullptr
-                              : std::make_unique<PageArena>()),
-      arena(shared_arena ? *shared_arena : *ownedArena)
+      ownedArena(worker ? nullptr : std::make_unique<PageArena>()),
+      arena(worker ? worker->arena : *ownedArena)
 {
     fatalIf(appProfiles.empty(), "MobileSystem needs at least one app");
-    // A shared arena carries the previous session's records; recycle
-    // them (an owned arena is empty, so this is free).
+    // A worker's arena carries the previous session's records;
+    // recycle them (an owned arena is empty, so this is free).
     arena.reset();
 
     // Size the anonymous-page budget. Ideal-DRAM-style schemes get
@@ -80,7 +81,10 @@ MobileSystem::MobileSystem(const SystemConfig &config,
                                        cfg.highWatermark);
 
     synth = std::make_unique<PageSynthesizer>(appProfiles);
-    pageCompressor = std::make_unique<PageCompressor>(*synth);
+    if (worker)
+        worker->unitSizes.bind(appProfiles);
+    pageCompressor = std::make_unique<PageCompressor>(
+        *synth, worker ? &worker->unitSizes : nullptr);
     makeScheme();
     reclaimDaemon = std::make_unique<Kswapd>(
         SwapContext{simClock, timing, cpuAccount, activity, *dramModel,
@@ -371,6 +375,7 @@ void
 MobileSystem::appBackground(AppId uid)
 {
     c_background.add();
+    telemetry::ScopedSpan span(d_background);
     if (observer)
         observer->onOp(TraceOp::Background, uid, 0, simClock.now());
     swapScheme->onBackground(uid);
@@ -448,6 +453,7 @@ void
 MobileSystem::idle(Tick dt)
 {
     c_idle.add();
+    telemetry::ScopedSpan span(d_idle);
     if (observer)
         observer->onOp(TraceOp::Idle, invalidApp, dt, simClock.now());
     simClock.advance(dt);

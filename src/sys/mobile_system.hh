@@ -22,6 +22,7 @@
 #include "mem/page_arena.hh"
 #include "swap/kswapd.hh"
 #include "swap/scheme_registry.hh"
+#include "swap/unit_size_memo.hh"
 #include "sys/system_config.hh"
 #include "workload/generator.hh"
 #include "workload/page_synth.hh"
@@ -75,6 +76,18 @@ struct RelaunchStats
     }
 };
 
+/**
+ * What a fleet worker thread keeps across the sessions it runs, one
+ * at a time: the page arena each session's records come from, whose
+ * warmed-up slabs are reused instead of re-faulted per session, and
+ * the memo of compressed unit sizes the sessions share.
+ */
+struct WorkerState
+{
+    PageArena arena;
+    UnitSizeMemo unitSizes;
+};
+
 /** Top-level simulated device plus workload. */
 class MobileSystem
 {
@@ -82,15 +95,15 @@ class MobileSystem
     /**
      * @param config Device and scheme configuration.
      * @param profiles Applications available to this system.
-     * @param shared_arena Optional externally owned page arena; it is
-     *        reset() and then used in place of an internally owned
-     *        one. A fleet worker thread passes the same arena to every
-     *        session it runs, so warmed-up slabs are reused instead of
-     *        re-faulted per session. Must outlive this system.
+     * @param worker Optional externally owned worker state. Its arena
+     *        is reset() and then used in place of an internally owned
+     *        one, and its memo is bound to @p profiles and sizes this
+     *        system's units. Must outlive this system, and only the
+     *        most recently built system may use it.
      */
     MobileSystem(const SystemConfig &config,
                  const std::vector<AppProfile> &profiles,
-                 PageArena *shared_arena = nullptr);
+                 WorkerState *worker = nullptr);
 
     /** Cold-launch an app (process creation plus first working set). */
     void appColdLaunch(AppId uid);
@@ -240,9 +253,9 @@ class MobileSystem
     std::unique_ptr<SwapScheme> swapScheme;
     std::unique_ptr<Kswapd> reclaimDaemon;
 
-    /** Backing arena when the caller did not share one. */
+    /** Backing arena when the caller lent no worker state. */
     std::unique_ptr<PageArena> ownedArena;
-    /** The arena in use (owned or shared); reset by the ctor. */
+    /** The arena in use (owned or the worker's); reset by the ctor. */
     PageArena &arena;
     /** App directories sorted by uid (handful of apps; binary
      * search, resolved once per touch batch). */

@@ -61,6 +61,8 @@ struct ContentMix
 
     /** Sum of all weights (for normalization). */
     double totalWeight() const noexcept;
+
+    bool operator==(const ContentMix &) const = default;
 };
 
 /** Static description of one application's behaviour. */

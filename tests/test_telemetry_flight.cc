@@ -34,7 +34,8 @@ namespace
  * histogram, so AppHistogram records like a plain histogram. */
 constexpr std::uint32_t unlabeledUid = AppHistogram::maxLabeledApps;
 
-/** Every test starts from zeroed shards and empty ring buffers. */
+/** Every test starts from zeroed shards and with the timeline's and
+ * the journey log's per-thread logs empty, their drop counts zero. */
 class FlightTest : public ::testing::Test
 {
   protected:
