@@ -1,6 +1,7 @@
 #include "mem/zpool.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/log.hh"
 
@@ -8,15 +9,13 @@ namespace ariadne
 {
 
 Zpool::Zpool(std::size_t capacity_bytes)
+    : blockCount(capacity_bytes / blockBytes), freeBlockCount(blockCount)
 {
-    std::size_t n_blocks = capacity_bytes / blockBytes;
-    fatalIf(n_blocks == 0, "zpool smaller than one block");
-    blocks.resize(n_blocks);
-    // All blocks start free; bits past n_blocks stay zero forever.
-    freeBits.assign((n_blocks + 63) / 64, ~std::uint64_t{0});
-    if (n_blocks % 64)
-        freeBits.back() = (std::uint64_t{1} << (n_blocks % 64)) - 1;
-    freeBlockCount = n_blocks;
+    fatalIf(blockCount == 0, "zpool smaller than one block");
+    // All blocks start free; bits past blockCount stay zero forever.
+    freeBits.assign((blockCount + 63) / 64, ~std::uint64_t{0});
+    if (blockCount % 64)
+        freeBits.back() = (std::uint64_t{1} << (blockCount % 64)) - 1;
     std::size_t n_classes = blockBytes / classStep;
     openBlock.assign(n_classes, UINT32_MAX);
     partialBlocks.resize(n_classes);
@@ -52,16 +51,29 @@ Zpool::classSlotSize(std::size_t clazz) noexcept
     return (clazz + 1) * classStep;
 }
 
-ZObjectId
-Zpool::allocObjectRecord()
+std::uint64_t
+Zpool::fullMask(std::size_t clazz) noexcept
 {
+    std::size_t n_slots = blockBytes / classSlotSize(clazz);
+    return n_slots == 64 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << n_slots) - 1;
+}
+
+ZObjectId
+Zpool::addObject(const Object &obj)
+{
+    ZObjectId id;
     if (!freeObjectIds.empty()) {
-        ZObjectId id = freeObjectIds.back();
+        id = freeObjectIds.back();
         freeObjectIds.pop_back();
-        return id;
+        objects[id] = obj;
+    } else {
+        id = objects.size();
+        objects.push_back(obj);
     }
-    objects.emplace_back();
-    return objects.size() - 1;
+    sectorObjects.push_back(id);
+    stored += obj.csize;
+    return id;
 }
 
 std::uint32_t
@@ -72,22 +84,23 @@ Zpool::takeFreeBlock()
     while (freeBits[w] == 0)
         ++w;
     freeScanHint = w;
-    auto bit = static_cast<unsigned>(__builtin_ctzll(freeBits[w]));
+    auto bit = static_cast<unsigned>(std::countr_zero(freeBits[w]));
     auto idx = static_cast<std::uint32_t>(w * 64 + bit);
     clearBlockFree(idx);
-    ++usedBlocks;
+    if (idx >= slotMasks.size())
+        slotMasks.resize(idx + 1);
     return idx;
 }
 
 bool
 Zpool::findHugeRun(std::size_t span, std::uint32_t &start) const
 {
-    // First (lowest-start) run of `span` consecutive free blocks,
-    // same answer the old ascending-set scan gave. Whole zero/one
-    // words are consumed 64 blocks at a time.
+    // First (lowest-start) run of `span` consecutive free blocks.
+    // Whole zero/one words are consumed 64 blocks at a time, and no
+    // word below the hint has a free bit.
     std::uint32_t run_start = 0;
     std::size_t run_len = 0;
-    for (std::size_t w = 0; w < freeBits.size(); ++w) {
+    for (std::size_t w = freeScanHint; w < freeBits.size(); ++w) {
         std::uint64_t bits = freeBits[w];
         if (bits == 0) {
             run_len = 0;
@@ -139,6 +152,7 @@ Zpool::canFit(std::size_t csize) const
 ZObjectId
 Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
 {
+    const Sector sector = sectorObjects.size();
     if (csize > blockBytes) {
         // Huge object: contiguous run of blocks.
         panicIf(csize > maxObjectBytes, "object too large for zpool");
@@ -147,70 +161,36 @@ Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
         if (!findHugeRun(span, start))
             return invalidObject;
         for (std::uint32_t b = start;
-             b < start + static_cast<std::uint32_t>(span); ++b) {
+             b < start + static_cast<std::uint32_t>(span); ++b)
             clearBlockFree(b);
-            ++usedBlocks;
-            blocks[b].clazz =
-                (b == start) ? hugeHeadClass : hugeContClass;
-            blocks[b].usedSlots = 1;
-        }
-        ZObjectId id = allocObjectRecord();
-        Object &obj = objects[id];
-        obj = Object{start, 0, true, static_cast<std::uint8_t>(span),
-                     static_cast<std::uint32_t>(csize), cookie_value,
-                     nextSector};
-        sectorOrder.emplace(nextSector, id);
-        ++nextSector;
-        blocks[start].span = static_cast<std::uint8_t>(span);
-        blocks[start].slots.assign(1, id);
-        stored += csize;
-        ++liveObjects;
-        return id;
+        return addObject(
+            {start, 0, true, static_cast<std::uint8_t>(span),
+             static_cast<std::uint32_t>(csize), cookie_value, sector});
     }
 
     std::size_t clazz = classIndex(csize);
-    std::uint32_t block_idx = UINT32_MAX;
-
-    if (openBlock[clazz] != UINT32_MAX) {
-        block_idx = openBlock[clazz];
-    } else if (!partialBlocks[clazz].empty()) {
-        block_idx = partialBlocks[clazz].back();
-        partialBlocks[clazz].pop_back();
+    std::uint32_t block_idx = openBlock[clazz];
+    if (block_idx == UINT32_MAX) {
+        if (!partialBlocks[clazz].empty()) {
+            block_idx = partialBlocks[clazz].back();
+            partialBlocks[clazz].pop_back();
+        } else if (freeBlockCount != 0) {
+            block_idx = takeFreeBlock();
+        } else {
+            return invalidObject;
+        }
         openBlock[clazz] = block_idx;
-    } else if (freeBlockCount != 0) {
-        block_idx = takeFreeBlock();
-        Block &blk = blocks[block_idx];
-        blk.clazz = static_cast<std::int16_t>(clazz);
-        blk.usedSlots = 0;
-        blk.slots.assign(blockBytes / classSlotSize(clazz),
-                         invalidObject);
-        openBlock[clazz] = block_idx;
-    } else {
-        return invalidObject;
     }
 
-    Block &blk = blocks[block_idx];
-    // Find a free slot; the open block always has one.
-    std::uint16_t slot = 0;
-    for (; slot < blk.slots.size(); ++slot) {
-        if (blk.slots[slot] == invalidObject)
-            break;
-    }
-    panicIf(slot >= blk.slots.size(), "open block has no free slot");
-
-    ZObjectId id = allocObjectRecord();
-    objects[id] = Object{block_idx, slot, true, 0,
-                         static_cast<std::uint32_t>(csize),
-                         cookie_value, nextSector};
-    sectorOrder.emplace(nextSector, id);
-    ++nextSector;
-    blk.slots[slot] = id;
-    ++blk.usedSlots;
-    if (blk.usedSlots == blk.slots.size())
+    // The lowest free slot; the open block always has one.
+    std::uint64_t &mask = slotMasks[block_idx];
+    auto slot = static_cast<std::uint16_t>(std::countr_one(mask));
+    mask |= std::uint64_t{1} << slot;
+    if (mask == fullMask(clazz))
         openBlock[clazz] = UINT32_MAX; // block full
-    stored += csize;
-    ++liveObjects;
-    return id;
+    return addObject({block_idx, slot, true, 0,
+                      static_cast<std::uint32_t>(csize), cookie_value,
+                      sector});
 }
 
 void
@@ -220,21 +200,14 @@ Zpool::erase(ZObjectId id)
     Object &obj = objects[id];
 
     if (obj.span > 0) {
-        for (std::uint32_t b = obj.block;
-             b < obj.block + obj.span; ++b) {
-            blocks[b].clazz = freeClass;
-            blocks[b].usedSlots = 0;
-            blocks[b].span = 0;
-            blocks[b].slots.clear();
+        for (std::uint32_t b = obj.block; b < obj.block + obj.span; ++b)
             setBlockFree(b);
-            --usedBlocks;
-        }
     } else {
-        Block &blk = blocks[obj.block];
-        std::size_t clazz = static_cast<std::size_t>(blk.clazz);
-        blk.slots[obj.slot] = invalidObject;
-        --blk.usedSlots;
-        if (blk.usedSlots == 0) {
+        std::size_t clazz = classIndex(obj.csize);
+        std::uint64_t &mask = slotMasks[obj.block];
+        const bool was_full = mask == fullMask(clazz);
+        mask &= ~(std::uint64_t{1} << obj.slot);
+        if (mask == 0) {
             // Whole block free again.
             if (openBlock[clazz] == obj.block)
                 openBlock[clazz] = UINT32_MAX;
@@ -242,21 +215,15 @@ Zpool::erase(ZObjectId id)
             partial.erase(std::remove(partial.begin(), partial.end(),
                                       obj.block),
                           partial.end());
-            blk.clazz = freeClass;
-            blk.slots.clear();
             setBlockFree(obj.block);
-            --usedBlocks;
-        } else if (blk.usedSlots + 1 ==
-                       static_cast<std::uint16_t>(blk.slots.size()) &&
-                   openBlock[clazz] != obj.block) {
+        } else if (was_full && openBlock[clazz] != obj.block) {
             // Was full, now has one hole: becomes a partial block.
             partialBlocks[clazz].push_back(obj.block);
         }
     }
 
-    sectorOrder.erase(obj.sector);
+    sectorObjects[obj.sector] = invalidObject;
     stored -= obj.csize;
-    --liveObjects;
     obj.liveFlag = false;
     freeObjectIds.push_back(id);
 }
@@ -293,12 +260,13 @@ Zpool::nextInSectorOrder(ZObjectId id, std::size_t max_gap) const
 {
     panicIf(!live(id), "nextInSectorOrder of dead object");
     Sector sector = objects[id].sector;
-    auto it = sectorOrder.upper_bound(sector);
-    if (it == sectorOrder.end())
-        return invalidObject;
-    if (it->first - sector > max_gap)
-        return invalidObject;
-    return it->second;
+    std::size_t ahead = sectorObjects.size() - sector - 1;
+    std::size_t end = sector + 1 + std::min(max_gap, ahead);
+    for (Sector next = sector + 1; next < end; ++next) {
+        if (sectorObjects[next] != invalidObject)
+            return sectorObjects[next];
+    }
+    return invalidObject;
 }
 
 double

@@ -17,6 +17,11 @@
  * currently-being-accessed page". The block/size-class machinery
  * still governs capacity and fragmentation.
  *
+ * Every structure is flat. Sectors index a vector of handles (one
+ * word per insert over the pool's life), a block's slots are the bits
+ * of one 64-bit mask, and the block table grows only as blocks are
+ * first used, so a pool that stores nothing allocates none of it.
+ *
  * Only object sizes and placement are tracked; payload bytes live
  * with the caller when needed (the simulator measures real compressed
  * sizes, then discards buffers to keep host memory bounded).
@@ -26,7 +31,6 @@
 #define ARIADNE_MEM_ZPOOL_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -49,6 +53,8 @@ class Zpool
 
     /** Granularity of size classes for sub-block objects. */
     static constexpr std::size_t classStep = 64;
+    static_assert(blockBytes / classStep <= 64,
+                  "a block's slots must fit one 64-bit mask");
 
     /** Largest object insert() stores: a huge object's block run
      * length is one byte, so it spans at most 255 blocks. */
@@ -99,15 +105,19 @@ class Zpool
     std::size_t
     usedBytes() const noexcept
     {
-        return usedBlocks * blockBytes;
+        return (blockCount - freeBlockCount) * blockBytes;
     }
 
     std::size_t capacityBytes() const noexcept
     {
-        return blocks.size() * blockBytes;
+        return blockCount * blockBytes;
     }
 
-    std::size_t objectCount() const noexcept { return liveObjects; }
+    std::size_t
+    objectCount() const noexcept
+    {
+        return objects.size() - freeObjectIds.size();
+    }
 
     /** Internal fragmentation: 1 - stored/used (0 when empty). */
     double fragmentation() const noexcept;
@@ -119,17 +129,8 @@ class Zpool
     /** Slot size of a class. */
     static std::size_t classSlotSize(std::size_t clazz) noexcept;
 
-    static constexpr std::int16_t freeClass = -1;
-    static constexpr std::int16_t hugeHeadClass = -2;
-    static constexpr std::int16_t hugeContClass = -3;
-
-    struct Block
-    {
-        std::int16_t clazz = freeClass;
-        std::uint16_t usedSlots = 0;
-        std::uint8_t span = 0; //!< block run length for huge heads
-        std::vector<ZObjectId> slots;
-    };
+    /** Occupied-slot mask of a block whose every slot is taken. */
+    static std::uint64_t fullMask(std::size_t clazz) noexcept;
 
     struct Object
     {
@@ -142,37 +143,35 @@ class Zpool
         Sector sector = invalidSector; //!< swap-slot sequence number
     };
 
-    ZObjectId allocObjectRecord();
+    /** Give a placed object a handle and the next sector. */
+    ZObjectId addObject(const Object &obj);
     std::uint32_t takeFreeBlock();
     bool findHugeRun(std::size_t span, std::uint32_t &start) const;
 
-    // Free-block bitmap. Allocation order (ascending first-fit) and
-    // run search match the old std::set<uint32_t> exactly, but
-    // construction is O(blocks/64) memsets instead of a red-black
-    // insert per block — which the fleet profile showed dominating
-    // short sessions — and first-fit is a find-first-set scan.
+    // Free-block bitmap: first-fit is a find-first-set scan, and
+    // huge runs are searched 64 blocks at a time.
     void setBlockFree(std::uint32_t b) noexcept;
     void clearBlockFree(std::uint32_t b) noexcept;
 
-    std::vector<Block> blocks;
+    std::size_t blockCount = 0;
+    /** Occupied slots of each sub-block block (bit i = slot i). Grows
+     * to cover a block when the block is first used. */
+    std::vector<std::uint64_t> slotMasks;
     std::vector<Object> objects;
     std::vector<ZObjectId> freeObjectIds;
     std::vector<std::uint64_t> freeBits; //!< 1 = block free
     std::size_t freeBlockCount = 0;
-    /** Lowest word that may contain a free bit (search hint). */
-    mutable std::size_t freeScanHint = 0;
-    /** Live objects ordered by swap sector. */
-    std::map<Sector, ZObjectId> sectorOrder;
-    /** Next swap sector to hand out. */
-    Sector nextSector = 0;
+    /** Lowest word that may contain a free bit: no word below it has
+     * one. */
+    std::size_t freeScanHint = 0;
+    /** Handle of the live object at each sector, or invalidObject. */
+    std::vector<ZObjectId> sectorObjects;
     /** Per-class block currently being filled (UINT32_MAX if none). */
     std::vector<std::uint32_t> openBlock;
     /** Per-class blocks with free slots (after erases). */
     std::vector<std::vector<std::uint32_t>> partialBlocks;
 
     std::size_t stored = 0;
-    std::size_t usedBlocks = 0;
-    std::size_t liveObjects = 0;
 };
 
 } // namespace ariadne

@@ -92,14 +92,13 @@ UnitSizeMemo::find(std::span<const PageRef> unit, CodecKind codec,
 void
 UnitSizeMemo::store(std::size_t frame_bytes)
 {
+    // A full memo keeps what it holds and stores nothing more.
     if (pendingKey.empty() || frame_bytes > UINT32_MAX ||
-        pendingKey.size() > maxPageRefs) {
+        entries.size() == maxUnits ||
+        refs.size() + pendingKey.size() > maxPageRefs) {
         pendingKey.clear();
         return;
     }
-    if (entries.size() == maxUnits ||
-        refs.size() + pendingKey.size() > maxPageRefs)
-        clear();
     if (entries.empty()) {
         panicIf(!boundApps, "UnitSizeMemo filled before bind()");
         for (const AppProfile &app : *boundApps)

@@ -19,9 +19,9 @@
  * therefore keeps one memo for one FleetRunner::run() or runShard()
  * call and lends it to each session it builds (WorkerState). bind()
  * drops every entry when a session synthesizes its pages from another
- * (uid, ContentMix) list than the entries were filled under, and the
- * memo also starts over when it is full. Nothing about it is
- * configurable.
+ * (uid, ContentMix) list than the entries were filled under. A full
+ * memo keeps its entries and sizes later units without storing them.
+ * Nothing about it is configurable.
  */
 
 #ifndef ARIADNE_SWAP_UNIT_SIZE_MEMO_HH
@@ -44,7 +44,7 @@ namespace ariadne
 class UnitSizeMemo
 {
   public:
-    /** Units held at most; storing one more clears the memo first. */
+    /** Units held at most; a unit past the cap is not stored. */
     static constexpr std::size_t maxUnits = 0xffff;
     /** Page references held at most, over all units; ditto. */
     static constexpr std::size_t maxPageRefs = std::size_t{1} << 18;
@@ -61,8 +61,8 @@ class UnitSizeMemo
     /**
      * Frame size of @p unit compressed with @p codec in @p chunk_bytes
      * chunks: the stored size, or on a miss the result of
-     * @p size_unit(), which is then stored. bind() must have been
-     * called first.
+     * @p size_unit(), which is then stored unless the memo is full.
+     * bind() must have been called first.
      */
     template <typename SizeUnit>
     std::size_t
@@ -101,7 +101,8 @@ class UnitSizeMemo
     std::optional<std::size_t> find(std::span<const PageRef> unit,
                                     CodecKind codec,
                                     std::size_t chunk_bytes);
-    /** Store the key the last find() missed; no-op if it had none. */
+    /** Store the key the last find() missed; no-op if it had none
+     * or the memo is full. */
     void store(std::size_t frame_bytes);
     void clear();
     bool filledUnder(const std::vector<AppProfile> &apps) const;

@@ -224,12 +224,10 @@ TEST(UnitSizeMemo, SystemWithAnotherContentMixReadsNoEntry)
     }
 }
 
-TEST(UnitSizeMemo, FillingPastTheUnitCapStartsOver)
+TEST(UnitSizeMemo, FillingPastTheUnitCapKeepsEarlierEntries)
 {
     MemoBacked m;
     auto lzo = makeCodec(CodecKind::Lzo);
-    const std::vector<PageRef> real = fourPages();
-    const std::size_t want = m.sized.compressedSize(real, *lzo, 16384);
 
     // Fill the memo with one-page units of an app no profile carries,
     // sized by a stand-in.
@@ -241,44 +239,63 @@ TEST(UnitSizeMemo, FillingPastTheUnitCapStartsOver)
             return std::size_t{100};
         });
     }
-    EXPECT_EQ(stand_ins, UnitSizeMemo::maxUnits - 1);
-    PageRef last{{200, 0}, 0};
-    EXPECT_EQ(m.memo.frameSize({&last, 1}, CodecKind::Lzo, pageSize,
+    EXPECT_EQ(stand_ins, UnitSizeMemo::maxUnits);
+
+    // A unit past the cap is sized exactly on every call and never
+    // stored.
+    const std::vector<PageRef> real = fourPages();
+    const std::size_t want =
+        uncachedSize(m.apps, real, CodecKind::Lzo, 16384);
+    for (int call = 0; call < 2; ++call) {
+        std::uint64_t ran = m.sized.bytesCompressed();
+        EXPECT_EQ(m.sized.compressedSize(real, *lzo, 16384), want);
+        EXPECT_EQ(m.sized.bytesCompressed(), ran + 4 * pageSize);
+    }
+    EXPECT_EQ(m.memo.size(), UnitSizeMemo::maxUnits);
+
+    // Earlier entries still answer.
+    PageRef first{{200, 0}, 0};
+    EXPECT_EQ(m.memo.frameSize({&first, 1}, CodecKind::Lzo, pageSize,
                                [] { return std::size_t{0}; }),
               100u);
-
-    // One unit more clears the memo before it is stored.
-    PageRef extra{{201, 0}, 0};
-    m.memo.frameSize({&extra, 1}, CodecKind::Lzo, pageSize,
-                     [] { return std::size_t{100}; });
-    EXPECT_EQ(m.memo.size(), 1u);
-
-    std::uint64_t ran = m.sized.bytesCompressed();
-    EXPECT_EQ(m.sized.compressedSize(real, *lzo, 16384), want);
-    EXPECT_EQ(m.sized.bytesCompressed(), ran + 4 * pageSize);
-    EXPECT_EQ(want, uncachedSize(m.apps, real, CodecKind::Lzo, 16384));
 }
 
-TEST(UnitSizeMemo, FillingPastThePageRefCapStartsOver)
+TEST(UnitSizeMemo, FillingPastThePageRefCapKeepsEarlierEntries)
 {
     UnitSizeMemo memo;
     std::vector<AppProfile> apps = standardApps();
     memo.bind(apps);
     constexpr std::size_t unit_pages = 8;
-    std::vector<PageRef> unit(unit_pages);
-    Pfn pfn = 0;
-    auto store_next = [&] {
+    auto unit_at = [](Pfn first) {
+        std::vector<PageRef> unit(unit_pages);
         for (PageRef &ref : unit)
-            ref = PageRef{{200, pfn++}, 0};
-        memo.frameSize(unit, CodecKind::Lzo, 16384,
-                       [] { return std::size_t{100}; });
+            ref = PageRef{{200, first++}, 0};
+        return unit;
+    };
+    std::size_t stand_ins = 0;
+    auto size_of = [&](Pfn first) {
+        return memo.frameSize(unit_at(first), CodecKind::Lzo, 16384, [&] {
+            ++stand_ins;
+            return std::size_t{100};
+        });
     };
     const std::size_t fit = UnitSizeMemo::maxPageRefs / unit_pages;
     for (std::size_t i = 0; i < fit; ++i)
-        store_next();
+        size_of(i * unit_pages);
     EXPECT_EQ(memo.size(), fit);
-    store_next();
-    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(stand_ins, fit);
+
+    // The next unit is sized each time it is asked for, not stored.
+    const Pfn past = fit * unit_pages;
+    EXPECT_EQ(size_of(past), 100u);
+    EXPECT_EQ(size_of(past), 100u);
+    EXPECT_EQ(stand_ins, fit + 2);
+    EXPECT_EQ(memo.size(), fit);
+
+    // Earlier entries still answer.
+    EXPECT_EQ(size_of(0), 100u);
+    EXPECT_EQ(size_of(past - unit_pages), 100u);
+    EXPECT_EQ(stand_ins, fit + 2);
 }
 
 namespace
