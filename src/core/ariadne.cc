@@ -168,12 +168,14 @@ AriadneScheme::writebackUnit(UnitId id, bool synchronous)
 bool
 AriadneScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
 {
-    auto pop_valid = [this](std::deque<UnitId> &fifo) -> UnitId {
+    auto pop_valid =
+        [this](std::deque<std::pair<UnitId, Sector>> &fifo) -> UnitId {
         while (!fifo.empty()) {
-            UnitId id = fifo.front();
+            auto [id, sector] = fifo.front();
             fifo.pop_front();
             if (units.live(id) &&
-                units.unit(id).object != invalidObject) {
+                units.unit(id).object != invalidObject &&
+                pool.sectorOf(units.unit(id).object) == sector) {
                 return id;
             }
         }
@@ -236,7 +238,8 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
         p->location = PageLocation::Zpool;
     }
 
-    (level == Hotness::Cold ? coldUnitFifo : pageUnitFifo).push_back(id);
+    (level == Hotness::Cold ? coldUnitFifo : pageUnitFifo)
+        .emplace_back(id, pool.sectorOf(obj));
 
     chargeCompression(uid, codec->cost(), chunk, in_bytes, csize,
                       synchronous);

@@ -24,6 +24,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "compress/registry.hh"
 #include "core/adaptive_comp.hh"
@@ -129,9 +130,13 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     AdaptiveComp units;
     PreDecomp stagingBuf;
 
-    /** Writeback order: cold units first, then warm/hot units. */
-    std::deque<UnitId> coldUnitFifo;
-    std::deque<UnitId> pageUnitFifo;
+    /**
+     * Writeback order: cold units first, then warm/hot units. An entry
+     * names one insertion, (unit, zpool sector): AdaptiveComp recycles
+     * unit ids, so a bare id could name a newer unit.
+     */
+    std::deque<std::pair<UnitId, Sector>> coldUnitFifo;
+    std::deque<std::pair<UnitId, Sector>> pageUnitFifo;
 
     std::array<std::uint64_t, 3> faultsPerLevel{};
 

@@ -158,6 +158,35 @@ TEST(AriadneScheme, ZpoolOverflowSpillsColdUnitsToFlashFirst)
     EXPECT_EQ(flash_page->location, PageLocation::Resident);
 }
 
+TEST(AriadneScheme, RecycledUnitIdDoesNotJumpTheSpillQueue)
+{
+    // Cold units A then B fill the zpool. A is swapped in, and cold
+    // unit C takes A's freed unit id. The next spill must write back
+    // B, the oldest unit still in the zpool, not C.
+    SchemeHarness h(512);
+    AriadneConfig cfg = testConfig();
+    cfg.zpoolBytes = 4 * pageSize; // two 2-block cold units
+    cfg.preDecompEnabled = false;  // A's fault must not pre-swap B
+    AriadneScheme scheme(h.context(), cfg);
+    scheme.seedProfile(1, 4);
+    auto pages = h.admitPages(scheme, 1, 20); // hot 0..3, cold 4..19
+    scheme.reclaim(4, false);                 // A = pages 4..7
+    scheme.reclaim(4, false);                 // B = pages 8..11
+    ASSERT_EQ(pages[11]->location, PageLocation::Zpool);
+    std::uint64_t a_id = pages[4]->objectId;
+    scheme.swapIn(*pages[4]);
+    scheme.reclaim(4, false); // C = pages 12..15
+    ASSERT_EQ(pages[12]->location, PageLocation::Zpool);
+    ASSERT_EQ(pages[12]->objectId, a_id);
+    ASSERT_EQ(scheme.flash()->hostWriteBytes(), 0u);
+
+    scheme.reclaim(4, false); // D = pages 16..19 forces one spill
+    for (std::size_t i = 8; i < 12; ++i)
+        EXPECT_EQ(pages[i]->location, PageLocation::Flash) << i;
+    for (std::size_t i = 12; i < 20; ++i)
+        EXPECT_EQ(pages[i]->location, PageLocation::Zpool) << i;
+}
+
 TEST(AriadneScheme, CompressedColdWritesLessFlashThanRaw)
 {
     // D4: Ariadne writes compressed (not raw) data to flash.
