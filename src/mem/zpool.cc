@@ -92,43 +92,59 @@ Zpool::takeFreeBlock()
     return idx;
 }
 
+namespace
+{
+
+/** Bit i set when bits i .. i + span - 1 of @p bits are all set
+ * (1 <= span <= 64): shift-AND, doubling the checked length. */
+std::uint64_t
+runStarts(std::uint64_t bits, std::size_t span) noexcept
+{
+    for (std::size_t have = 1; have < span;) {
+        std::size_t step = std::min(have, span - have);
+        bits &= bits >> step;
+        have += step;
+    }
+    return bits;
+}
+
+} // namespace
+
 bool
 Zpool::findHugeRun(std::size_t span, std::uint32_t &start) const
 {
-    // First (lowest-start) run of `span` consecutive free blocks.
-    // Whole zero/one words are consumed 64 blocks at a time, and no
-    // word below the hint has a free bit.
-    std::uint32_t run_start = 0;
+    // First (lowest-start) run of `span` consecutive free blocks. A
+    // run enters a word from below (the carried run plus the word's
+    // low free bits), lies inside it, or leaves it at the top (its
+    // high free bits start the next carry). No word below the hint
+    // has a free bit.
+    std::size_t run_start = 0;
     std::size_t run_len = 0;
     for (std::size_t w = freeScanHint; w < freeBits.size(); ++w) {
         std::uint64_t bits = freeBits[w];
-        if (bits == 0) {
-            run_len = 0;
-            continue;
-        }
         if (bits == ~std::uint64_t{0}) {
             if (run_len == 0)
-                run_start = static_cast<std::uint32_t>(w * 64);
+                run_start = w * 64;
             run_len += 64;
             if (run_len >= span) {
-                start = run_start;
+                start = static_cast<std::uint32_t>(run_start);
                 return true;
             }
             continue;
         }
-        for (unsigned b = 0; b < 64; ++b) {
-            if ((bits >> b) & 1) {
-                if (run_len == 0)
-                    run_start =
-                        static_cast<std::uint32_t>(w * 64 + b);
-                if (++run_len >= span) {
-                    start = run_start;
-                    return true;
-                }
-            } else {
-                run_len = 0;
-            }
+        auto low = static_cast<std::size_t>(std::countr_one(bits));
+        if (run_len != 0 && run_len + low >= span) {
+            start = static_cast<std::uint32_t>(run_start);
+            return true;
         }
+        std::uint64_t inside = span <= 64 ? runStarts(bits, span) : 0;
+        if (inside != 0) {
+            start = static_cast<std::uint32_t>(w * 64) +
+                    static_cast<std::uint32_t>(std::countr_zero(inside));
+            return true;
+        }
+        run_len = static_cast<std::size_t>(std::countl_one(bits));
+        run_start = w * 64 + 64 - run_len;
     }
     return false;
 }

@@ -144,6 +144,28 @@ TEST(Zpool, HugeAllocationFailsWhenFragmented)
     EXPECT_NE(pool.insert(8192, 0), invalidObject);
 }
 
+TEST(Zpool, HugeRunSpanningWordsTakesLowestStart)
+{
+    // Free runs of 70, 100 and 145 blocks; the first two cross 64-block
+    // words from mixed words. A 90-block object takes the lowest run
+    // that holds it, blocks 73..162.
+    constexpr std::size_t b = Zpool::blockBytes;
+    Zpool pool(320 * b);
+    ZObjectId first = pool.insert(70 * b, 0);   // blocks 0..69
+    pool.insert(3 * b, 0);                      // 70..72
+    ZObjectId second = pool.insert(100 * b, 0); // 73..172
+    pool.insert(2 * b, 0);                      // 173..174
+    pool.erase(first);
+    pool.erase(second);
+    EXPECT_TRUE(pool.canFit(145 * b));
+    EXPECT_FALSE(pool.canFit(146 * b));
+    ASSERT_NE(pool.insert(90 * b, 0), invalidObject);
+    // Placed at 73, it leaves runs of 70, 10 and 145 blocks; placed at
+    // 175, the longest run left would be 100 blocks.
+    EXPECT_TRUE(pool.canFit(145 * b));
+    EXPECT_FALSE(pool.canFit(146 * b));
+}
+
 TEST(Zpool, FragmentationMetric)
 {
     Zpool pool(1 << 20);
