@@ -221,8 +221,12 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
         return;
     }
 
-    for (PageMeta *p : batch)
-        pendingPredictions.erase(p);
+    for (PageMeta *p : batch) {
+        if (p->predictionArmed) {
+            pendingPredictions.erase(p);
+            p->predictionArmed = false;
+        }
+    }
     UnitId id = units.create(std::move(batch), chunk, csize, level,
                              invalidObject);
     CompUnit &u = units.unit(id);
@@ -314,19 +318,19 @@ AriadneScheme::armPrediction(PageMeta &page, ZObjectId next)
     if (next == invalidObject)
         return;
     pendingPredictions[&page] = next;
+    page.predictionArmed = true;
 }
 
 void
-AriadneScheme::firePrediction(const PageMeta &page)
+AriadneScheme::firePrediction(PageMeta &page)
 {
-    // Runs on every resident touch; armed predictions are rare, so
-    // the empty check keeps the common path to one branch instead of
-    // a hash lookup.
-    if (pendingPredictions.empty())
+    // Runs on every resident touch: the page's flag keeps the common
+    // path to one branch instead of a hash lookup.
+    if (!page.predictionArmed)
         return;
+    page.predictionArmed = false;
     auto it = pendingPredictions.find(&page);
-    if (it == pendingPredictions.end())
-        return;
+    panicIf(it == pendingPredictions.end(), "armed page has no prediction");
     ZObjectId next = it->second;
     pendingPredictions.erase(it);
     tryStage(next);

@@ -116,7 +116,7 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void armPrediction(PageMeta &page, ZObjectId next);
 
     /** Fire and clear a pending prediction for @p page, if any. */
-    void firePrediction(const PageMeta &page);
+    void firePrediction(PageMeta &page);
 
     /** Make the pages of @p unit resident; faulting page is @p hit. */
     void residentizeUnit(CompUnit &unit, PageMeta *hit);

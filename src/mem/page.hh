@@ -74,6 +74,9 @@ struct PageMeta
     Hotness level = Hotness::Cold;
     /** Where the page's data currently lives. */
     PageLocation location = PageLocation::Resident;
+    /** Set while AriadneScheme holds a PreDecomp prediction that this
+     * page's next touch fires (its map is probed only then). */
+    bool predictionArmed = false;
     /** zpool object holding this page (invalid when not in zpool). */
     std::uint64_t objectId = UINT64_MAX;
     /** Flash slot holding this page (invalid when not in flash). */
