@@ -25,7 +25,6 @@ AdaptiveComp::create(std::vector<PageMeta *> pages,
     u.csize = csize;
     u.levelAtCompression = level;
     u.object = object;
-    u.flashSlot = invalidFlashSlot;
     u.liveFlag = true;
     ++liveUnits;
 
@@ -61,7 +60,6 @@ AdaptiveComp::destroy(UnitId id)
     u.liveFlag = false;
     u.pages.clear();
     u.object = invalidObject;
-    u.flashSlot = invalidFlashSlot;
     freeIds.push_back(id);
     --liveUnits;
 }

@@ -39,10 +39,9 @@ struct CompUnit
     std::size_t csize = 0;
     /** Hotness of the data when it was compressed. */
     Hotness levelAtCompression = Hotness::Cold;
-    /** zpool object when stored in DRAM. */
+    /** zpool object when stored in DRAM (after writeback, each page
+     * holds the unit's flash slot). */
     ZObjectId object = invalidObject;
-    /** Flash slot when written back. */
-    FlashSlot flashSlot = invalidFlashSlot;
     bool liveFlag = false;
 
     std::size_t

@@ -2,14 +2,16 @@
 
 #include "sim/log.hh"
 #include "telemetry/journey.hh"
+#include "telemetry/telemetry.hh"
 
 namespace ariadne
 {
 
 AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
     : SwapScheme(context), cfg(config),
-      codec(makeCodec(CodecKind::Lzo)), pool(cfg.zpoolBytes),
-      flashDev(cfg.flashBytes), profiles(cfg.defaultHotInitPages),
+      codec(makeCodec(CodecKind::Lzo)),
+      store(context, cfg.zpoolBytes, cfg.flashBytes),
+      profiles(cfg.defaultHotInitPages),
       hotOrg(&lruOpCount, profiles), units(cfg),
       stagingBuf(cfg.preDecompEnabled ? PreDecomp::bufferPages : 0)
 {
@@ -122,78 +124,6 @@ AriadneScheme::onBackground(AppId uid)
     bgReclaimNs += ctx.cpu.grandTotal() - before;
 }
 
-bool
-AriadneScheme::writebackUnit(UnitId id, bool synchronous)
-{
-    CompUnit &u = units.unit(id);
-    panicIf(u.object == invalidObject, "writeback of non-zpool unit");
-
-    FlashSlot slot = flashDev.write(u.csize);
-    if (slot == invalidFlashSlot) {
-        // Swap space exhausted: drop the unit (data loss).
-        for (PageMeta *p : u.pages) {
-            stagingBuf.invalidate(*p);
-            telemetry::journeyMark(p->key.uid, p->key.pfn,
-                                   telemetry::JourneyStep::Lost,
-                                   ctx.clock.now());
-            p->location = PageLocation::Lost;
-            p->objectId = invalidObject;
-            ++lost;
-        }
-        pool.erase(u.object);
-        units.destroy(id);
-        return true;
-    }
-
-    Tick submit = ctx.timing.params().flashSubmitCpuNs;
-    ctx.cpu.charge(CpuRole::IoSubmit, submit);
-    if (synchronous)
-        ctx.clock.advance(submit);
-    ctx.activity.flashWriteBytes += u.csize;
-
-    for (PageMeta *p : u.pages) {
-        stagingBuf.invalidate(*p);
-        telemetry::journeyMark(p->key.uid, p->key.pfn,
-                               telemetry::JourneyStep::Writeback,
-                               ctx.clock.now(), u.csize);
-        p->location = PageLocation::Flash;
-        p->flashSlot = slot;
-    }
-    pool.erase(u.object);
-    u.object = invalidObject;
-    u.flashSlot = slot;
-    return true;
-}
-
-bool
-AriadneScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
-{
-    auto pop_valid =
-        [this](std::deque<std::pair<UnitId, Sector>> &fifo) -> UnitId {
-        while (!fifo.empty()) {
-            auto [id, sector] = fifo.front();
-            fifo.pop_front();
-            if (units.live(id) &&
-                units.unit(id).object != invalidObject &&
-                pool.sectorOf(units.unit(id).object) == sector) {
-                return id;
-            }
-        }
-        return invalidUnit;
-    };
-
-    while (!pool.canFit(csize)) {
-        // Cold data is swapped out first (§4.2 eviction policy).
-        UnitId id = pop_valid(coldUnitFifo);
-        if (id == invalidUnit)
-            id = pop_valid(pageUnitFifo);
-        if (id == invalidUnit)
-            return false;
-        writebackUnit(id, synchronous);
-    }
-    return true;
-}
-
 void
 AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
                             bool synchronous)
@@ -209,41 +139,52 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
         refs.push_back(PageRef{p->key, p->version});
     std::size_t csize = ctx.compressor.compressedSize(refs, *codec, chunk);
 
-    if (!ensureZpoolSpace(csize, synchronous)) {
-        for (PageMeta *p : batch) {
+    auto moved = [this](std::uint64_t id, FlashSlot slot) {
+        CompUnit &u = units.unit(id);
+        for (PageMeta *p : u.pages) {
+            stagingBuf.invalidate(*p);
+            if (slot == invalidFlashSlot) {
+                losePage(*p);
+                continue;
+            }
             telemetry::journeyMark(p->key.uid, p->key.pfn,
-                                   telemetry::JourneyStep::Lost,
-                                   ctx.clock.now());
-            p->location = PageLocation::Lost;
-            ++lost;
+                                   telemetry::JourneyStep::Writeback,
+                                   ctx.clock.now(), u.csize);
+            p->location = PageLocation::Flash;
+            p->flashSlot = slot;
+        }
+        if (slot == invalidFlashSlot)
+            units.destroy(id); // swap space exhausted: data loss
+        else
+            u.object = invalidObject;
+    };
+    if (!store.makeRoom(csize, synchronous, moved)) {
+        for (PageMeta *p : batch) {
+            losePage(*p);
             ctx.dram.release(1);
         }
         return;
     }
 
-    for (PageMeta *p : batch) {
-        if (p->predictionArmed) {
-            pendingPredictions.erase(p);
-            p->predictionArmed = false;
-        }
-    }
     UnitId id = units.create(std::move(batch), chunk, csize, level,
                              invalidObject);
     CompUnit &u = units.unit(id);
-    ZObjectId obj = pool.insert(csize, id);
-    panicIf(obj == invalidObject,
-            "zpool insert failed after ensureZpoolSpace");
-    u.object = obj;
+    // Cold data is swapped out first (§4.2 eviction policy).
+    u.object = store.put(csize, id,
+                         level == Hotness::Cold
+                             ? CompressedStore::SpillClass::First
+                             : CompressedStore::SpillClass::Later);
 
     for (PageMeta *p : u.pages) {
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Zram,
                                ctx.clock.now(), csize);
         p->location = PageLocation::Zpool;
+        if (p->predictionArmed) {
+            pendingPredictions.erase(p);
+            p->predictionArmed = false;
+        }
     }
-
-    (level == Hotness::Cold ? coldUnitFifo : pageUnitFifo)
-        .emplace_back(id, pool.sectorOf(obj));
 
     chargeCompression(uid, codec->cost(), chunk, in_bytes, csize,
                       synchronous);
@@ -339,6 +280,7 @@ AriadneScheme::firePrediction(PageMeta &page)
 void
 AriadneScheme::tryStage(ZObjectId obj)
 {
+    const Zpool &pool = store.zpool();
     if (obj == invalidObject || !pool.live(obj))
         return;
     UnitId id = pool.cookie(obj);
@@ -379,7 +321,7 @@ AriadneScheme::tryStage(ZObjectId obj)
             return;
     }
     AppId uid = u.pages.front()->key.uid;
-    pool.erase(u.object);
+    store.discard(u.object);
     u.object = invalidObject;
     chargeDecompression(uid, codec->cost(), u.chunkBytes,
                         u.uncompressedBytes(), u.csize,
@@ -395,6 +337,7 @@ AriadneScheme::tryStage(ZObjectId obj)
 SwapInResult
 AriadneScheme::swapIn(PageMeta &page)
 {
+    telemetry::ScopedSpan span(CompressedStore::swapInSpan());
     SwapInResult res;
     Stopwatch sw(ctx.clock);
     AppId uid = page.key.uid;
@@ -404,8 +347,8 @@ AriadneScheme::swapIn(PageMeta &page)
         stagingBuf.consume(page);
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
-        ZObjectId next = pool.nextInSectorOrder(u.object);
-        pool.erase(u.object);
+        ZObjectId next = store.zpool().nextInSectorOrder(u.object);
+        store.discard(u.object);
         units.destroy(id);
 
         // The decompression already ran off the critical path and the
@@ -427,58 +370,38 @@ AriadneScheme::swapIn(PageMeta &page)
         return res;
     }
 
+    panicIf(page.location != PageLocation::Zpool &&
+                page.location != PageLocation::Flash,
+            "AriadneScheme::swapIn on resident/lost page");
     Tick fault = ctx.timing.params().majorFaultBaseNs;
     ctx.cpu.charge(CpuRole::FaultPath, fault);
     ctx.clock.advance(fault);
 
+    UnitId id = page.objectId;
+    CompUnit &u = units.unit(id);
+    ZObjectId next = invalidObject;
     if (page.location == PageLocation::Zpool) {
-        UnitId id = page.objectId;
-        CompUnit &u = units.unit(id);
         faultsPerLevel[static_cast<std::size_t>(
             u.levelAtCompression)] += 1;
-
         // Find the speculation candidate before the object vanishes.
-        ZObjectId next = pool.nextInSectorOrder(u.object);
-
-        pool.erase(u.object);
+        next = store.zpool().nextInSectorOrder(u.object);
+        store.swapInZpool(u.object);
         u.object = invalidObject;
-        chargeDecompression(uid, codec->cost(), u.chunkBytes,
-                            u.uncompressedBytes(), u.csize, true);
-        residentizeUnit(u, &page);
-        units.destroy(id);
-
-        if (cfg.preDecompEnabled)
-            tryStage(next);
-    } else if (page.location == PageLocation::Flash) {
-        UnitId id = page.objectId;
-        CompUnit &u = units.unit(id);
-        flashDev.read(u.flashSlot);
-        flashDev.free(u.flashSlot);
-
-        std::size_t csize_pages = (u.csize + pageSize - 1) / pageSize;
-        Tick submit = ctx.timing.params().flashSubmitCpuNs;
-        ctx.cpu.charge(CpuRole::IoSubmit, submit);
-        ctx.clock.advance(submit + ctx.timing.flashReadNs(csize_pages));
-        ctx.activity.flashReadBytes += u.csize;
-
-        chargeDecompression(uid, codec->cost(), u.chunkBytes,
-                            u.uncompressedBytes(), u.csize, true);
-        residentizeUnit(u, &page);
-        units.destroy(id);
-        res.fromFlash = true;
     } else {
-        panic("AriadneScheme::swapIn on resident/lost page");
+        store.swapInFlash(page.flashSlot,
+                          (u.csize + pageSize - 1) / pageSize);
+        res.fromFlash = true;
     }
+    chargeDecompression(uid, codec->cost(), u.chunkBytes,
+                        u.uncompressedBytes(), u.csize, true);
+    residentizeUnit(u, &page);
+    units.destroy(id);
+    if (cfg.preDecompEnabled)
+        tryStage(next);
 
     chargeLruOps();
     res.latencyNs = sw.elapsed();
     return res;
-}
-
-std::size_t
-AriadneScheme::compressedStoredBytes() const
-{
-    return pool.storedBytes() + flashDev.liveBytes();
 }
 
 } // namespace ariadne

@@ -12,19 +12,17 @@
  *    sector order into a small staging buffer during faults, hiding
  *    decompression latency behind application work.
  *
- * When the zpool fills, compressed *cold* units spill to flash first
- * (the paper's "cold data is swapped out first" policy), keeping
- * writes small because they are compressed.
+ * When the zpool fills, the compressed store spills *cold* units to
+ * flash first (the paper's "cold data is swapped out first" policy),
+ * keeping writes small because they are compressed.
  */
 
 #ifndef ARIADNE_CORE_ARIADNE_HH
 #define ARIADNE_CORE_ARIADNE_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 
 #include "compress/registry.hh"
 #include "core/adaptive_comp.hh"
@@ -32,6 +30,7 @@
 #include "core/hotness_org.hh"
 #include "core/predecomp.hh"
 #include "core/profile_store.hh"
+#include "swap/compressed_store.hh"
 #include "swap/scheme.hh"
 #include "swap/scheme_registry.hh"
 
@@ -55,9 +54,13 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void onRelaunchEnd(AppId uid) override;
     void onBackground(AppId uid) override;
 
-    std::size_t compressedStoredBytes() const override;
-    const Zpool *zpool() const override { return &pool; }
-    const FlashDevice *flash() const override { return &flashDev; }
+    std::size_t
+    compressedStoredBytes() const override
+    {
+        return store.storedBytes();
+    }
+    const Zpool *zpool() const override { return &store.zpool(); }
+    const FlashDevice *flash() const override { return store.flash(); }
 
     /** Hotness capability (profile seeding, Fig. 14 scoring). */
     HotnessAware *hotness() noexcept override { return this; }
@@ -103,12 +106,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void compressUnit(std::vector<PageMeta *> batch, Hotness level,
                       bool synchronous);
 
-    /** Spill compressed units to flash until @p csize fits. */
-    bool ensureZpoolSpace(std::size_t csize, bool synchronous);
-
-    /** Write one unit's object back to flash; pages -> Flash. */
-    bool writebackUnit(UnitId id, bool synchronous);
-
     /** Try to stage / pre-swap the data owning zpool object @p obj. */
     void tryStage(ZObjectId obj);
 
@@ -123,20 +120,12 @@ class AriadneScheme : public SwapScheme, public HotnessAware
 
     AriadneConfig cfg;
     std::unique_ptr<Codec> codec;
-    Zpool pool;
-    FlashDevice flashDev;
+    /** Objects are CompUnits; a cookie is the unit's id. */
+    CompressedStore store;
     ProfileStore profiles;
     HotnessOrg hotOrg;
     AdaptiveComp units;
     PreDecomp stagingBuf;
-
-    /**
-     * Writeback order: cold units first, then warm/hot units. An entry
-     * names one insertion, (unit, zpool sector): AdaptiveComp recycles
-     * unit ids, so a bare id could name a newer unit.
-     */
-    std::deque<std::pair<UnitId, Sector>> coldUnitFifo;
-    std::deque<std::pair<UnitId, Sector>> pageUnitFifo;
 
     std::array<std::uint64_t, 3> faultsPerLevel{};
 

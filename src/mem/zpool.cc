@@ -166,7 +166,8 @@ Zpool::canFit(std::size_t csize) const
 }
 
 ZObjectId
-Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
+Zpool::insert(std::size_t csize, std::uint64_t cookie_value,
+              std::uint8_t tag_value)
 {
     const Sector sector = sectorObjects.size();
     if (csize > blockBytes) {
@@ -181,7 +182,8 @@ Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
             clearBlockFree(b);
         return addObject(
             {start, 0, true, static_cast<std::uint8_t>(span),
-             static_cast<std::uint32_t>(csize), cookie_value, sector});
+             static_cast<std::uint32_t>(csize), tag_value, cookie_value,
+             sector});
     }
 
     std::size_t clazz = classIndex(csize);
@@ -205,8 +207,8 @@ Zpool::insert(std::size_t csize, std::uint64_t cookie_value)
     if (mask == fullMask(clazz))
         openBlock[clazz] = UINT32_MAX; // block full
     return addObject({block_idx, slot, true, 0,
-                      static_cast<std::uint32_t>(csize), cookie_value,
-                      sector});
+                      static_cast<std::uint32_t>(csize), tag_value,
+                      cookie_value, sector});
 }
 
 void
@@ -262,6 +264,13 @@ Zpool::cookie(ZObjectId id) const
 {
     panicIf(!live(id), "cookie of dead object");
     return objects[id].cookie;
+}
+
+std::uint8_t
+Zpool::tag(ZObjectId id) const
+{
+    panicIf(!live(id), "tag of dead object");
+    return objects[id].tag;
 }
 
 Sector

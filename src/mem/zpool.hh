@@ -66,9 +66,12 @@ class Zpool
     /**
      * Store an object of @p csize bytes; panics above maxObjectBytes.
      * @param cookie Caller-owned tag (schemes store their unit id).
+     * @param tag Caller-owned class (the compressed store's spill
+     * class).
      * @return handle, or invalidObject when the pool cannot fit it.
      */
-    ZObjectId insert(std::size_t csize, std::uint64_t cookie);
+    ZObjectId insert(std::size_t csize, std::uint64_t cookie,
+                     std::uint8_t tag = 0);
 
     /** Remove an object and free its slot/blocks. */
     void erase(ZObjectId id);
@@ -82,8 +85,22 @@ class Zpool
     /** Caller cookie of an object. */
     std::uint64_t cookie(ZObjectId id) const;
 
+    /** Caller class of an object. */
+    std::uint8_t tag(ZObjectId id) const;
+
     /** Swap-device sector assigned to an object at insertion. */
     Sector sectorOf(ZObjectId id) const;
+
+    /** Sectors handed out so far: one per insert, never reused. */
+    Sector sectorCount() const noexcept { return sectorObjects.size(); }
+
+    /** The live object at @p sector (below sectorCount()), or
+     * invalidObject once it was erased. */
+    ZObjectId
+    objectAt(Sector sector) const noexcept
+    {
+        return sectorObjects[sector];
+    }
 
     /**
      * The live object at the next position in sector order, i.e.\ the
@@ -139,6 +156,7 @@ class Zpool
         bool liveFlag = false;
         std::uint8_t span = 0; //!< >0 marks a huge object
         std::uint32_t csize = 0;
+        std::uint8_t tag = 0;
         std::uint64_t cookie = 0;
         Sector sector = invalidSector; //!< swap-slot sequence number
     };

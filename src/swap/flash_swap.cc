@@ -49,11 +49,7 @@ FlashSwapScheme::evict(PageMeta &victim, bool synchronous)
     if (slot == invalidFlashSlot) {
         // Swap space exhausted: data dropped.
         c_swapoutDropped.add();
-        telemetry::journeyMark(victim.key.uid, victim.key.pfn,
-                               telemetry::JourneyStep::Lost,
-                               ctx.clock.now());
-        victim.location = PageLocation::Lost;
-        ++lost;
+        losePage(victim);
         return;
     }
     c_swapout.add();

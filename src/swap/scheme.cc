@@ -1,6 +1,7 @@
 #include "swap/scheme.hh"
 
 #include "sim/log.hh"
+#include "telemetry/journey.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne
@@ -99,6 +100,17 @@ SwapScheme::allocateResident()
     reclaim(reclaimBatchPages, /*direct=*/true);
     panicIf(!ctx.dram.allocate(1),
             "direct reclaim failed to free memory");
+}
+
+void
+SwapScheme::losePage(PageMeta &page)
+{
+    telemetry::journeyMark(page.key.uid, page.key.pfn,
+                           telemetry::JourneyStep::Lost,
+                           ctx.clock.now());
+    page.location = PageLocation::Lost;
+    page.objectId = invalidObject;
+    ++lost;
 }
 
 void

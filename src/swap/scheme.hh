@@ -10,7 +10,8 @@
  * FlashSwapScheme ("SWAP"), ZramScheme ("ZRAM", optionally with
  * ZSWAP-style writeback) and core/AriadneScheme. FlashSwapScheme and
  * ZramScheme share their per-app LRU reclaim through LruScheme
- * (lru_scheme.hh).
+ * (lru_scheme.hh); ZramScheme and AriadneScheme keep their compressed
+ * data in one CompressedStore (compressed_store.hh).
  */
 
 #ifndef ARIADNE_SWAP_SCHEME_HH
@@ -210,6 +211,10 @@ class SwapScheme
                              std::size_t out_bytes,
                              std::size_t stored_bytes,
                              bool synchronous);
+
+    /** Drop @p page's data under extreme pressure: it becomes Lost
+     * and counts in lostPages(). */
+    void losePage(PageMeta &page);
 
     /**
      * Charge accumulated LRU operations since the last call. List

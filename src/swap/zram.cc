@@ -7,24 +7,10 @@
 namespace ariadne
 {
 
-namespace
-{
-
-telemetry::Counter c_compressOut("zram.compress_out");
-telemetry::Counter c_writeback("zram.writeback");
-telemetry::Counter c_dropped("zram.dropped");
-telemetry::Counter c_swapinZpool("zram.swapin_zpool");
-telemetry::Counter c_swapinFlash("zram.swapin_flash");
-telemetry::SpanProbe d_swapin("zram.swapin");
-
-} // namespace
-
 ZramScheme::ZramScheme(SwapContext context, ZramConfig config)
     : LruScheme(context), cfg(config), codec(makeCodec(CodecKind::Lzo)),
-      pool(cfg.zpoolBytes)
+      store(context, cfg.zpoolBytes, cfg.writeback ? cfg.flashBytes : 0)
 {
-    if (cfg.writeback)
-        flashDev = std::make_unique<FlashDevice>(cfg.flashBytes);
 }
 
 std::string
@@ -81,88 +67,38 @@ zswapSchemeInfo()
     return zramFamilyInfo(/*writeback=*/true);
 }
 
-bool
-ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
-{
-    while (!pool.canFit(csize)) {
-        // Oldest live compressed object; skip stale FIFO entries.
-        PageMeta *victim = nullptr;
-        ZObjectId obj = invalidObject;
-        while (!compressedFifo.empty()) {
-            auto [candidate, owner] = compressedFifo.front();
-            compressedFifo.pop_front();
-            if (pool.live(candidate) &&
-                pool.cookie(candidate) ==
-                    reinterpret_cast<std::uint64_t>(owner)) {
-                obj = candidate;
-                victim = const_cast<PageMeta *>(owner);
-                break;
-            }
-        }
-        if (!victim)
-            return false;
-
-        std::size_t obj_size = pool.objectSize(obj);
-        if (cfg.writeback && flashDev) {
-            FlashSlot slot = flashDev->write(obj_size);
-            if (slot != invalidFlashSlot) {
-                Tick submit = ctx.timing.params().flashSubmitCpuNs;
-                ctx.cpu.charge(CpuRole::IoSubmit, submit);
-                if (synchronous)
-                    ctx.clock.advance(submit);
-                ctx.activity.flashWriteBytes += obj_size;
-                c_writeback.add();
-                telemetry::journeyMark(
-                    victim->key.uid, victim->key.pfn,
-                    telemetry::JourneyStep::Writeback,
-                    ctx.clock.now());
-                victim->location = PageLocation::Flash;
-                victim->flashSlot = slot;
-                victim->objectId = invalidObject;
-                pool.erase(obj);
-                continue;
-            }
-        }
-        // No writeback possible: data is dropped (§2.2 — the system
-        // deletes inactive compressed data, risking app termination).
-        c_dropped.add();
-        telemetry::journeyMark(victim->key.uid, victim->key.pfn,
-                               telemetry::JourneyStep::Lost,
-                               ctx.clock.now());
-        victim->location = PageLocation::Lost;
-        victim->objectId = invalidObject;
-        ++lost;
-        pool.erase(obj);
-    }
-    return true;
-}
-
 void
 ZramScheme::evict(PageMeta &victim, bool synchronous)
 {
-    c_compressOut.add();
     PageRef ref{victim.key, victim.version};
     std::size_t csize =
         ctx.compressor.compressedSize({&ref, 1}, *codec, pageSize);
-    if (!ensureZpoolSpace(csize, synchronous)) {
-        telemetry::journeyMark(victim.key.uid, victim.key.pfn,
-                               telemetry::JourneyStep::Lost,
+    auto moved = [this](std::uint64_t cookie, FlashSlot slot) {
+        auto &page = *reinterpret_cast<PageMeta *>(cookie);
+        if (slot == invalidFlashSlot) {
+            losePage(page);
+            return;
+        }
+        telemetry::journeyMark(page.key.uid, page.key.pfn,
+                               telemetry::JourneyStep::Writeback,
                                ctx.clock.now());
-        victim.location = PageLocation::Lost;
-        ++lost;
+        page.location = PageLocation::Flash;
+        page.flashSlot = slot;
+        page.objectId = invalidObject;
+    };
+    if (!store.makeRoom(csize, synchronous, moved)) {
+        losePage(victim);
         return;
     }
     ZObjectId obj =
-        pool.insert(csize, reinterpret_cast<std::uint64_t>(&victim));
-    panicIf(obj == invalidObject,
-            "zpool insert failed after ensureZpoolSpace");
+        store.put(csize, reinterpret_cast<std::uint64_t>(&victim),
+                  CompressedStore::SpillClass::First);
 
     telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                            telemetry::JourneyStep::Zram,
                            ctx.clock.now(), csize);
     victim.location = PageLocation::Zpool;
     victim.objectId = obj;
-    compressedFifo.emplace_back(obj, &victim);
     compLog.push_back(CompressionEvent{victim.key, victim.truth});
 
     chargeCompression(victim.key.uid, codec->cost(), pageSize,
@@ -188,7 +124,7 @@ ZramScheme::onBackground(AppId uid)
 SwapInResult
 ZramScheme::swapIn(PageMeta &page)
 {
-    telemetry::ScopedSpan span(d_swapin);
+    telemetry::ScopedSpan span(CompressedStore::swapInSpan());
     SwapInResult res;
     Stopwatch sw(ctx.clock);
 
@@ -196,30 +132,20 @@ ZramScheme::swapIn(PageMeta &page)
     ctx.cpu.charge(CpuRole::FaultPath, fault);
     ctx.clock.advance(fault);
 
+    std::size_t csize = 0;
     if (page.location == PageLocation::Zpool) {
-        c_swapinZpool.add();
-        sectorLog.push_back(pool.sectorOf(page.objectId));
-        std::size_t csize = pool.objectSize(page.objectId);
-        pool.erase(page.objectId);
+        sectorLog.push_back(store.zpool().sectorOf(page.objectId));
+        csize = store.swapInZpool(page.objectId);
         page.objectId = invalidObject;
-        chargeDecompression(page.key.uid, codec->cost(), pageSize,
-                            pageSize, csize, true);
     } else if (page.location == PageLocation::Flash) {
-        c_swapinFlash.add();
-        panicIf(!flashDev, "flash swap-in without writeback device");
-        std::size_t csize = flashDev->read(page.flashSlot);
-        flashDev->free(page.flashSlot);
+        csize = store.swapInFlash(page.flashSlot, 1);
         page.flashSlot = invalidFlashSlot;
-        Tick submit = ctx.timing.params().flashSubmitCpuNs;
-        ctx.cpu.charge(CpuRole::IoSubmit, submit);
-        ctx.clock.advance(submit + ctx.timing.flashReadNs(1));
-        ctx.activity.flashReadBytes += csize;
-        chargeDecompression(page.key.uid, codec->cost(), pageSize,
-                            pageSize, csize, true);
         res.fromFlash = true;
     } else {
         panic("ZramScheme::swapIn on page not in zpool/flash");
     }
+    chargeDecompression(page.key.uid, codec->cost(), pageSize, pageSize,
+                        csize, true);
 
     // When memory is full, on-demand compression makes room (§2.3,
     // Fig. 2): this is the direct-reclaim cost ZRAM adds to relaunches.
@@ -227,15 +153,6 @@ ZramScheme::swapIn(PageMeta &page)
 
     res.latencyNs = sw.elapsed();
     return res;
-}
-
-std::size_t
-ZramScheme::compressedStoredBytes() const
-{
-    std::size_t total = pool.storedBytes();
-    if (flashDev)
-        total += flashDev->liveBytes();
-    return total;
 }
 
 } // namespace ariadne

@@ -14,11 +14,11 @@
 #ifndef ARIADNE_SWAP_ZRAM_HH
 #define ARIADNE_SWAP_ZRAM_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "compress/registry.hh"
+#include "swap/compressed_store.hh"
 #include "swap/lru_scheme.hh"
 #include "swap/scheme_registry.hh"
 
@@ -55,9 +55,13 @@ class ZramScheme : public LruScheme
     SwapInResult swapIn(PageMeta &page) override;
     void onBackground(AppId uid) override;
 
-    std::size_t compressedStoredBytes() const override;
-    const Zpool *zpool() const override { return &pool; }
-    const FlashDevice *flash() const override { return flashDev.get(); }
+    std::size_t
+    compressedStoredBytes() const override
+    {
+        return store.storedBytes();
+    }
+    const Zpool *zpool() const override { return &store.zpool(); }
+    const FlashDevice *flash() const override { return store.flash(); }
 
     /** Compression-order log: (sequence number, page, truth). Feeds
      * the Fig. 4 decile analysis. */
@@ -89,22 +93,13 @@ class ZramScheme : public LruScheme
     }
 
   private:
-    /** Compress one victim page into the pool (or spill/lose it). */
+    /** Compress one victim page into the store (or lose it). */
     void evict(PageMeta &victim, bool synchronous) override;
-
-    /**
-     * Make room in the zpool for an object of @p csize, evicting (or
-     * writing back) oldest compressed objects.
-     * @return false when space cannot be found.
-     */
-    bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 
     ZramConfig cfg;
     std::unique_ptr<Codec> codec;
-    Zpool pool;
-    std::unique_ptr<FlashDevice> flashDev;
-    /** Compressed objects in insertion order with owner cross-check. */
-    std::deque<std::pair<ZObjectId, const PageMeta *>> compressedFifo;
+    /** Objects are single pages; a cookie is the page's address. */
+    CompressedStore store;
 
     std::vector<CompressionEvent> compLog;
     std::vector<Sector> sectorLog;
