@@ -168,6 +168,8 @@ TEST(CompressedStore, WritesBackWhileFlashAcceptsThenDrops)
     ASSERT_TRUE(no_flash.makeRoom(block, false, dropped.recorder()));
     EXPECT_EQ(dropped.slots, (std::vector<FlashSlot>{invalidFlashSlot}));
     EXPECT_EQ(no_flash.storedBytes(), 0u);
+    // Nothing is left to spill, and 2 blocks never fit a 1-block pool.
+    EXPECT_FALSE(no_flash.makeRoom(2 * block, false, dropped.recorder()));
 }
 
 TEST(CompressedStore, DroppedPagesAreLostAndCounted)
