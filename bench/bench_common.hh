@@ -2,14 +2,15 @@
  * @file
  * Shared helpers for the experiment harnesses.
  *
- * Every bench binary reproduces one table or figure of the paper. A
- * bench describes its runs as named driver::ScenarioSpec variants at
- * the standard evaluation scale, executes them through the
- * FleetRunner (a single-session fleet with the shared eval seed
- * reproduces the legacy hand-rolled bench loops bit-for-bit), prints
- * results side by side with the paper's reference values, and — via
- * BenchReport — emits a machine-readable JSON report next to the
- * table when invoked with `--json FILE`.
+ * Every bench binary reproduces tables or figures of the paper: the
+ * claims runner (claims.cpp) runs the figures that the sweep config
+ * language expresses, and one program per figure drives the rest
+ * through session hooks. A program describes its runs as named
+ * driver::ScenarioSpec variants at the standard evaluation scale,
+ * executes them through the FleetRunner (a single-session fleet with
+ * the shared eval seed), and prints its tables and the verdicts of
+ * the paper's claims through a Ledger, which also writes both as JSON
+ * when the binary was invoked with `--json FILE`.
  *
  * Bench specs flow through the same pluggable workload layer as the
  * CLI (driver/workload_source.hh): the default `workload = profiles`
@@ -33,6 +34,7 @@
 #include "analysis/report.hh"
 #include "driver/fleet_runner.hh"
 #include "driver/json_writer.hh"
+#include "report/claims.hh"
 #include "sys/session.hh"
 #include "workload/apps.hh"
 
@@ -74,19 +76,6 @@ makeSpec(const std::string &scheme, const std::string &ariadne_cfg = "")
     return spec;
 }
 
-/** Spec for the §5 target-relaunch scenario of one app. */
-inline driver::ScenarioSpec
-targetSpec(std::string name, const std::string &scheme,
-           const std::string &app_name, unsigned variant = 0,
-           const std::string &ariadne_cfg = "")
-{
-    driver::ScenarioSpec spec = makeSpec(scheme, ariadne_cfg);
-    spec.name = std::move(name);
-    spec.program.push_back(
-        driver::Event::targetScenario(app_name, variant));
-    return spec;
-}
-
 /**
  * Run one variant as a single-session fleet (the legacy bench
  * methodology), keeping the session record so benches can read
@@ -98,6 +87,158 @@ runVariant(driver::ScenarioSpec spec,
 {
     return driver::FleetRunner(std::move(spec), std::move(hooks))
         .run(1, 1, /*keep_sessions=*/true);
+}
+
+/**
+ * Prints a bench's tables and claim rows, and with `--json FILE`
+ * writes both to FILE as
+ *
+ *     {"tables": {FIGURE: {LABEL: [rows]}}, "claims": [rows]}
+ *
+ * with claim rows as report::writeJson(Claim) emits them. A figure's
+ * claim rows print as one table after its own tables; a value prints
+ * with 2 decimals in %, none in MB and 3 otherwise.
+ */
+class Ledger
+{
+  public:
+    /**
+     * Parses `--json FILE`. Other arguments are appended to @p inputs;
+     * when @p inputs is null they print usage and exit(2).
+     */
+    Ledger(int argc, char **argv,
+           std::vector<std::string> *inputs = nullptr)
+    {
+        for (int i = 1; i < argc; ++i) {
+            if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
+                jsonPath = argv[++i];
+            } else if (inputs && argv[i][0] != '-') {
+                inputs->push_back(argv[i]);
+            } else {
+                std::cerr << "usage: " << argv[0]
+                          << (inputs ? " FILE.cfg..." : "")
+                          << " [--json FILE]\n";
+                std::exit(2);
+            }
+        }
+    }
+
+    /** Close the open figure and open @p figure under a banner. Its
+     * claims are stamped with @p scale. */
+    void
+    begin(std::string figure, const std::string &title,
+          double scale = evalScale)
+    {
+        printClaims();
+        figures.push_back({std::move(figure), scale, {}});
+        printBanner(std::cout, title);
+    }
+
+    /** Print @p t and record it under @p label. */
+    void
+    table(std::string label, const ReportTable &t)
+    {
+        t.print(std::cout);
+        figures.back().tables.emplace_back(std::move(label), t);
+    }
+
+    /** Record a claim of the open figure (printed when it closes). */
+    void
+    claim(report::Claim c)
+    {
+        c.figure = figures.back().name;
+        c.scale = figures.back().scale;
+        claims.push_back(std::move(c));
+    }
+
+    /**
+     * Close the open figure and write the JSON file if asked to.
+     * @return the bench's exit code (non-zero when the file could not
+     *         be written).
+     */
+    int
+    finish()
+    {
+        printClaims();
+        if (jsonPath.empty())
+            return 0;
+        std::ofstream out(jsonPath);
+        if (!out) {
+            std::cerr << "cannot write " << jsonPath << "\n";
+            return 1;
+        }
+        driver::JsonWriter w(out);
+        w.beginObject();
+        w.key("tables");
+        w.beginObject();
+        for (const Figure &f : figures) {
+            w.key(f.name);
+            w.beginObject();
+            for (const auto &[label, t] : f.tables) {
+                w.key(label);
+                driver::writeJson(w, t);
+            }
+            w.endObject();
+        }
+        w.endObject();
+        w.key("claims");
+        w.beginArray();
+        for (const report::Claim &c : claims)
+            report::writeJson(w, c);
+        w.endArray();
+        w.endObject();
+        out << "\n";
+        return out ? 0 : 1;
+    }
+
+  private:
+    void
+    printClaims()
+    {
+        if (printed == claims.size())
+            return;
+        ReportTable t({"Claim", "Reproduced", "Min..max", "n", "Paper",
+                       "Kind", "Verdict"});
+        for (; printed < claims.size(); ++printed) {
+            const report::Claim &c = claims[printed];
+            int digits = c.unit == "%" ? 2 : c.unit == " MB" ? 0 : 3;
+            report::ClaimSpread s = c.spread();
+            t.addRow({c.text, ReportTable::num(s.mean, digits) + c.unit,
+                      ReportTable::num(s.min, digits) + ".." +
+                          ReportTable::num(s.max, digits),
+                      std::to_string(s.n), c.paperText(),
+                      c.kind == report::ClaimKind::Input ? "input"
+                                                         : "emergent",
+                      c.reproduced() ? "reproduced" : "NOT reproduced"});
+        }
+        std::cout << "\n";
+        t.print(std::cout);
+    }
+
+    struct Figure
+    {
+        std::string name;
+        double scale;
+        std::vector<std::pair<std::string, ReportTable>> tables;
+    };
+
+    std::string jsonPath;
+    std::vector<Figure> figures;
+    std::vector<report::Claim> claims;
+    std::size_t printed = 0;
+};
+
+/** Spec for the §5 target-relaunch scenario of one app. */
+inline driver::ScenarioSpec
+targetSpec(std::string name, const std::string &scheme,
+           const std::string &app_name, unsigned variant = 0,
+           const std::string &ariadne_cfg = "")
+{
+    driver::ScenarioSpec spec = makeSpec(scheme, ariadne_cfg);
+    spec.name = std::move(name);
+    spec.program.push_back(
+        driver::Event::targetScenario(app_name, variant));
+    return spec;
 }
 
 /** The single session of a runVariant() result. */

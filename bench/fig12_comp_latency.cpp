@@ -44,10 +44,21 @@ struct Corpus
 int
 main(int argc, char **argv)
 {
-    BenchReport report("fig12", argc, argv);
-    printBanner(std::cout,
-                "Fig. 12: comp/decomp latency (ms) of each app's "
-                "trace data under the schemes' chunk policies (LZO)");
+    Ledger out(argc, argv);
+    out.begin("fig12", "Fig. 12: comp/decomp latency (ms) of each app's "
+                       "trace data under the schemes' chunk policies "
+                       "(LZO)");
+    report::Claim decomp_cut{
+        .text = "Small chunks cut relaunch decompression: Ariadne over "
+                "ZRAM, every app",
+        .rule = report::ClaimRule::Below,
+        .paper = 1,
+        .unit = "x"};
+    report::Claim comp_kept{
+        .text = "Cold chunks keep compression comparable: Ariadne over "
+                "ZRAM, every app",
+        .paper = 1,
+        .unit = "x"};
 
     TimingModel timing;
     auto codec = makeCodec(CodecKind::Lzo);
@@ -83,7 +94,7 @@ main(int argc, char **argv)
                 c.warmBytes = inst.warmSet().size() * pageSize;
                 c.coldBytes = inst.coldSet().size() * pageSize;
             };
-        report.add(runVariant(std::move(spec), {probe}));
+        runVariant(std::move(spec), {probe});
 
         std::size_t total = c.hotBytes + c.warmBytes + c.coldBytes;
         std::size_t relaunch_relevant = c.hotBytes + c.warmBytes;
@@ -122,13 +133,13 @@ main(int argc, char **argv)
                 1e6 / evalScale;
             row.push_back(ReportTable::num(comp, 1));
             row.push_back(ReportTable::num(decomp, 2));
+            comp_kept.values.push_back(comp / zram_comp);
+            decomp_cut.values.push_back(decomp / zram_decomp);
         }
         table.addRow(std::move(row));
     }
-    table.print(std::cout);
-    std::cout << "\nSmall-size chunks cut decompression latency for "
-                 "relaunch data sharply; large-size cold compression "
-                 "keeps total compression latency competitive.\n";
-    report.addTable("comp_decomp_latency_ms", table);
-    return report.finish();
+    out.table("comp_decomp_latency_ms", table);
+    out.claim(std::move(decomp_cut));
+    out.claim(std::move(comp_kept));
+    return out.finish();
 }

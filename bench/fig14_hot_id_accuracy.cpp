@@ -22,9 +22,9 @@ using namespace ariadne::bench;
 int
 main(int argc, char **argv)
 {
-    BenchReport report("fig14", argc, argv);
-    printBanner(std::cout, "Fig. 14: coverage and accuracy of hot "
-                           "data identification (Ariadne)");
+    Ledger out(argc, argv);
+    out.begin("fig14", "Fig. 14: coverage and accuracy of hot data "
+                       "identification (Ariadne)");
 
     ReportTable table({"App", "Coverage", "Accuracy"});
     double cov_sum = 0.0, acc_sum = 0.0;
@@ -78,7 +78,7 @@ main(int argc, char **argv)
                     predictionCoverage(predicted, relaunch_used);
                 accuracy = predictionAccuracy(predicted, used);
             };
-        report.add(runVariant(std::move(spec), {score}));
+        runVariant(std::move(spec), {score});
 
         table.addRow({profile.name, ReportTable::num(coverage, 2),
                       ReportTable::num(accuracy, 2)});
@@ -86,12 +86,12 @@ main(int argc, char **argv)
         acc_sum += accuracy;
         ++n;
     }
-    table.print(std::cout);
-    std::cout << "\nAverage coverage "
-              << ReportTable::num(cov_sum / static_cast<double>(n), 2)
-              << " (paper: ~0.70), average accuracy "
-              << ReportTable::num(acc_sum / static_cast<double>(n), 2)
-              << " (paper: ~0.92)\n";
-    report.addTable("coverage_accuracy", table);
-    return report.finish();
+    out.table("coverage_accuracy", table);
+    out.claim({.text = "Coverage, mean of apps",
+               .paper = 0.70,
+               .values = {cov_sum / static_cast<double>(n)}});
+    out.claim({.text = "Accuracy, mean of apps",
+               .paper = 0.92,
+               .values = {acc_sum / static_cast<double>(n)}});
+    return out.finish();
 }

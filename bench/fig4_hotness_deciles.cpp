@@ -12,6 +12,8 @@
  * vocabulary measures latencies, not analysis logs).
  */
 
+#include <algorithm>
+
 #include "analysis/hotness_dist.hh"
 #include "bench_common.hh"
 #include "swap/zram.hh"
@@ -22,9 +24,14 @@ using namespace ariadne::bench;
 int
 main(int argc, char **argv)
 {
-    BenchReport report("fig4", argc, argv);
-    printBanner(std::cout, "Fig. 4: hot/warm/cold share per "
-                           "compression-order decile (ZRAM)");
+    Ledger out(argc, argv);
+    out.begin("fig4", "Fig. 4: hot/warm/cold share per "
+                      "compression-order decile (ZRAM)");
+    report::Claim early{
+        .text = "Part 0's hot share over the stream's, every app",
+        .rule = report::ClaimRule::Above,
+        .paper = 1,
+        .unit = "x"};
 
     for (const auto &name : plottedApps()) {
         AppId target = standardApp(name).uid;
@@ -43,7 +50,7 @@ main(int argc, char **argv)
                         stream.push_back(ev.truthAtCompression);
                 }
             };
-        report.add(runVariant(std::move(spec), {read_log}));
+        runVariant(std::move(spec), {read_log});
 
         auto deciles = hotnessByCompressionOrder(stream, 10);
 
@@ -56,11 +63,13 @@ main(int argc, char **argv)
                           ReportTable::num(deciles[i].warm, 2),
                           ReportTable::num(deciles[i].cold, 2)});
         }
-        table.print(std::cout);
-        report.addTable(name, table);
+        out.table(name, table);
+        double hot = static_cast<double>(std::count(
+                         stream.begin(), stream.end(), Hotness::Hot)) /
+                     static_cast<double>(stream.size());
+        early.values.push_back(deciles.front().hot / hot);
     }
-    std::cout << "\nPart 0 carries a large hot share for every app: "
-                 "LRU ignores relaunch hotness (paper's Observation "
-                 "3).\n";
-    return report.finish();
+    // LRU compresses launch-time hot data first (Observation 3).
+    out.claim(std::move(early));
+    return out.finish();
 }
