@@ -2,23 +2,13 @@
  * @file
  * Shared helpers for the experiment harnesses.
  *
- * Every bench binary reproduces tables or figures of the paper: the
- * claims runner (claims.cpp) runs the figures that the sweep config
- * language expresses, and one program per figure drives the rest
- * through session hooks. A program describes its runs as named
- * driver::ScenarioSpec variants at the standard evaluation scale,
- * executes them through the FleetRunner (a single-session fleet with
- * the shared eval seed), and prints its tables and the verdicts of
- * the paper's claims through a Ledger, which also writes both as JSON
- * when the binary was invoked with `--json FILE`.
- *
- * Bench specs flow through the same pluggable workload layer as the
- * CLI (driver/workload_source.hh): the default `workload = profiles`
- * source interprets the event program built here, and because
- * recording is observer-based, any bench variant can be captured with
- * FleetRunner::runRecorded and replayed bit-identically — custom
- * hooks record their system-level effects, though replay does not
- * re-run the hook bodies themselves.
+ * The claims runner (claims.cpp) runs the figures that sweep configs
+ * express; each other bench program drives one figure or table
+ * through session hooks. Both print their tables and the verdicts of
+ * the paper's claims through a Ledger, which also writes them as JSON
+ * with `--json FILE`. Bench specs run through the same workload layer
+ * as the CLI (driver/workload_source.hh), so any variant can be
+ * recorded and replayed, though replay does not re-run hook bodies.
  */
 
 #ifndef ARIADNE_BENCH_COMMON_HH
@@ -76,17 +66,12 @@ makeSpec(const std::string &scheme, const std::string &ariadne_cfg = "")
     return spec;
 }
 
-/**
- * Run one variant as a single-session fleet (the legacy bench
- * methodology), keeping the session record so benches can read
- * per-session detail (relaunch samples, CPU, per-app CompStats).
- */
-inline driver::FleetResult
+/** Run one variant as a single-session fleet; its hooks measure. */
+inline void
 runVariant(driver::ScenarioSpec spec,
            std::vector<driver::SessionHook> hooks = {})
 {
-    return driver::FleetRunner(std::move(spec), std::move(hooks))
-        .run(1, 1, /*keep_sessions=*/true);
+    driver::FleetRunner(std::move(spec), std::move(hooks)).run(1, 1);
 }
 
 /**
@@ -103,23 +88,25 @@ class Ledger
 {
   public:
     /**
-     * Parses `--json FILE`. Other arguments are appended to @p inputs;
-     * when @p inputs is null they print usage and exit(2).
+     * Parses `--json FILE`. Other arguments are appended to @p inputs,
+     * which must then hold at least one; without @p inputs they are
+     * errors. Errors print usage and exit(2).
      */
     Ledger(int argc, char **argv,
            std::vector<std::string> *inputs = nullptr)
     {
-        for (int i = 1; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
+        bool ok = true;
+        for (int i = 1; i < argc && ok; ++i) {
+            if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
                 jsonPath = argv[++i];
-            } else if (inputs && argv[i][0] != '-') {
+            else if ((ok = inputs && argv[i][0] != '-'))
                 inputs->push_back(argv[i]);
-            } else {
-                std::cerr << "usage: " << argv[0]
-                          << (inputs ? " FILE.cfg..." : "")
-                          << " [--json FILE]\n";
-                std::exit(2);
-            }
+        }
+        if (!ok || (inputs && inputs->empty())) {
+            std::cerr << "usage: " << argv[0]
+                      << (inputs ? " FILE.cfg..." : "")
+                      << " [--json FILE]\n";
+            std::exit(2);
         }
     }
 
@@ -226,120 +213,6 @@ class Ledger
     std::vector<Figure> figures;
     std::vector<report::Claim> claims;
     std::size_t printed = 0;
-};
-
-/** Spec for the §5 target-relaunch scenario of one app. */
-inline driver::ScenarioSpec
-targetSpec(std::string name, const std::string &scheme,
-           const std::string &app_name, unsigned variant = 0,
-           const std::string &ariadne_cfg = "")
-{
-    driver::ScenarioSpec spec = makeSpec(scheme, ariadne_cfg);
-    spec.name = std::move(name);
-    spec.program.push_back(
-        driver::Event::targetScenario(app_name, variant));
-    return spec;
-}
-
-/** The single session of a runVariant() result. */
-inline const driver::SessionResult &
-session(const driver::FleetResult &r)
-{
-    return r.sessions.front();
-}
-
-/** Full-scale milliseconds of a scaled relaunch measurement. */
-inline double
-fullScaleMs(const RelaunchStats &st, double scale = evalScale)
-{
-    return static_cast<double>(st.fullScaleNs(scale)) / 1e6;
-}
-
-/** Last measured relaunch of a variant, in paper-scale ms. */
-inline double
-lastRelaunchMs(const driver::FleetResult &r)
-{
-    return session(r).relaunches.back().fullScaleMs;
-}
-
-/**
- * Collects a bench's per-variant fleet results and rendered tables
- * and writes them as one JSON report when the binary was invoked
- * with `--json FILE`. Table stdout is unaffected, so migrated
- * benches stay bit-identical with their pre-driver output.
- */
-class BenchReport
-{
-  public:
-    /** Parses argv; unknown flags print usage and exit(2). */
-    BenchReport(std::string bench_name, int argc, char **argv)
-        : name(std::move(bench_name))
-    {
-        for (int i = 1; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-                jsonPath = argv[++i];
-            } else {
-                std::cerr << name << ": usage: " << argv[0]
-                          << " [--json FILE]\n";
-                std::exit(2);
-            }
-        }
-    }
-
-    /** Record one variant's aggregate (in run order). */
-    void
-    add(const driver::FleetResult &r)
-    {
-        variants.push_back(r);
-    }
-
-    /** Record a rendered table under @p label. */
-    void
-    addTable(std::string label, const ReportTable &t)
-    {
-        tables.emplace_back(std::move(label), t);
-    }
-
-    /**
-     * Write the JSON report if requested; call last in main().
-     * @return the bench's exit code (non-zero when the report could
-     *         not be written).
-     */
-    int
-    finish() const
-    {
-        if (jsonPath.empty())
-            return 0;
-        std::ofstream out(jsonPath);
-        if (!out) {
-            std::cerr << name << ": cannot write " << jsonPath << "\n";
-            return 1;
-        }
-        driver::JsonWriter w(out);
-        w.beginObject();
-        w.field("bench", name);
-        w.key("variants");
-        w.beginArray();
-        for (const auto &variant : variants)
-            variant.writeJson(w, /*per_session=*/false);
-        w.endArray();
-        w.key("tables");
-        w.beginObject();
-        for (const auto &[label, table] : tables) {
-            w.key(label);
-            driver::writeJson(w, table);
-        }
-        w.endObject();
-        w.endObject();
-        out << "\n";
-        return out ? 0 : 1;
-    }
-
-  private:
-    std::string name;
-    std::string jsonPath;
-    std::vector<driver::FleetResult> variants;
-    std::vector<std::pair<std::string, ReportTable>> tables;
 };
 
 } // namespace ariadne::bench

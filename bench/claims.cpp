@@ -5,96 +5,80 @@
  *
  *     claims FILE.cfg... [--json FILE]
  *
- * claims/ holds one file per figure. Each file is a sweep config (driver/sweep_spec.hh) whose `sweep =`
- * name picks one of the figures below, and whose `fleet`, `seed` and
- * `scale` lines set how it runs. Each variant is one table cell,
- * named `ROW/COLUMN` (an app and a scheme or Ariadne configuration)
- * or `ROW`. Every variant runs as one fleet with its sessions kept. A
- * table cell is the mean of its metric over the sessions; a claim is
- * computed per session, with variants paired by session index, and
- * judged by report/claims.hh.
+ * claims/ holds one sweep config (driver/sweep_spec.hh) per figure;
+ * its `sweep =` name picks the figure's tables and claims below, and
+ * its `fleet`, `seed` and `scale` lines set how it runs. A variant is
+ * one table cell, named `ROW/COLUMN` or `ROW`. Every variant runs as
+ * one fleet with its sessions kept. A cell is the mean of its metric
+ * over the sessions; a claim takes one value per session, pairing
+ * variants by session index, and report/claims.hh judges it.
  */
+
+#include <algorithm>
+#include <cmath>
+#include <map>
 
 #include "bench_common.hh"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-
 using namespace ariadne;
 using namespace ariadne::bench;
-using report::ClaimKind;
 using report::ClaimRule;
 
 namespace
 {
 
-/** What a table cell or claim reads from one session. */
-enum class Metric
+/** What a cell or claim reads from one session. App* read the
+ * compression accounting of the variant's target app. */
+enum class M
 {
-    FirstRelaunchMs,
-    LastRelaunchMs,
-    KswapdCpuMs,
-    CompDecompCpuMs,
-    CompRatio,
-    /** The target app's share of compression accounting. */
-    AppCompMs,
-    AppDecompMs,
-    AppCompRatio,
+    FirstRelaunch, LastRelaunch, Kswapd, CompDecomp, Ratio,
+    AppComp, AppDecomp, AppRatio,
 };
 
 double
-read(Metric m, const driver::SessionResult &s, AppId target)
+read(M m, const driver::SessionResult &s, AppId target)
 {
-    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     auto app = s.appComp.find(target);
-    const CompStats *st =
-        app == s.appComp.end() ? nullptr : &app->second;
+    const CompStats *st = app == s.appComp.end() ? nullptr : &app->second;
+    bool none = s.relaunches.empty();
     switch (m) {
-      case Metric::FirstRelaunchMs:
-        return s.relaunches.empty() ? nan
-                                    : s.relaunches.front().fullScaleMs;
-      case Metric::LastRelaunchMs:
-        return s.relaunches.empty() ? nan
-                                    : s.relaunches.back().fullScaleMs;
-      case Metric::KswapdCpuMs:
+      case M::FirstRelaunch:
+        return none ? NAN : s.relaunches.front().fullScaleMs;
+      case M::LastRelaunch:
+        return none ? NAN : s.relaunches.back().fullScaleMs;
+      case M::Kswapd:
         return static_cast<double>(s.kswapdCpuNs) / 1e6;
-      case Metric::CompDecompCpuMs:
+      case M::CompDecomp:
         return static_cast<double>(s.compCpuNs + s.decompCpuNs) / 1e6;
-      case Metric::CompRatio:
+      case M::Ratio:
         return s.comp.ratio();
-      case Metric::AppCompMs:
-        return st ? static_cast<double>(st->compNs) / 1e6 : nan;
-      case Metric::AppDecompMs:
-        return st ? static_cast<double>(st->decompNs) / 1e6 : nan;
-      case Metric::AppCompRatio:
-        return st ? st->ratio() : nan;
+      case M::AppComp:
+        return st ? static_cast<double>(st->compNs) / 1e6 : NAN;
+      case M::AppDecomp:
+        return st ? static_cast<double>(st->decompNs) / 1e6 : NAN;
+      case M::AppRatio:
+        return st ? st->ratio() : NAN;
     }
-    return nan;
+    return NAN;
 }
 
-/** One column: @p metric of variant @p cell, over variant @p per's
- * when set. `{}` in either name stands for the row. */
+/** @c metric of variant @c cell (default `{}/header`), over variant
+ * @c per's when set; `{}` stands for the row. */
 struct Column
 {
     std::string header;
-    Metric metric;
-    std::string cell;
-    std::string per;
+    M metric;
     int digits;
+    std::string per = "", cell = "";
 };
 
 struct Table
 {
-    /** JSON key. */
-    std::string label;
-    /** Printed above the table when set. */
-    std::string heading;
-    std::string rowHeader;
+    std::string label, heading, rowHeader;
     std::vector<Column> columns;
 };
 
-/** How a claim folds its (numerator, denominator) pairs per session. */
+/** How a claim folds its (num, den) pairs in one session. */
 enum class Fold
 {
     MeanOfRatios, //!< one value: the mean of num/den
@@ -102,228 +86,187 @@ enum class Fold
     EachRatio,    //!< one value per pair: num/den
 };
 
-/** One row of the claims table. */
+/** A row of the claims table; every claim in it is emergent. Every
+ * num pairs with den; `{}` runs over the rows. Unit "%" states the
+ * ratio r as 100 (r - 1). */
 struct ClaimSpec
 {
     std::string text;
-    ClaimKind kind;
-    Metric metric;
-    /** Variants paired by position; a single den pairs with every
-     * num. `{}` runs over the rows. */
+    M metric;
     std::vector<std::string> num;
-    std::vector<std::string> den;
+    std::string den;
     Fold fold;
-    /** Values as a percentage change (100 (r - 1)), not a ratio. */
-    bool percent;
+    std::string unit;
     ClaimRule rule;
     double paper;
 };
 
 struct Figure
 {
-    std::string title;
+    std::string name, title;
     std::vector<Table> tables;
     std::vector<ClaimSpec> claims;
 };
 
-/** One column per name: @p metric of variant `{}/NAME`. */
+/** Columns NAME reading @p m of variant `{}/NAME`. */
 std::vector<Column>
-grid(Metric metric, int digits, const std::vector<std::string> &names)
+grid(M m, int digits, std::vector<std::string> names)
 {
     std::vector<Column> cols;
-    for (const auto &n : names)
-        cols.push_back({n, metric, "{}/" + n, "", digits});
+    for (auto &n : names)
+        cols.push_back({std::move(n), m, digits});
     return cols;
 }
 
-std::vector<std::string>
-under(const std::vector<std::string> &configs)
-{
-    std::vector<std::string> v;
-    for (const auto &c : configs)
-        v.push_back("{}/" + c);
-    return v;
-}
+const std::string full = "Ariadne full (EHL-1K-2K-16K)";
+const std::vector<std::string> ehl = {
+    "{}/EHL-1K-2K-16K", "{}/EHL-1K-4K-16K", "{}/EHL-256-2K-32K"};
+const std::vector<std::string> all = {
+    "{}/EHL-1K-2K-16K", "{}/AL-1K-2K-16K",   "{}/EHL-1K-4K-16K",
+    "{}/AL-512-2K-16K", "{}/EHL-256-2K-32K", "{}/AL-256-2K-32K"};
+const std::vector<std::string> fig15 = {"ZRAM", "AL-1K-4K-64K",
+                                        "AL-256-1K-4K"};
 
-/** The figures, keyed by their sweep names. */
-std::map<std::string, Figure>
-figures()
-{
-    using M = Metric;
-    constexpr auto emergent = ClaimKind::Emergent;
-    const std::vector<std::string> ehl = {
-        "EHL-1K-2K-16K", "EHL-1K-4K-16K", "EHL-256-2K-32K"};
-    const std::vector<std::string> fig10 = {
-        "EHL-1K-2K-16K", "AL-1K-2K-16K",   "EHL-1K-4K-16K",
-        "AL-512-2K-16K", "EHL-256-2K-32K", "AL-256-2K-32K"};
-    const std::vector<std::string> fig11 = {
-        "EHL-1K-2K-16K", "EHL-256-2K-32K", "AL-256-2K-32K",
-        "AL-512-2K-16K"};
-    const std::vector<std::string> fig15 = {"ZRAM", "AL-1K-4K-64K",
-                                            "AL-256-1K-4K"};
-    const std::string full = "Ariadne full (EHL-1K-2K-16K)";
-
-    std::map<std::string, Figure> f;
-
-    auto fig2_cols = grid(M::LastRelaunchMs, 1, {"DRAM", "ZRAM", "SWAP"});
-    fig2_cols.push_back(
-        {"ZRAM/DRAM", M::LastRelaunchMs, "{}/ZRAM", "{}/DRAM", 2});
-    fig2_cols.push_back(
-        {"SWAP/DRAM", M::LastRelaunchMs, "{}/SWAP", "{}/DRAM", 2});
-    f["fig2"] = {
-        "Fig. 2: relaunch latency (ms) under DRAM/ZRAM/SWAP",
-        {{"relaunch_ms", "", "App", fig2_cols}},
-        {{"ZRAM/DRAM relaunch latency, mean of apps", emergent,
-          M::LastRelaunchMs, {"{}/ZRAM"}, {"{}/DRAM"}, Fold::MeanOfRatios,
-          false, ClaimRule::Approx, 2.1}}};
-
-    f["fig3"] = {
-        "Fig. 3: kswapd CPU usage (ms) over a 60 s scenario",
-        {{"kswapd_cpu_ms", "", "Scheme",
-          {{"kswapd CPU (ms)", M::KswapdCpuMs, "{}", "", 1},
-           {"vs DRAM", M::KswapdCpuMs, "{}", "DRAM", 2}}}},
-        {{"ZRAM/DRAM kswapd CPU", emergent, M::KswapdCpuMs, {"ZRAM"},
-          {"DRAM"}, Fold::MeanOfRatios, false, ClaimRule::Approx, 2.6},
-         {"ZRAM/SWAP kswapd CPU", emergent, M::KswapdCpuMs, {"ZRAM"},
-          {"SWAP"}, Fold::MeanOfRatios, false, ClaimRule::Approx,
-          2.0}}};
-
-    std::vector<std::string> fig10_cols = {"ZRAM"};
-    fig10_cols.insert(fig10_cols.end(), fig10.begin(), fig10.end());
-    fig10_cols.push_back("DRAM");
-    f["fig10"] = {
-        "Fig. 10: relaunch latency (ms): ZRAM vs Ariadne configs vs DRAM",
-        {{"relaunch_ms", "", "App",
-          grid(M::LastRelaunchMs, 1, fig10_cols)}},
-        {{"EHL configs' mean relaunch vs ZRAM's", emergent,
-          M::LastRelaunchMs, under(ehl), {"{}/ZRAM"}, Fold::RatioOfMeans,
-          true, ClaimRule::Approx, -50},
-         {"EHL configs' mean relaunch vs DRAM's", emergent,
-          M::LastRelaunchMs, under(ehl), {"{}/DRAM"}, Fold::RatioOfMeans,
-          true, ClaimRule::Below, 10},
-         {"All six configs' mean relaunch vs ZRAM's", emergent,
-          M::LastRelaunchMs, under(fig10), {"{}/ZRAM"},
-          Fold::RatioOfMeans, true, ClaimRule::Approx, -50},
-         {"All six configs' mean relaunch vs DRAM's", emergent,
-          M::LastRelaunchMs, under(fig10), {"{}/DRAM"},
-          Fold::RatioOfMeans, true, ClaimRule::Below, 10}}};
-
-    std::vector<Column> fig11_cols;
-    for (const auto &c : fig11)
-        fig11_cols.push_back(
-            {c, M::CompDecompCpuMs, "{}/" + c, "{}/ZRAM", 2});
-    f["fig11"] = {
-        "Fig. 11: comp+decomp CPU normalized to ZRAM (lower is better)",
-        {{"normalized_cpu", "", "App", fig11_cols}},
-        {{"Comp+decomp CPU vs ZRAM, mean of apps and configs", emergent,
-          M::CompDecompCpuMs, under(fig11), {"{}/ZRAM"},
-          Fold::MeanOfRatios, true, ClaimRule::Approx, -15}}};
-
-    f["fig13"] = {
-        "Fig. 13: compression ratio per app (original / compressed; "
-        "higher is better)",
-        {{"comp_ratio", "", "App",
-          grid(M::AppCompRatio, 2,
-               {"ZRAM", "EHL-1K-4K-16K", "AL-512-2K-16K"})}},
-        {{"EHL-1K-4K-16K's ratio over ZRAM's, every app", emergent,
-          M::AppCompRatio, {"{}/EHL-1K-4K-16K"}, {"{}/ZRAM"},
-          Fold::EachRatio, false, ClaimRule::Above, 1},
-         {"AL-512-2K-16K's ratio over ZRAM's, every app", emergent,
-          M::AppCompRatio, {"{}/AL-512-2K-16K"}, {"{}/ZRAM"},
-          Fold::EachRatio, false, ClaimRule::Approx, 1}}};
-
-    f["fig15"] = {
-        "Fig. 15: sensitivity to chunk-size configuration",
-        {{"comp_latency_ms", "(a) Compression latency (ms)", "App",
-          grid(M::AppCompMs, 2, fig15)},
-         {"decomp_latency_ms", "(b) Decompression latency (ms)", "App",
-          grid(M::AppDecompMs, 3, fig15)},
-         {"comp_ratio", "(c) Compression ratio", "App",
-          grid(M::AppCompRatio, 2, fig15)}},
-        {{"Larger cold chunks raise the ratio: 64K over 4K, every app",
-          emergent, M::AppCompRatio, {"{}/AL-1K-4K-64K"},
-          {"{}/AL-256-1K-4K"}, Fold::EachRatio, false, ClaimRule::Above,
-          1},
-         {"Smaller chunks cut decompression: 4K over 64K, every app",
-          emergent, M::AppDecompMs, {"{}/AL-256-1K-4K"},
-          {"{}/AL-1K-4K-64K"}, Fold::EachRatio, false, ClaimRule::Below,
-          1}}};
-
-    auto relation = [&](std::string text, Metric m, std::string num,
-                        std::string den, ClaimRule rule) {
-        return ClaimSpec{std::move(text), emergent, m, {std::move(num)},
-                         {std::move(den)}, Fold::EachRatio, false, rule,
-                         1};
-    };
-    f["ablation"] = {
-        "Ablation: contribution of each Ariadne mechanism (YouTube "
-        "target, 3 cycles)",
-        {{"ablation", "", "Variant",
-          {{"Relaunch (ms)", M::LastRelaunchMs, "{}", "", 1},
-           {"Comp+decomp CPU (ms)", M::CompDecompCpuMs, "{}", "", 1},
-           {"Ratio", M::CompRatio, "{}", "", 2}}}},
-        {relation("Seeding protects the first relaunch: D1 over full",
-                  M::FirstRelaunchMs, "D1 no hotness seeding", full,
-                  ClaimRule::Above),
-         relation("Size adaptation buys ratio: full over D2",
-                  M::CompRatio, full, "D2 single 4K size",
-                  ClaimRule::Above),
-         relation("Size adaptation buys CPU: full over D2",
-                  M::CompDecompCpuMs, full, "D2 single 4K size",
-                  ClaimRule::Below),
-         relation("Predecomp hides AL decompression: D3 over control",
-                  M::LastRelaunchMs, "D3 no predecomp",
-                  "D3 control (AL, predecomp on)", ClaimRule::Above),
-         relation("Cold batching buys ratio: full over D4", M::CompRatio,
-                  full, "D4 no cold batching", ClaimRule::Above),
-         relation("Cold batching costs relaunch: D4 over full",
-                  M::LastRelaunchMs, "D4 no cold batching", full,
-                  ClaimRule::Below)}};
-    return f;
-}
+/** Figs. 13 and 15 and the ablation print no paper number: each
+ * clause of their old closing sentence is a relation, a bound of 1 on
+ * a ratio. */
+const std::vector<Figure> figures = {
+    {"fig2", "Fig. 2: relaunch latency (ms) under DRAM/ZRAM/SWAP",
+     {{"relaunch_ms", "", "App",
+       {{"DRAM", M::LastRelaunch, 1}, {"ZRAM", M::LastRelaunch, 1},
+        {"SWAP", M::LastRelaunch, 1},
+        {"ZRAM/DRAM", M::LastRelaunch, 2, "{}/DRAM", "{}/ZRAM"},
+        {"SWAP/DRAM", M::LastRelaunch, 2, "{}/DRAM", "{}/SWAP"}}}},
+     {{"ZRAM/DRAM relaunch latency, mean of apps", M::LastRelaunch,
+       {"{}/ZRAM"}, "{}/DRAM", Fold::MeanOfRatios, "x", ClaimRule::Approx,
+       2.1}}},
+    {"fig3", "Fig. 3: kswapd CPU usage (ms) over a 60 s scenario",
+     {{"kswapd_cpu_ms", "", "Scheme",
+       {{"kswapd CPU (ms)", M::Kswapd, 1, "", "{}"},
+        {"vs DRAM", M::Kswapd, 2, "DRAM", "{}"}}}},
+     {{"ZRAM/DRAM kswapd CPU", M::Kswapd, {"ZRAM"}, "DRAM",
+       Fold::MeanOfRatios, "x", ClaimRule::Approx, 2.6},
+      {"ZRAM/SWAP kswapd CPU", M::Kswapd, {"ZRAM"}, "SWAP",
+       Fold::MeanOfRatios, "x", ClaimRule::Approx, 2.0}}},
+    {"fig10",
+     "Fig. 10: relaunch latency (ms): ZRAM vs Ariadne configs vs DRAM",
+     {{"relaunch_ms", "", "App",
+       grid(M::LastRelaunch, 1,
+            {"ZRAM", "EHL-1K-2K-16K", "AL-1K-2K-16K", "EHL-1K-4K-16K",
+             "AL-512-2K-16K", "EHL-256-2K-32K", "AL-256-2K-32K",
+             "DRAM"})}},
+     {{"EHL configs' mean relaunch vs ZRAM's", M::LastRelaunch, ehl,
+       "{}/ZRAM", Fold::RatioOfMeans, "%", ClaimRule::Approx, -50},
+      {"EHL configs' mean relaunch vs DRAM's", M::LastRelaunch, ehl,
+       "{}/DRAM", Fold::RatioOfMeans, "%", ClaimRule::Below, 10},
+      {"All six configs' mean relaunch vs ZRAM's", M::LastRelaunch, all,
+       "{}/ZRAM", Fold::RatioOfMeans, "%", ClaimRule::Approx, -50},
+      {"All six configs' mean relaunch vs DRAM's", M::LastRelaunch, all,
+       "{}/DRAM", Fold::RatioOfMeans, "%", ClaimRule::Below, 10}}},
+    {"fig11",
+     "Fig. 11: comp+decomp CPU normalized to ZRAM (lower is better)",
+     {{"normalized_cpu", "", "App",
+       {{"EHL-1K-2K-16K", M::CompDecomp, 2, "{}/ZRAM"},
+        {"EHL-256-2K-32K", M::CompDecomp, 2, "{}/ZRAM"},
+        {"AL-256-2K-32K", M::CompDecomp, 2, "{}/ZRAM"},
+        {"AL-512-2K-16K", M::CompDecomp, 2, "{}/ZRAM"}}}},
+     {{"Comp+decomp CPU vs ZRAM, mean of apps and configs", M::CompDecomp,
+       {"{}/EHL-1K-2K-16K", "{}/EHL-256-2K-32K", "{}/AL-256-2K-32K",
+        "{}/AL-512-2K-16K"},
+       "{}/ZRAM", Fold::MeanOfRatios, "%", ClaimRule::Approx, -15}}},
+    {"fig13",
+     "Fig. 13: compression ratio per app (original / compressed; "
+     "higher is better)",
+     {{"comp_ratio", "", "App",
+       grid(M::AppRatio, 2, {"ZRAM", "EHL-1K-4K-16K", "AL-512-2K-16K"})}},
+     {{"EHL-1K-4K-16K's ratio over ZRAM's, every app", M::AppRatio,
+       {"{}/EHL-1K-4K-16K"}, "{}/ZRAM", Fold::EachRatio, "x",
+       ClaimRule::Above, 1},
+      {"AL-512-2K-16K's ratio over ZRAM's, every app", M::AppRatio,
+       {"{}/AL-512-2K-16K"}, "{}/ZRAM", Fold::EachRatio, "x",
+       ClaimRule::Approx, 1}}},
+    {"fig15", "Fig. 15: sensitivity to chunk-size configuration",
+     {{"comp_latency_ms", "(a) Compression latency (ms)", "App",
+       grid(M::AppComp, 2, fig15)},
+      {"decomp_latency_ms", "(b) Decompression latency (ms)", "App",
+       grid(M::AppDecomp, 3, fig15)},
+      {"comp_ratio", "(c) Compression ratio", "App",
+       grid(M::AppRatio, 2, fig15)}},
+     {{"Larger cold chunks raise the ratio: 64K over 4K, every app",
+       M::AppRatio, {"{}/AL-1K-4K-64K"}, "{}/AL-256-1K-4K",
+       Fold::EachRatio, "x", ClaimRule::Above, 1},
+      {"Smaller chunks cut decompression: 4K over 64K, every app",
+       M::AppDecomp, {"{}/AL-256-1K-4K"}, "{}/AL-1K-4K-64K",
+       Fold::EachRatio, "x", ClaimRule::Below, 1}}},
+    {"ablation",
+     "Ablation: contribution of each Ariadne mechanism (YouTube target, "
+     "3 cycles)",
+     {{"ablation", "", "Variant",
+       {{"Relaunch (ms)", M::LastRelaunch, 1, "", "{}"},
+        {"Comp+decomp CPU (ms)", M::CompDecomp, 1, "", "{}"},
+        {"Ratio", M::Ratio, 2, "", "{}"}}}},
+     {{"Seeding protects the first relaunch: D1 over full",
+       M::FirstRelaunch, {"D1 no hotness seeding"}, full, Fold::EachRatio,
+       "x", ClaimRule::Above, 1},
+      {"Size adaptation buys ratio: full over D2", M::Ratio, {full},
+       "D2 single 4K size", Fold::EachRatio, "x", ClaimRule::Above, 1},
+      {"Size adaptation buys CPU: full over D2", M::CompDecomp, {full},
+       "D2 single 4K size", Fold::EachRatio, "x", ClaimRule::Below, 1},
+      {"Predecomp hides AL decompression: D3 over control",
+       M::LastRelaunch, {"D3 no predecomp"},
+       "D3 control (AL, predecomp on)", Fold::EachRatio, "x",
+       ClaimRule::Above, 1},
+      {"Cold batching buys ratio: full over D4", M::Ratio, {full},
+       "D4 no cold batching", Fold::EachRatio, "x", ClaimRule::Above, 1},
+      {"Cold batching costs relaunch: D4 over full", M::LastRelaunch,
+       {"D4 no cold batching"}, full, Fold::EachRatio, "x",
+       ClaimRule::Below, 1}}},
+};
 
 std::string
-fill(const std::string &name, const std::string &row)
+fill(std::string name, const std::string &row)
 {
-    std::string out = name;
-    if (auto at = out.find("{}"); at != std::string::npos)
-        out.replace(at, 2, row);
-    return out;
+    if (auto at = name.find("{}"); at != std::string::npos)
+        name.replace(at, 2, row);
+    return name;
 }
 
-/** One sweep's kept sessions, looked up by variant name. */
-class Runs
+/** One sweep's kept sessions. */
+struct Runs
 {
-  public:
+    driver::SweepResult result;
+    /** Variant name -> its result and target app. */
+    std::map<std::string, std::pair<const driver::FleetResult *, AppId>>
+        byName;
+    /** Each variant name up to its '/', first seen first. */
+    std::vector<std::string> rows;
+    std::size_t sessions;
+
     explicit Runs(const driver::SweepSpec &sweep)
-        : result(driver::FleetRunner::runSweep(sweep, 0, 0, true))
+        : result(driver::FleetRunner::runSweep(sweep, 0, 0, true)),
+          sessions(result.variants.front().sessions.size())
     {
         for (std::size_t i = 0; i < sweep.variants.size(); ++i) {
             const driver::ScenarioSpec &spec = sweep.variants[i];
-            AppId target = invalidApp;
-            for (const driver::Event &ev : spec.program)
-                if (target == invalidApp && !ev.app.empty())
-                    target = standardApp(ev.app).uid;
-            byName[spec.name] = {&result.variants[i], target};
+            auto ev = std::find_if(
+                spec.program.begin(), spec.program.end(),
+                [](const driver::Event &e) { return !e.app.empty(); });
+            byName[spec.name] = {&result.variants[i],
+                                 ev == spec.program.end()
+                                     ? invalidApp
+                                     : standardApp(ev->app).uid};
             std::string row = spec.name.substr(0, spec.name.find('/'));
             if (std::find(rows.begin(), rows.end(), row) == rows.end())
                 rows.push_back(row);
+            if (result.variants[i].sessions.size() != sessions)
+                throw driver::SpecError("sweep '" + sweep.name +
+                                        "': variants differ in fleet");
         }
-        sessions = result.variants.front().sessions.size();
-        for (const auto &v : result.variants)
-            if (v.sessions.size() != sessions)
-                throw driver::SpecError(
-                    "sweep '" + sweep.name +
-                    "': every variant must run the same fleet");
     }
-
-    /** Row keys: each variant name up to its '/', first seen first. */
-    std::vector<std::string> rows;
-    std::size_t sessions = 0;
 
     /** @p metric of variant @p name in session @p i. */
     double
-    at(Metric metric, const std::string &name, std::size_t i) const
+    at(M metric, const std::string &name, std::size_t i) const
     {
         auto it = byName.find(name);
         if (it == byName.end())
@@ -332,11 +275,6 @@ class Runs
         return read(metric, it->second.first->sessions[i],
                     it->second.second);
     }
-
-  private:
-    driver::SweepResult result;
-    std::map<std::string, std::pair<const driver::FleetResult *, AppId>>
-        byName;
 };
 
 ReportTable
@@ -349,13 +287,13 @@ render(const Table &t, const Runs &runs)
     for (const std::string &row : runs.rows) {
         std::vector<std::string> cells{row};
         for (const Column &c : t.columns) {
+            std::string cell = c.cell.empty() ? "{}/" + c.header : c.cell;
             double sum = 0.0;
-            for (std::size_t i = 0; i < runs.sessions; ++i) {
-                double v = runs.at(c.metric, fill(c.cell, row), i);
-                if (!c.per.empty())
-                    v /= runs.at(c.metric, fill(c.per, row), i);
-                sum += v;
-            }
+            for (std::size_t i = 0; i < runs.sessions; ++i)
+                sum += runs.at(c.metric, fill(cell, row), i) /
+                       (c.per.empty() ? 1.0
+                                      : runs.at(c.metric, fill(c.per, row),
+                                                i));
             cells.push_back(ReportTable::num(
                 sum / static_cast<double>(runs.sessions), c.digits));
         }
@@ -367,38 +305,34 @@ render(const Table &t, const Runs &runs)
 report::Claim
 evaluate(const ClaimSpec &spec, const Runs &runs)
 {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    bool per_row = spec.num.front().find("{}") != std::string::npos;
-    for (const std::string &row :
-         per_row ? runs.rows : std::vector<std::string>{""})
-        for (std::size_t k = 0; k < spec.num.size(); ++k)
-            pairs.emplace_back(
-                fill(spec.num[k], row),
-                fill(spec.den[spec.den.size() == 1 ? 0 : k], row));
-
     report::Claim claim{.text = spec.text,
-                        .kind = spec.kind,
                         .rule = spec.rule,
                         .paper = spec.paper,
-                        .unit = spec.percent ? "%" : "x"};
-    auto terms = [&](double ratio) {
-        return spec.percent ? 100.0 * (ratio - 1.0) : ratio;
+                        .unit = spec.unit};
+    auto terms = [&](double r) {
+        return spec.unit == "%" ? 100.0 * (r - 1.0) : r;
     };
+    bool per_row = spec.num.front().find("{}") != std::string::npos;
     for (std::size_t i = 0; i < runs.sessions; ++i) {
         double num = 0.0, den = 0.0, ratios = 0.0;
-        for (const auto &[n, d] : pairs) {
-            double a = runs.at(spec.metric, n, i);
-            double b = runs.at(spec.metric, d, i);
-            num += a;
-            den += b;
-            ratios += a / b;
-            if (spec.fold == Fold::EachRatio)
-                claim.values.push_back(terms(a / b));
+        std::size_t pairs = 0;
+        for (const std::string &row :
+             per_row ? runs.rows : std::vector<std::string>{""}) {
+            for (const std::string &n : spec.num) {
+                double a = runs.at(spec.metric, fill(n, row), i);
+                double b = runs.at(spec.metric, fill(spec.den, row), i);
+                num += a;
+                den += b;
+                ratios += a / b;
+                ++pairs;
+                if (spec.fold == Fold::EachRatio)
+                    claim.values.push_back(terms(a / b));
+            }
         }
         if (spec.fold == Fold::MeanOfRatios)
             claim.values.push_back(
-                terms(ratios / static_cast<double>(pairs.size())));
-        else if (spec.fold == Fold::RatioOfMeans)
+                terms(ratios / static_cast<double>(pairs)));
+        if (spec.fold == Fold::RatioOfMeans)
             claim.values.push_back(terms(num / den));
     }
     return claim;
@@ -411,27 +345,23 @@ main(int argc, char **argv)
 {
     std::vector<std::string> paths;
     Ledger out(argc, argv, &paths);
-    if (paths.empty()) {
-        std::cerr << "usage: " << argv[0] << " FILE.cfg... [--json FILE]\n";
-        return 2;
-    }
-    const std::map<std::string, Figure> known = figures();
     try {
         for (const std::string &path : paths) {
             driver::SweepSpec sweep = driver::SweepSpec::loadFile(path);
-            auto fig = known.find(sweep.name);
-            if (fig == known.end())
+            auto fig = std::find_if(
+                figures.begin(), figures.end(),
+                [&](const Figure &f) { return f.name == sweep.name; });
+            if (fig == figures.end())
                 throw driver::SpecError(path + ": no figure named '" +
                                         sweep.name + "'");
             Runs runs(sweep);
-            out.begin(sweep.name, fig->second.title,
-                      sweep.variants.front().scale);
-            for (const Table &t : fig->second.tables) {
+            out.begin(fig->name, fig->title, sweep.variants.front().scale);
+            for (const Table &t : fig->tables) {
                 if (!t.heading.empty())
                     std::cout << "\n" << t.heading << "\n";
                 out.table(t.label, render(t, runs));
             }
-            for (const ClaimSpec &c : fig->second.claims)
+            for (const ClaimSpec &c : fig->claims)
                 out.claim(evaluate(c, runs));
         }
     } catch (const std::exception &e) {

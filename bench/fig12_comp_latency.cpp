@@ -15,8 +15,8 @@
  * compression latency also drops ~20% for most apps.
  *
  * The ground-truth corpus composition is a workload-generator probe
- * (bare AppInstance with the shared eval seed, like Fig. 5) run as a
- * `custom` hook; the latency math is the calibrated TimingModel.
+ * (bare AppInstance with the shared eval seed, like Fig. 5); the
+ * latency math is the calibrated TimingModel.
  */
 
 #include "bench_common.hh"
@@ -29,18 +29,6 @@
 using namespace ariadne;
 using namespace ariadne::bench;
 
-namespace
-{
-
-struct Corpus
-{
-    std::size_t hotBytes = 0;
-    std::size_t warmBytes = 0;
-    std::size_t coldBytes = 0;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -48,17 +36,15 @@ main(int argc, char **argv)
     out.begin("fig12", "Fig. 12: comp/decomp latency (ms) of each app's "
                        "trace data under the schemes' chunk policies "
                        "(LZO)");
-    report::Claim decomp_cut{
-        .text = "Small chunks cut relaunch decompression: Ariadne over "
-                "ZRAM, every app",
-        .rule = report::ClaimRule::Below,
-        .paper = 1,
-        .unit = "x"};
-    report::Claim comp_kept{
-        .text = "Cold chunks keep compression comparable: Ariadne over "
-                "ZRAM, every app",
-        .paper = 1,
-        .unit = "x"};
+    report::Claim decomp_cut{.text = "Small chunks cut relaunch "
+                                     "decompression: Ariadne over ZRAM, "
+                                     "every app",
+                             .rule = report::ClaimRule::Below,
+                             .paper = 1, .unit = "x"};
+    report::Claim comp_kept{.text = "Cold chunks keep compression "
+                                    "comparable: Ariadne over ZRAM, "
+                                    "every app",
+                            .paper = 1, .unit = "x"};
 
     TimingModel timing;
     auto codec = makeCodec(CodecKind::Lzo);
@@ -74,30 +60,16 @@ main(int argc, char **argv)
                        "AL-512-2K-16K comp", "AL-512-2K-16K decomp"});
 
     for (const auto &name : plottedApps()) {
-        AppProfile profile = standardApp(name);
-        Corpus c;
-
-        driver::ScenarioSpec spec = makeSpec("dram");
-        spec.name = name + "/workload";
-        spec.apps = {name};
-        spec.program.push_back(driver::Event::custom(0));
-
         // Ground-truth hotness composition of the app's anonymous
         // data.
-        driver::SessionHook probe =
-            [&](MobileSystem &, SessionDriver &,
-                driver::SessionResult &) {
-                AppInstance inst(profile, evalScale, evalSeed);
-                inst.coldLaunch();
-                inst.execute(Tick{30} * 1000000000ULL);
-                c.hotBytes = inst.hotSet().size() * pageSize;
-                c.warmBytes = inst.warmSet().size() * pageSize;
-                c.coldBytes = inst.coldSet().size() * pageSize;
-            };
-        runVariant(std::move(spec), {probe});
-
-        std::size_t total = c.hotBytes + c.warmBytes + c.coldBytes;
-        std::size_t relaunch_relevant = c.hotBytes + c.warmBytes;
+        AppInstance inst(standardApp(name), evalScale, evalSeed);
+        inst.coldLaunch();
+        inst.execute(Tick{30} * 1000000000ULL);
+        std::size_t hot = inst.hotSet().size() * pageSize;
+        std::size_t warm = inst.warmSet().size() * pageSize;
+        std::size_t cold = inst.coldSet().size() * pageSize;
+        std::size_t total = hot + warm + cold;
+        std::size_t relaunch_relevant = hot + warm;
 
         // ZRAM: everything at one-page chunks, both directions.
         double zram_comp =
@@ -118,18 +90,18 @@ main(int argc, char **argv)
             double comp =
                 static_cast<double>(
                     timing.compressNs(cost, cfg.smallSize,
-                                      c.hotBytes) +
+                                      hot) +
                     timing.compressNs(cost, cfg.mediumSize,
-                                      c.warmBytes) +
+                                      warm) +
                     timing.compressNs(cost, cfg.largeSize,
-                                      c.coldBytes)) /
+                                      cold)) /
                 1e6 / evalScale;
             double decomp =
                 static_cast<double>(
                     timing.decompressNs(cost, cfg.smallSize,
-                                        c.hotBytes) +
+                                        hot) +
                     timing.decompressNs(cost, cfg.mediumSize,
-                                        c.warmBytes)) /
+                                        warm)) /
                 1e6 / evalScale;
             row.push_back(ReportTable::num(comp, 1));
             row.push_back(ReportTable::num(decomp, 2));

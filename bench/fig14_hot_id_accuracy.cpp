@@ -87,11 +87,9 @@ main(int argc, char **argv)
         ++n;
     }
     out.table("coverage_accuracy", table);
-    out.claim({.text = "Coverage, mean of apps",
-               .paper = 0.70,
+    out.claim({.text = "Coverage, mean of apps", .paper = 0.70,
                .values = {cov_sum / static_cast<double>(n)}});
-    out.claim({.text = "Accuracy, mean of apps",
-               .paper = 0.92,
+    out.claim({.text = "Accuracy, mean of apps", .paper = 0.92,
                .values = {acc_sum / static_cast<double>(n)}});
     return out.finish();
 }

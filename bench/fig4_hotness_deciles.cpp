@@ -27,11 +27,10 @@ main(int argc, char **argv)
     Ledger out(argc, argv);
     out.begin("fig4", "Fig. 4: hot/warm/cold share per "
                       "compression-order decile (ZRAM)");
-    report::Claim early{
-        .text = "Part 0's hot share over the stream's, every app",
-        .rule = report::ClaimRule::Above,
-        .paper = 1,
-        .unit = "x"};
+    report::Claim early{.text = "Part 0's hot share over the stream's, "
+                                "every app",
+                        .rule = report::ClaimRule::Above, .paper = 1,
+                        .unit = "x"};
 
     for (const auto &name : plottedApps()) {
         AppId target = standardApp(name).uid;

@@ -7,9 +7,9 @@
  * basis of Insight 1 (last relaunch predicts the next).
  *
  * This measures the workload generator itself, not a swap scheme, so
- * each per-app variant runs a `custom` hook that drives a bare
- * AppInstance with the shared eval seed (MobileSystem derives
- * per-app seeds, which would change the published numbers).
+ * it drives a bare AppInstance per app with the shared eval seed
+ * (MobileSystem derives per-app seeds, which would change the
+ * published numbers).
  */
 
 #include "analysis/similarity.hh"
@@ -30,35 +30,22 @@ main(int argc, char **argv)
     std::size_t n = 0;
 
     for (const auto &profile : standardApps()) {
-        double sim = 0.0, reuse = 0.0;
+        AppInstance inst(profile, evalScale, evalSeed);
+        inst.coldLaunch();
+        inst.execute(Tick{30} * 1000000000ULL);
 
-        driver::ScenarioSpec spec = makeSpec("dram");
-        spec.name = profile.name + "/workload";
-        spec.apps = {profile.name};
-        spec.program.push_back(driver::Event::custom(0));
-
-        driver::SessionHook probe =
-            [&](MobileSystem &, SessionDriver &,
-                driver::SessionResult &) {
-                AppInstance inst(profile, evalScale, evalSeed);
-                inst.coldLaunch();
-                inst.execute(Tick{30} * 1000000000ULL);
-
-                double sim_acc = 0.0, reuse_acc = 0.0;
-                constexpr unsigned relaunches = 5;
-                for (unsigned r = 0; r < relaunches; ++r) {
-                    inst.relaunch();
-                    std::vector<Pfn> prev = inst.previousHotSet();
-                    std::vector<Pfn> cur = inst.hotSet();
-                    sim_acc += hotDataSimilarity(prev, cur);
-                    reuse_acc +=
-                        reusedData(prev, cur, inst.warmSet());
-                    inst.execute(Tick{10} * 1000000000ULL);
-                }
-                sim = sim_acc / relaunches;
-                reuse = reuse_acc / relaunches;
-            };
-        runVariant(std::move(spec), {probe});
+        double sim_acc = 0.0, reuse_acc = 0.0;
+        constexpr unsigned relaunches = 5;
+        for (unsigned r = 0; r < relaunches; ++r) {
+            inst.relaunch();
+            std::vector<Pfn> prev = inst.previousHotSet();
+            std::vector<Pfn> cur = inst.hotSet();
+            sim_acc += hotDataSimilarity(prev, cur);
+            reuse_acc += reusedData(prev, cur, inst.warmSet());
+            inst.execute(Tick{10} * 1000000000ULL);
+        }
+        double sim = sim_acc / relaunches;
+        double reuse = reuse_acc / relaunches;
 
         table.addRow({profile.name, ReportTable::num(sim, 2),
                       ReportTable::num(reuse, 2)});
@@ -69,12 +56,10 @@ main(int argc, char **argv)
     out.table("similarity_reuse", table);
     // Both are calibrated into the app profiles (src/workload/apps.cc).
     out.claim({.text = "Hot-data similarity, mean of apps",
-               .kind = report::ClaimKind::Input,
-               .paper = 0.70,
+               .kind = report::ClaimKind::Input, .paper = 0.70,
                .values = {sim_sum / static_cast<double>(n)}});
     out.claim({.text = "Reused data, mean of apps",
-               .kind = report::ClaimKind::Input,
-               .paper = 0.98,
+               .kind = report::ClaimKind::Input, .paper = 0.98,
                .values = {reuse_sum / static_cast<double>(n)}});
     return out.finish();
 }

@@ -6,9 +6,9 @@
  * The workload generator is calibrated against the paper's numbers;
  * this harness verifies the calibration by actually launching each
  * app and growing it to the 5-minute point, then reports simulated
- * vs. paper volumes (full-scale MB). Like Fig. 5, the probe drives a
- * bare AppInstance with the shared eval seed inside a `custom` hook
- * (it measures the generator, not a swap scheme).
+ * vs. paper volumes (full-scale MB). Like Fig. 5, it drives a bare
+ * AppInstance with the shared eval seed (it measures the generator,
+ * not a swap scheme).
  */
 
 #include <tuple>
@@ -25,12 +25,10 @@ main(int argc, char **argv)
     out.begin("table1",
               "Table 1: anonymous data volume (MB), 10s and 5min");
     // The volumes are calibrated into the app profiles.
-    report::Claim grows{
-        .text = "Volumes grow: 5 min over 10 s, every app",
-        .kind = report::ClaimKind::Input,
-        .rule = report::ClaimRule::Above,
-        .paper = 1,
-        .unit = "x"};
+    report::Claim grows{.text = "Volumes grow: 5 min over 10 s, every app",
+                        .kind = report::ClaimKind::Input,
+                        .rule = report::ClaimRule::Above, .paper = 1,
+                        .unit = "x"};
 
     struct PaperRow
     {
@@ -48,27 +46,14 @@ main(int argc, char **argv)
                        "5min (sim MB)", "5min (paper)"});
 
     for (const auto &row : paper) {
-        AppProfile profile = standardApp(row.name);
-        double mb_10s = 0.0, mb_5min = 0.0;
-
-        driver::ScenarioSpec spec = makeSpec("dram");
-        spec.name = std::string(row.name) + "/workload";
-        spec.apps = {row.name};
-        spec.program.push_back(driver::Event::custom(0));
-
-        driver::SessionHook probe =
-            [&](MobileSystem &, SessionDriver &,
-                driver::SessionResult &) {
-                AppInstance inst(profile, evalScale, evalSeed);
-                inst.coldLaunch();
-                mb_10s = static_cast<double>(inst.anonBytes()) /
+        AppInstance inst(standardApp(row.name), evalScale, evalSeed);
+        inst.coldLaunch();
+        double mb_10s = static_cast<double>(inst.anonBytes()) /
+                        evalScale / 1048576.0;
+        // Grow to the 5 min point.
+        inst.execute(Tick{290} * 1000000000ULL);
+        double mb_5min = static_cast<double>(inst.anonBytes()) /
                          evalScale / 1048576.0;
-                // Grow to the 5 min point.
-                inst.execute(Tick{290} * 1000000000ULL);
-                mb_5min = static_cast<double>(inst.anonBytes()) /
-                          evalScale / 1048576.0;
-            };
-        runVariant(std::move(spec), {probe});
 
         table.addRow({row.name, ReportTable::num(mb_10s, 0),
                       ReportTable::num(row.mb10s, 0),
@@ -78,10 +63,8 @@ main(int argc, char **argv)
              {std::tuple{"10 s", mb_10s, row.mb10s},
               std::tuple{"5 min", mb_5min, row.mb5min}})
             out.claim({.text = std::string(row.name) + " at " + when,
-                       .kind = report::ClaimKind::Input,
-                       .paper = paper,
-                       .unit = " MB",
-                       .values = {sim}});
+                       .kind = report::ClaimKind::Input, .paper = paper,
+                       .unit = " MB", .values = {sim}});
         grows.values.push_back(mb_5min / mb_10s);
     }
     out.table("anon_volume_mb", table);

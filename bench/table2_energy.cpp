@@ -88,8 +88,7 @@ main(int argc, char **argv)
               std::tuple{"SWAP", swap, change[1]}})
             out.claim({.text = std::string(scheme) + " energy vs DRAM, " +
                                (heavy ? "heavy" : "light"),
-                       .paper = paper_change,
-                       .unit = "%",
+                       .paper = paper_change, .unit = "%",
                        .values = {100.0 * (joules / dram - 1.0)}});
     }
     out.table("energy", table);

@@ -29,12 +29,11 @@ main(int argc, char **argv)
     out.begin("table3", "Table 3: P(N consecutive zpool pages) during "
                         "relaunch (ZRAM)");
     // Locality is calibrated into the workload generator.
-    report::Claim drops{
-        .text = "Locality drops with depth: P4 over P2, every app",
-        .kind = report::ClaimKind::Input,
-        .rule = report::ClaimRule::Below,
-        .paper = 1,
-        .unit = "x"};
+    report::Claim drops{.text = "Locality drops with depth: P4 over P2, "
+                                "every app",
+                        .kind = report::ClaimKind::Input,
+                        .rule = report::ClaimRule::Below, .paper = 1,
+                        .unit = "x"};
 
     struct PaperRow
     {
@@ -81,8 +80,7 @@ main(int argc, char **argv)
         for (auto [depth, sim, paper] : {std::tuple{"P2", p2, row.p2},
                                           std::tuple{"P4", p4, row.p4}})
             out.claim({.text = std::string(row.name) + " " + depth,
-                       .kind = report::ClaimKind::Input,
-                       .paper = paper,
+                       .kind = report::ClaimKind::Input, .paper = paper,
                        .values = {sim}});
         drops.values.push_back(p4 / p2);
     }

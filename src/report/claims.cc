@@ -15,25 +15,17 @@ Claim::tolerance() const noexcept
 }
 
 bool
-Claim::passes(double v) const noexcept
-{
-    switch (rule) {
-      case ClaimRule::Approx:
-        return std::abs(v - paper) <= approxTolerance * std::abs(paper);
-      case ClaimRule::Below:
-        return v < paper;
-      case ClaimRule::Above:
-        return v > paper;
-    }
-    return false;
-}
-
-bool
 Claim::reproduced() const noexcept
 {
+    auto passes = [this](double v) {
+        return rule == ClaimRule::Below   ? v < paper
+               : rule == ClaimRule::Above ? v > paper
+                                          : std::abs(v - paper) <=
+                                                tolerance() *
+                                                    std::abs(paper);
+    };
     return !values.empty() &&
-           std::all_of(values.begin(), values.end(),
-                       [this](double v) { return passes(v); });
+           std::all_of(values.begin(), values.end(), passes);
 }
 
 ClaimSpread
@@ -43,12 +35,12 @@ Claim::spread() const noexcept
     if (values.empty())
         return s;
     auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-    s.min = *lo;
-    s.max = *hi;
     for (double v : values)
         s.mean += v;
     s.n = values.size();
     s.mean /= static_cast<double>(s.n);
+    s.min = *lo;
+    s.max = *hi;
     return s;
 }
 
@@ -68,8 +60,7 @@ writeJson(driver::JsonWriter &w, const Claim &claim)
     w.beginObject();
     w.field("figure", claim.figure);
     w.field("claim", claim.text);
-    w.field("kind",
-            claim.kind == ClaimKind::Input ? "input" : "emergent");
+    w.field("kind", claim.kind == ClaimKind::Input ? "input" : "emergent");
     w.field("scale", claim.scale);
     w.key("reproduced");
     w.beginObject();
@@ -80,8 +71,7 @@ writeJson(driver::JsonWriter &w, const Claim &claim)
     w.endObject();
     w.field("paper", claim.paperText());
     w.field("tolerance", claim.tolerance());
-    w.field("verdict",
-            claim.reproduced() ? "reproduced" : "not reproduced");
+    w.field("verdict", claim.reproduced() ? "reproduced" : "not reproduced");
     w.endObject();
 }
 

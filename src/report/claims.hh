@@ -1,24 +1,17 @@
 /**
  * @file
  * Claim rows: one paper claim, the values a run reproduced for it,
- * and the one rule that turns them into a verdict.
+ * and the one rule that judges them.
  *
  * A claim is stated in the paper's own terms: a ratio where the paper
  * says `Nx`, a percentage change where it gives one (Table 2's ZRAM
- * energy is +12.2 %, not 1.122). Its values hold one number per
- * session seed, with variants paired by session index, or one per app
- * and seed for a claim that must hold on every app. The verdict asks
- * every value to pass, so a fleet whose min..max leaves the band is
- * not reproduced:
- *
- *  - `~x` / `Nx` (Approx): every value within ±approxTolerance of x,
- *    relative to |x|;
- *  - `< x` (Below) / `> x` (Above): every value meets the bound. A
- *    relation ("above ZRAM on every app") is a bound of 1 on the
- *    per-app, per-seed ratio.
- *
- * `kind` tells a calibrated input (a value the model was tuned to
- * match, which proves only the calibration) from an emergent result.
+ * energy is +12.2 %, not 1.122). It holds one value per session seed,
+ * or per app and seed, and is reproduced only when every value passes
+ * its rule, so a fleet whose min..max leaves the band is not: `~x`
+ * within ±approxTolerance of x (relative to |x|), `< x` or `> x`
+ * strictly. A relation ("above ZRAM on every app") is a bound of 1 on
+ * the per-app, per-seed ratio. `kind` tells a calibrated input, which
+ * proves only the calibration, from an emergent result.
  */
 
 #ifndef ARIADNE_REPORT_CLAIMS_HH
@@ -35,72 +28,46 @@ class JsonWriter;
 namespace ariadne::report
 {
 
-/** Whether a claim checks a calibrated input or an emergent result. */
-enum class ClaimKind
-{
-    Input,
-    Emergent,
-};
+enum class ClaimKind { Input, Emergent };
 
-/** How a claim's values are judged against the paper's value. */
-enum class ClaimRule
-{
-    Approx, //!< `~x`: every value within ±approxTolerance of x
-    Below,  //!< `< x`: every value below x
-    Above,  //!< `> x`: every value above x
-};
+/** `~x`, `< x` or `> x`. */
+enum class ClaimRule { Approx, Below, Above };
 
-/** Half-width of an approximate claim's band, relative to |x|. One
- * constant for every claim. */
+/** Half-width of every `~x` band, relative to |x|. */
 inline constexpr double approxTolerance = 0.10;
 
-/** Mean, extremes and count of a claim's values. */
 struct ClaimSpread
 {
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+    double mean = 0.0, min = 0.0, max = 0.0;
     std::size_t n = 0;
 };
 
-/** One paper claim and the values a run reproduced for it. */
 struct Claim
 {
     /** Figure or table id ("fig10", "table2", "ablation"). */
     std::string figure{};
-    /** What is claimed, in a few words. */
     std::string text{};
     ClaimKind kind = ClaimKind::Emergent;
     ClaimRule rule = ClaimRule::Approx;
-    /** The paper's value x, in the unit of the values. */
+    /** The paper's x, in the values' unit ("x", "%", " MB" or ""). */
     double paper = 0.0;
-    /** Unit suffix of the values and x ("x", "%", " MB" or ""). */
     std::string unit{};
     /** Footprint scale of the runs behind the values. */
     double scale = 0.0;
-    /** One value per seed, or per app and seed. */
     std::vector<double> values{};
 
-    /** approxTolerance for Approx claims, 0 for bounds. */
+    /** approxTolerance for `~x`, 0 for bounds. */
     double tolerance() const noexcept;
-
-    /** Whether @p v alone passes the rule. */
-    bool passes(double v) const noexcept;
-
-    /** There is at least one value, and every value passes. */
+    /** There is a value, and every value passes the rule. */
     bool reproduced() const noexcept;
-
     /** Mean, min, max and count of the values (zeros when empty). */
     ClaimSpread spread() const noexcept;
-
     /** The paper's claim as printed: "~2.1x", "< 10%". */
     std::string paperText() const;
 };
 
-/**
- * One claim row: {figure, claim, kind, scale, reproduced: {mean, min,
- * max, n}, paper, tolerance, verdict}.
- */
+/** {figure, claim, kind, scale, reproduced: {mean, min, max, n},
+ * paper, tolerance, verdict} */
 void writeJson(driver::JsonWriter &w, const Claim &claim);
 
 } // namespace ariadne::report
