@@ -128,8 +128,8 @@ const std::vector<std::string> fig15 = {"ZRAM", "AL-1K-4K-64K",
                                         "AL-256-1K-4K"};
 
 /** Figs. 13 and 15 and the ablation print no paper number: each
- * clause of their old closing sentence is a relation, a bound of 1 on
- * a ratio. */
+ * clause of their old closing sentence is a relation on a per-app
+ * ratio, a bound of 1, or ~1x where it said "comparable". */
 const std::vector<Figure> figures = {
     {"fig2", "Fig. 2: relaunch latency (ms) under DRAM/ZRAM/SWAP",
      {{"relaunch_ms", "", "App",

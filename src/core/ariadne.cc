@@ -258,7 +258,10 @@ AriadneScheme::armPrediction(PageMeta &page, ZObjectId next)
 {
     if (next == invalidObject)
         return;
-    pendingPredictions[&page] = next;
+    // Handles are recycled, sectors never are: by the time the page is
+    // touched, `next` may have left the zpool and its handle gone to
+    // another object.
+    pendingPredictions[&page] = store.zpool().sectorOf(next);
     page.predictionArmed = true;
 }
 
@@ -272,9 +275,9 @@ AriadneScheme::firePrediction(PageMeta &page)
     page.predictionArmed = false;
     auto it = pendingPredictions.find(&page);
     panicIf(it == pendingPredictions.end(), "armed page has no prediction");
-    ZObjectId next = it->second;
+    Sector next = it->second;
     pendingPredictions.erase(it);
-    tryStage(next);
+    tryStage(store.zpool().objectAt(next));
 }
 
 void

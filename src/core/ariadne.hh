@@ -109,7 +109,8 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** Try to stage / pre-swap the data owning zpool object @p obj. */
     void tryStage(ZObjectId obj);
 
-    /** Remember that touching @p page should speculate on @p next. */
+    /** Remember that touching @p page should speculate on whatever
+     * holds @p next's sector then. */
     void armPrediction(PageMeta &page, ZObjectId next);
 
     /** Fire and clear a pending prediction for @p page, if any. */
@@ -131,10 +132,11 @@ class AriadneScheme : public SwapScheme, public HotnessAware
 
     /**
      * Prediction chain: after a speculative pre-swap, the first touch
-     * of a pre-swapped page triggers speculation on the following
-     * object so sequential runs keep exactly one unit of lookahead.
+     * of a pre-swapped page triggers speculation on the object at the
+     * following sector, so sequential runs keep exactly one unit of
+     * lookahead. An erased sector reads invalidObject: nothing stages.
      */
-    std::unordered_map<const PageMeta *, ZObjectId> pendingPredictions;
+    std::unordered_map<const PageMeta *, Sector> pendingPredictions;
     std::uint64_t preSwapCount = 0;
 };
 

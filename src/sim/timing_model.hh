@@ -47,8 +47,8 @@ namespace ariadne
  * 59.2x/41.8x total-time span of Fig. 6 (driven by the extremes) and
  * Fig. 11's CPU reduction with 16-32 KB cold chunks (mid-range chunks
  * only mildly dearer than 4 KB). The reproduction meets the first but
- * falls short of the second: claims/fig11.cfg averages 1.10 of ZRAM's
- * CPU, a 9.8 % increase (ROADMAP.md, item 10).
+ * falls short of the second: claims/fig11.cfg averages 1.09 of ZRAM's
+ * CPU, a 9.0 % increase (ROADMAP.md, item 10).
  */
 struct CodecCost
 {

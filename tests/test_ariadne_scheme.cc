@@ -187,6 +187,35 @@ TEST(AriadneScheme, RecycledUnitIdDoesNotJumpTheSpillQueue)
         EXPECT_EQ(pages[i]->location, PageLocation::Zpool) << i;
 }
 
+TEST(AriadneScheme, ArmedPredictionIgnoresARecycledHandle)
+{
+    // Cold units A, B and C take zpool sectors 0, 1 and 2. A's fault
+    // pre-swaps B, whose pages are armed toward C, B's sector
+    // successor. C's fault then frees C's handle, and new unit D
+    // takes it. Touching B must stage nothing: C left the zpool.
+    SchemeHarness h(512);
+    AriadneScheme scheme(h.context(), testConfig());
+    scheme.seedProfile(1, 4);
+    auto pages = h.admitPages(scheme, 1, 24); // hot 0..3, cold 4..23
+    for (int unit = 0; unit < 3; ++unit)
+        scheme.reclaim(4, false); // A, B, C = pages 4..15
+    const Zpool &pool = *scheme.zpool();
+    ZObjectId c_handle = pool.objectAt(2);
+
+    scheme.swapIn(*pages[4]);
+    ASSERT_EQ(scheme.preSwappedUnits(), 1u);
+    ASSERT_TRUE(pages[8]->predictionArmed);
+    scheme.swapIn(*pages[12]);
+    scheme.reclaim(4, false); // D
+    ASSERT_EQ(pool.objectAt(3), c_handle);
+    ASSERT_TRUE(pages[8]->predictionArmed);
+
+    scheme.onAccess(*pages[8]);
+    EXPECT_EQ(scheme.preSwappedUnits(), 1u);
+    EXPECT_TRUE(pool.live(c_handle));
+    EXPECT_EQ(pool.objectAt(3), c_handle);
+}
+
 TEST(AriadneScheme, CompressedColdWritesLessFlashThanRaw)
 {
     // D4: Ariadne writes compressed (not raw) data to flash.
