@@ -9,9 +9,11 @@
  * its `sweep =` name picks the figure's tables and claims below, and
  * its `fleet`, `seed` and `scale` lines set how it runs. A variant is
  * one table cell, named `ROW/COLUMN` or `ROW`. Every variant runs as
- * one fleet with its sessions kept. A cell is the mean of its metric
- * over the sessions; a claim takes one value per session, pairing
- * variants by session index, and report/claims.hh judges it.
+ * one fleet with its sessions kept; a variant whose settings and
+ * program repeat an earlier one's, in any file, reuses its sessions.
+ * A cell is the mean of its metric over the sessions; a claim takes
+ * one value per session, pairing variants by session index, and
+ * report/claims.hh judges it.
  */
 
 #include <algorithm>
@@ -231,34 +233,57 @@ fill(std::string name, const std::string &row)
     return name;
 }
 
+/** Each distinct variant's kept sessions, keyed by its config text
+ * with the name blanked. */
+using RunCache = std::map<std::string, driver::FleetResult>;
+
+/** @p spec's result: run now unless @p cache holds one for the same
+ * settings and program. */
+const driver::FleetResult &
+runOnce(const driver::ScenarioSpec &spec, RunCache &cache)
+{
+    driver::ScenarioSpec unnamed = spec;
+    unnamed.name.clear();
+    std::string key = unnamed.toString();
+    auto it = cache.find(key);
+    if (it == cache.end())
+        it = cache
+                 .emplace(std::move(key),
+                          driver::FleetRunner(spec).run(0, 0, true))
+                 .first;
+    return it->second;
+}
+
 /** One sweep's kept sessions. */
 struct Runs
 {
-    driver::SweepResult result;
+    std::string sweepName;
     /** Variant name -> its result and target app. */
     std::map<std::string, std::pair<const driver::FleetResult *, AppId>>
         byName;
     /** Each variant name up to its '/', first seen first. */
     std::vector<std::string> rows;
-    std::size_t sessions;
+    std::size_t sessions = 0;
 
-    explicit Runs(const driver::SweepSpec &sweep)
-        : result(driver::FleetRunner::runSweep(sweep, 0, 0, true)),
-          sessions(result.variants.front().sessions.size())
+    Runs(const driver::SweepSpec &sweep, RunCache &cache)
+        : sweepName(sweep.name)
     {
         for (std::size_t i = 0; i < sweep.variants.size(); ++i) {
             const driver::ScenarioSpec &spec = sweep.variants[i];
+            const driver::FleetResult &result = runOnce(spec, cache);
             auto ev = std::find_if(
                 spec.program.begin(), spec.program.end(),
                 [](const driver::Event &e) { return !e.app.empty(); });
-            byName[spec.name] = {&result.variants[i],
+            byName[spec.name] = {&result,
                                  ev == spec.program.end()
                                      ? invalidApp
                                      : standardApp(ev->app).uid};
             std::string row = spec.name.substr(0, spec.name.find('/'));
             if (std::find(rows.begin(), rows.end(), row) == rows.end())
                 rows.push_back(row);
-            if (result.variants[i].sessions.size() != sessions)
+            if (i == 0)
+                sessions = result.sessions.size();
+            if (result.sessions.size() != sessions)
                 throw driver::SpecError("sweep '" + sweep.name +
                                         "': variants differ in fleet");
         }
@@ -270,7 +295,7 @@ struct Runs
     {
         auto it = byName.find(name);
         if (it == byName.end())
-            throw driver::SpecError("sweep '" + result.name +
+            throw driver::SpecError("sweep '" + sweepName +
                                     "' has no variant '" + name + "'");
         return read(metric, it->second.first->sessions[i],
                     it->second.second);
@@ -345,6 +370,7 @@ main(int argc, char **argv)
 {
     std::vector<std::string> paths;
     Ledger out(argc, argv, &paths);
+    RunCache cache;
     try {
         for (const std::string &path : paths) {
             driver::SweepSpec sweep = driver::SweepSpec::loadFile(path);
@@ -354,7 +380,7 @@ main(int argc, char **argv)
             if (fig == figures.end())
                 throw driver::SpecError(path + ": no figure named '" +
                                         sweep.name + "'");
-            Runs runs(sweep);
+            Runs runs(sweep, cache);
             out.begin(fig->name, fig->title, sweep.variants.front().scale);
             for (const Table &t : fig->tables) {
                 if (!t.heading.empty())

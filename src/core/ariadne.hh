@@ -84,6 +84,9 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** PreDecomp staging statistics. */
     const PreDecomp &preDecomp() const noexcept { return stagingBuf; }
 
+    /** The hot, warm and cold lists. */
+    const HotnessOrg &hotnessOrg() const noexcept { return hotOrg; }
+
     /** Configuration in effect. */
     const AriadneConfig &config() const noexcept { return cfg; }
 

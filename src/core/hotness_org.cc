@@ -12,9 +12,8 @@ namespace ariadne
 namespace
 {
 
-// The relaunch hot->warm demotion is the hotness-decay walk; walking
-// only the hot list (the only pages whose level changes) keeps it
-// cheap.
+// The relaunch hot->warm demotion is the hotness decay; it walks the
+// demoted pages only to mark their journeys.
 telemetry::Counter c_decayPages("hotness.decay_pages");
 telemetry::SpanProbe d_decay("hotness.decay");
 
@@ -42,7 +41,8 @@ HotnessOrg::listsFor(AppId uid)
         });
     if (it != apps.end() && (*it)->uid == uid)
         return *(lastLists = it->get());
-    auto app = std::make_unique<AppLists>(uid, ops);
+    auto app =
+        std::make_unique<AppLists>(uid, spareHotList(), ops);
     app->hotInitTarget = profileStore.hotInitPages(uid);
     return *(lastLists =
                  apps.insert(it, std::move(app))->get());
@@ -67,14 +67,66 @@ HotnessOrg::findLists(AppId uid)
         static_cast<const HotnessOrg *>(this)->findLists(uid));
 }
 
-LruList &
-HotnessOrg::listOf(AppLists &app, Hotness level)
+HotnessOrg::Tier &
+HotnessOrg::tierOf(const PageMeta &page)
+{
+    LruList *owner = LruList::ownerOf(page);
+    panicIf(!owner, "HotnessOrg: page is on no list");
+    // Every list a HotnessOrg links pages on is one of its Tiers.
+    return static_cast<Tier &>(*owner);
+}
+
+HotnessOrg::Tier &
+HotnessOrg::victimList(AppLists &app, Hotness level)
 {
     switch (level) {
-      case Hotness::Hot: return app.hot;
-      case Hotness::Warm: return app.warm;
+      case Hotness::Hot: return *app.hot;
+      case Hotness::Warm: return *app.warmTail;
       default: return app.cold;
     }
+}
+
+std::size_t
+HotnessOrg::sizeAt(const AppLists &app, Hotness level)
+{
+    switch (level) {
+      case Hotness::Hot: return app.hot->size();
+      case Hotness::Warm: {
+        std::size_t pages = 0;
+        for (const Tier *t = &app.warm; t; t = t->older)
+            pages += t->size();
+        return pages;
+      }
+      default: return app.cold.size();
+    }
+}
+
+void
+HotnessOrg::take(AppLists &app, Tier &list, PageMeta &page)
+{
+    list.remove(page);
+    if (!list.empty() || list.level != Hotness::Warm || &list == &app.warm)
+        return;
+    // A drained retirement leaves the chain, so the chain's ends stay
+    // warm's MRU and LRU pages, and becomes a spare hot list.
+    list.newer->older = list.older;
+    if (list.older)
+        list.older->newer = list.newer;
+    else
+        app.warmTail = list.newer;
+    list.newer = list.older = nullptr;
+    spares.push_back(&list);
+}
+
+HotnessOrg::Tier *
+HotnessOrg::spareHotList()
+{
+    if (spares.empty())
+        return &tiers.emplace_back(ops, Hotness::Hot);
+    Tier *t = spares.back();
+    spares.pop_back();
+    t->level = Hotness::Hot;
+    return t;
 }
 
 void
@@ -98,8 +150,7 @@ HotnessOrg::admit(PageMeta &page, Tick now)
     if (!app.initialized && app.hotAdmitted < app.hotInitTarget) {
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        page.level = Hotness::Hot;
-        app.hot.pushFront(page);
+        app.hot->pushFront(page);
         ++app.hotAdmitted;
         if (app.hotAdmitted >= app.hotInitTarget)
             app.initialized = true;
@@ -110,13 +161,11 @@ HotnessOrg::admit(PageMeta &page, Tick now)
         // Fresh allocations during a relaunch are relaunch data.
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        page.level = Hotness::Hot;
-        app.hot.pushFront(page);
+        app.hot->pushFront(page);
         noteRelaunchTouch(app, page);
     } else {
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Cold, now);
-        page.level = Hotness::Cold;
         app.cold.pushFront(page);
     }
 }
@@ -128,31 +177,37 @@ HotnessOrg::touchResident(PageMeta &page, Tick now)
     app.lastAccess = now;
     noteRelaunchTouch(app, page);
 
-    Hotness level = page.level;
-    if (app.relaunchActive && level != Hotness::Hot) {
+    Tier &list = tierOf(page);
+    if (app.relaunchActive && list.level != Hotness::Hot) {
         // Data used during relaunch belongs on the hot list.
-        listOf(app, level).remove(page);
+        take(app, list, page);
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        page.level = Hotness::Hot;
-        app.hot.pushFront(page);
+        app.hot->pushFront(page);
         return;
     }
 
-    switch (level) {
+    switch (list.level) {
       case Hotness::Hot:
-        app.hot.touch(page);
+        list.touch(page);
         break;
       case Hotness::Warm:
-        app.warm.touch(page);
+        // Warm's MRU page is the front of the chain's first non-empty
+        // list, so the front of that list is warm's front.
+        if (&list == &app.warm ||
+            (app.warm.empty() && &list == app.warm.older)) {
+            list.touch(page);
+        } else {
+            take(app, list, page);
+            app.warm.pushFront(page);
+        }
         break;
       case Hotness::Cold:
         // Cold data accessed during execution moves to warm, like the
         // kernel's inactive -> active promotion (§4.2).
-        app.cold.remove(page);
+        list.remove(page);
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Warm, now);
-        page.level = Hotness::Warm;
         app.warm.pushFront(page);
         break;
     }
@@ -165,11 +220,10 @@ HotnessOrg::placeAfterSwapIn(PageMeta &page, Tick now)
     app.lastAccess = now;
     noteRelaunchTouch(app, page);
 
-    Hotness level = app.relaunchActive ? Hotness::Hot : Hotness::Warm;
+    Tier &list = app.relaunchActive ? *app.hot : app.warm;
     telemetry::journeyMark(page.key.uid, page.key.pfn,
-                           journeyLevel(level), now);
-    page.level = level;
-    listOf(app, level).pushFront(page);
+                           journeyLevel(list.level), now);
+    list.pushFront(page);
 }
 
 void
@@ -178,7 +232,6 @@ HotnessOrg::placeColdSibling(PageMeta &page, Tick now)
     AppLists &app = listsFor(page.key.uid);
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            telemetry::JourneyStep::Cold, now);
-    page.level = Hotness::Cold;
     app.cold.pushFront(page);
 }
 
@@ -194,19 +247,24 @@ HotnessOrg::beginRelaunch(AppId uid, Tick now)
 
     // "The system moves all old data in the hot list to the warm
     // list and adds the data from this relaunch to the hot list."
-    // Pages already on warm keep their Warm level, so demoting the
-    // hot list *before* the splice touches exactly the pages whose
-    // level changes, instead of walking the whole combined warm list.
+    // The old hot list itself becomes warm's LRU end.
     telemetry::ScopedSpan span(d_decay);
-    std::uint64_t walked = 0;
-    for (PageMeta *p = app.hot.front(); p; p = p->lruNext) {
-        telemetry::journeyMark(p->key.uid, p->key.pfn,
-                               telemetry::JourneyStep::Warm, now);
-        p->level = Hotness::Warm;
-        ++walked;
-    }
-    c_decayPages.add(walked);
-    app.hot.drainTo(app.warm);
+    Tier &old = *app.hot;
+    c_decayPages.add(old.size());
+    if (telemetry::journeyEnabled())
+        for (PageMeta *p = old.front(); p; p = p->lruNext)
+            telemetry::journeyMark(p->key.uid, p->key.pfn,
+                                   telemetry::JourneyStep::Warm, now);
+    if (old.empty())
+        return;
+    // Charge the pop and push per page a drain into warm would take.
+    if (ops)
+        *ops += 2 * old.size();
+    old.level = Hotness::Warm;
+    old.newer = app.warmTail;
+    app.warmTail->older = &old;
+    app.warmTail = &old;
+    app.hot = spareHotList();
 }
 
 void
@@ -227,67 +285,69 @@ HotnessOrg::inRelaunch(AppId uid) const
 }
 
 PageMeta *
-HotnessOrg::popVictim(Hotness level)
+HotnessOrg::popVictim(AppLists *app, Hotness level)
+{
+    if (!app)
+        return nullptr;
+    Tier &list = victimList(*app, level);
+    PageMeta *victim = list.back();
+    if (victim)
+        take(*app, list, *victim);
+    return victim;
+}
+
+HotnessOrg::AppLists *
+HotnessOrg::oldestWith(Hotness level)
 {
     AppLists *oldest = nullptr;
     for (const auto &app : apps) {
-        if (listOf(*app, level).empty())
+        if (victimList(*app, level).empty())
             continue;
         if (!oldest || app->lastAccess < oldest->lastAccess)
             oldest = app.get();
     }
-    if (!oldest)
-        return nullptr;
-    return listOf(*oldest, level).popBack();
+    return oldest;
+}
+
+PageMeta *
+HotnessOrg::popVictim(Hotness level)
+{
+    return popVictim(oldestWith(level), level);
 }
 
 PageMeta *
 HotnessOrg::peekVictim(Hotness level)
 {
-    AppLists *oldest = nullptr;
-    for (const auto &app : apps) {
-        if (listOf(*app, level).empty())
-            continue;
-        if (!oldest || app->lastAccess < oldest->lastAccess)
-            oldest = app.get();
-    }
-    return oldest ? listOf(*oldest, level).back() : nullptr;
+    AppLists *oldest = oldestWith(level);
+    return oldest ? victimList(*oldest, level).back() : nullptr;
 }
 
 PageMeta *
 HotnessOrg::popVictim(AppId uid, Hotness level)
 {
-    AppLists *app = findLists(uid);
-    if (!app)
-        return nullptr;
-    return listOf(*app, level).popBack();
+    return popVictim(findLists(uid), level);
 }
 
 std::size_t
 HotnessOrg::listSize(AppId uid, Hotness level) const
 {
     const AppLists *app = findLists(uid);
-    if (!app)
-        return 0;
-    switch (level) {
-      case Hotness::Hot: return app->hot.size();
-      case Hotness::Warm: return app->warm.size();
-      default: return app->cold.size();
-    }
+    return app ? sizeAt(*app, level) : 0;
 }
 
 std::size_t
 HotnessOrg::population(Hotness level) const
 {
     std::size_t total = 0;
-    for (const auto &app : apps) {
-        switch (level) {
-          case Hotness::Hot: total += app->hot.size(); break;
-          case Hotness::Warm: total += app->warm.size(); break;
-          default: total += app->cold.size(); break;
-        }
-    }
+    for (const auto &app : apps)
+        total += sizeAt(*app, level);
     return total;
+}
+
+Hotness
+HotnessOrg::levelOf(const PageMeta &page) const
+{
+    return tierOf(page).level;
 }
 
 std::vector<PageKey>

@@ -146,12 +146,12 @@ class LruList
         return page.lruOwner == this;
     }
 
-    /**
-     * Move every page to the back of @p dst in LRU order, preserving
-     * relative recency (this list becomes empty). Used by HotnessOrg's
-     * relaunch update, which demotes the whole old hot list to warm.
-     */
-    void drainTo(LruList &dst);
+    /** The list @p page is linked on; nullptr when it is on none. */
+    static LruList *
+    ownerOf(const PageMeta &page) noexcept
+    {
+        return page.lruOwner;
+    }
 
   private:
     void countOp() noexcept

@@ -70,8 +70,6 @@ struct PageMeta
     std::uint32_t version = 0;
     /** Ground-truth hotness assigned by the workload generator. */
     Hotness truth = Hotness::Cold;
-    /** Which hotness list the scheme currently keeps the page on. */
-    Hotness level = Hotness::Cold;
     /** Where the page's data currently lives. */
     PageLocation location = PageLocation::Resident;
     /** Set while AriadneScheme holds a PreDecomp prediction that this

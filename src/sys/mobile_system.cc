@@ -31,6 +31,7 @@ telemetry::SpanProbe d_execute("sys.execute");
 telemetry::SpanProbe d_relaunch("sys.relaunch", "relaunch", "uid");
 telemetry::SpanProbe d_background("sys.background");
 telemetry::SpanProbe d_idle("sys.idle");
+telemetry::SpanProbe d_generate("workload.generate");
 
 // Flight-recorder gauges, sampled on the timeline_interval_ms
 // cadence (sampleGauges). Values are simulated state at simulated
@@ -49,6 +50,17 @@ telemetry::TimelineGauge g_cpuBusyPermille("cpu.busy_permille");
 // breakdowns for the leading uids.
 telemetry::AppHistogram h_faultNs("sys.major_fault_ns");
 telemetry::AppHistogram h_relaunchNs("sys.relaunch_ns");
+
+/** Run the touch-stream generator @p gen inside its own span; as a
+ * bare argument it would run before the sys.* span opens and count as
+ * the caller's self time. */
+template <typename Generate>
+std::vector<TouchEvent>
+generated(Generate &&gen)
+{
+    telemetry::ScopedSpan span(d_generate);
+    return gen();
+}
 
 } // namespace
 
@@ -332,7 +344,7 @@ MobileSystem::runTouches(AppId uid,
 void
 MobileSystem::appColdLaunch(AppId uid)
 {
-    runColdLaunch(uid, app(uid).coldLaunch());
+    runColdLaunch(uid, generated([&] { return app(uid).coldLaunch(); }));
 }
 
 void
@@ -353,7 +365,7 @@ MobileSystem::runColdLaunch(AppId uid,
 void
 MobileSystem::appExecute(AppId uid, Tick dt)
 {
-    runExecute(uid, dt, app(uid).execute(dt));
+    runExecute(uid, dt, generated([&] { return app(uid).execute(dt); }));
 }
 
 void
@@ -385,7 +397,7 @@ MobileSystem::appBackground(AppId uid)
 RelaunchStats
 MobileSystem::appRelaunch(AppId uid)
 {
-    return runRelaunch(uid, app(uid).relaunch());
+    return runRelaunch(uid, generated([&] { return app(uid).relaunch(); }));
 }
 
 RelaunchStats
@@ -398,11 +410,6 @@ MobileSystem::runRelaunch(AppId uid,
         observer->onOp(TraceOp::Relaunch, uid, 0, simClock.now());
     RelaunchStats stats;
     stats.uid = uid;
-
-    // Capture the scheme's prediction before the relaunch clears it.
-    std::vector<PageKey> predicted;
-    if (const HotnessAware *predictor = swapScheme->hotness())
-        predicted = predictor->predictedHotSet(uid);
 
     swapScheme->onRelaunchStart(uid);
     inRelaunch = true;
@@ -424,28 +431,6 @@ MobileSystem::runRelaunch(AppId uid,
     maybeKswapd();
     if (observer)
         observer->onOp(TraceOp::RelaunchEnd, uid, 0, simClock.now());
-
-    // Coverage of the prediction against what the relaunch touched.
-    if (!predicted.empty()) {
-        PfnBitmap predicted_set;
-        for (const auto &key : predicted)
-            predicted_set.set(key.pfn);
-        std::size_t covered = 0;
-        std::size_t distinct = 0;
-        PfnBitmap seen;
-        for (const auto &ev : events) {
-            if (seen.set(ev.pfn)) {
-                ++distinct;
-                if (predicted_set.test(ev.pfn))
-                    ++covered;
-            }
-        }
-        stats.predictedPages = predicted.size();
-        stats.coverage = distinct == 0
-                             ? 0.0
-                             : static_cast<double>(covered) /
-                                   static_cast<double>(distinct);
-    }
     return stats;
 }
 

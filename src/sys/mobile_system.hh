@@ -63,9 +63,6 @@ struct RelaunchStats
     std::size_t stagedHits = 0;  //!< PreDecomp buffer hits
     std::size_t flashFaults = 0;
     std::size_t lostRecreated = 0;
-    /** Coverage of the scheme's hot prediction (Ariadne only). */
-    double coverage = 0.0;
-    std::size_t predictedPages = 0;
 
     /** Reconstruct the paper-scale latency from a scaled run. */
     Tick

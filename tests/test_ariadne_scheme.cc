@@ -241,7 +241,7 @@ TEST(AriadneScheme, RelaunchWindowRoutesFaultsToHot)
     scheme.reclaim(8, false);
     scheme.onRelaunchStart(1);
     scheme.swapIn(*pages[4]);
-    EXPECT_EQ(pages[4]->level, Hotness::Hot);
+    EXPECT_EQ(scheme.hotnessOrg().levelOf(*pages[4]), Hotness::Hot);
     scheme.onRelaunchEnd(1);
     auto predicted = scheme.predictedHotSet(1);
     EXPECT_EQ(predicted.size(), 1u);

@@ -111,24 +111,6 @@ TEST(LruList, ContainsTracksMembership)
     EXPECT_FALSE(a.contains(pages[0]));
 }
 
-TEST(LruList, DrainToPreservesRecency)
-{
-    LruList src, dst;
-    auto pages = makePages(4);
-    for (auto &p : pages)
-        src.pushFront(p);
-    PageMeta sentinel;
-    sentinel.key = PageKey{2, 0};
-    dst.pushFront(sentinel);
-
-    src.drainTo(dst);
-    EXPECT_TRUE(src.empty());
-    EXPECT_EQ(dst.size(), 5u);
-    // Oldest of src is now the oldest of dst.
-    EXPECT_EQ(dst.back(), &pages[0]);
-    EXPECT_EQ(dst.front(), &sentinel);
-}
-
 TEST(LruList, OpCounterCountsMutations)
 {
     std::uint64_t ops = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/similarity.hh"
 #include "sys/session.hh"
 #include "workload/apps.hh"
 
@@ -160,10 +161,16 @@ TEST(MobileSystem, CoverageReportedForAriadne)
     AppId yt = standardApp("YouTube").uid;
     driver.targetRelaunchScenario(yt, 0);
     // Second relaunch: prediction from the first one exists.
-    RelaunchStats st = sys.appRelaunch(yt);
-    EXPECT_GT(st.predictedPages, 0u);
-    EXPECT_GT(st.coverage, 0.4);
-    EXPECT_LE(st.coverage, 1.0);
+    std::vector<Pfn> predicted;
+    for (const PageKey &key : sys.hotness()->predictedHotSet(yt))
+        predicted.push_back(key.pfn);
+    sys.startTouchCapture(yt);
+    sys.appRelaunch(yt);
+    double coverage =
+        predictionCoverage(predicted, sys.stopTouchCapture(yt));
+    EXPECT_GT(predicted.size(), 0u);
+    EXPECT_GT(coverage, 0.4);
+    EXPECT_LE(coverage, 1.0);
 }
 
 TEST(MobileSystemDeath, UnknownAppPanics)

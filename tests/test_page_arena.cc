@@ -15,7 +15,6 @@ TEST(PageArena, AllocGivesFreshRecords)
     PageMeta *b = arena.alloc();
     ASSERT_NE(a, b);
     EXPECT_EQ(arena.liveCount(), 2u);
-    EXPECT_EQ(a->level, Hotness::Cold);
     EXPECT_EQ(a->location, PageLocation::Resident);
     EXPECT_EQ(a->lruOwner, nullptr);
 }
@@ -28,7 +27,6 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
     for (std::size_t i = 0; i < count; ++i) {
         PageMeta *page = arena.alloc();
         page->key = PageKey{9, static_cast<Pfn>(i)};
-        page->level = Hotness::Hot;
         page->location = PageLocation::Flash;
         first.push_back(page);
     }
@@ -43,7 +41,6 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
         PageMeta *page = arena.alloc();
         EXPECT_EQ(page, first[i]);
         EXPECT_EQ(page->key.pfn, PageKey{}.pfn);
-        EXPECT_EQ(page->level, Hotness::Cold);
         EXPECT_EQ(page->location, PageLocation::Resident);
     }
     EXPECT_EQ(arena.slabCount(), slabs_before);
