@@ -16,6 +16,43 @@
 namespace ariadne
 {
 
+/**
+ * A Bernoulli probability @p p as an integer bound on the 53 bits that
+ * Rng::uniform() scales: uniform() < p holds exactly when those bits
+ * are below ceil(p * 2^53), clamped to [0, 2^53] (0 for NaN). So
+ * Rng::chance(Threshold(p)) returns what uniform() < p would, from
+ * the same single draw, with one integer compare. Build it once for a
+ * fixed p, outside the loop that draws against it.
+ */
+class Threshold
+{
+  public:
+    constexpr explicit Threshold(double p) noexcept
+    {
+        if (p >= 1.0) {
+            bound = one;
+        } else if (p > 0.0) {
+            // p * 2^53 is exact, and below 2^53 so is its floor.
+            double x = p * 0x1.0p53;
+            bound = static_cast<std::uint64_t>(x);
+            if (static_cast<double>(bound) < x)
+                ++bound;
+        }
+    }
+
+    /** How many of the 2^53 values of the 53 drawn bits succeed. */
+    constexpr std::uint64_t
+    successes() const noexcept
+    {
+        return bound;
+    }
+
+  private:
+    friend class Rng;
+    static constexpr std::uint64_t one = std::uint64_t{1} << 53;
+    std::uint64_t bound = 0;
+};
+
 /** Seedable deterministic random number generator (PCG-XSH-RR). */
 class Rng
 {
@@ -89,6 +126,14 @@ class Rng
     chance(double p) noexcept
     {
         return uniform() < p;
+    }
+
+    /** Bernoulli trial against a prepared threshold; draws, and
+     * returns, exactly what chance(p) does for the same p. */
+    bool
+    chance(Threshold t) noexcept
+    {
+        return (next64() >> 11) < t.bound;
     }
 
     /**

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "sim/rng.hh"
@@ -94,6 +95,40 @@ TEST(Rng, ChanceApproximatesProbability)
     for (int i = 0; i < 20000; ++i)
         hits += r.chance(0.3);
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+TEST(Rng, ThresholdDrawsEqualChance)
+{
+    // Both ends of [0, 1], the first step above 0 and the last below
+    // 1, values outside [0, 1], NaN and a subnormal.
+    const double ps[] = {0.0,  0x1.0p-53, 0.3,  0.5,
+                         0.7,  1.0 - 0x1.0p-53, 1.0, 1.5,
+                         -0.1, std::nan(""), 0x1.0p-1074};
+    for (double p : ps) {
+        Threshold t(p);
+        // The bound is exact: the last succeeding value of the 53
+        // bits passes uniform() < p, the first failing one does not.
+        std::uint64_t n = t.successes();
+        ASSERT_LE(n, std::uint64_t{1} << 53) << p;
+        if (n > 0) {
+            EXPECT_LT(static_cast<double>(n - 1) * 0x1.0p-53, p) << p;
+        }
+        if (n < std::uint64_t{1} << 53) {
+            EXPECT_FALSE(static_cast<double>(n) * 0x1.0p-53 < p) << p;
+        }
+
+        // And a draw against it is chance(p): same outcome, same
+        // single draw from the stream.
+        Rng a(2024), b(2024), c(2024);
+        for (int i = 0; i < 100000; ++i) {
+            bool want = a.uniform() < p;
+            ASSERT_EQ(b.chance(p), want) << "p = " << p << ", draw " << i;
+            ASSERT_EQ(c.chance(t), want) << "p = " << p << ", draw " << i;
+        }
+        std::uint64_t next = a.next64();
+        EXPECT_EQ(b.next64(), next) << p;
+        EXPECT_EQ(c.next64(), next) << p;
+    }
 }
 
 TEST(Rng, ForkProducesIndependentStream)
