@@ -150,10 +150,16 @@ fillRegion(RegionType type, std::uint8_t *p, std::size_t region,
 
 PageSynthesizer::PageSynthesizer(const std::vector<AppProfile> &profiles)
 {
-    for (const auto &p : profiles)
-        apps.emplace(p.uid, buildPools(p.uid, p.mix));
+    for (const auto &p : profiles) {
+        // The first profile of a uid wins.
+        auto [it, fresh] = apps.try_emplace(p.uid);
+        if (fresh) {
+            it->second.uid = p.uid;
+            it->second.mix = p.mix;
+        }
+    }
 
-    ContentMix default_mix;
+    ContentMix &default_mix = defaultPools.mix;
     default_mix[RegionType::Zero] = 0.15;
     default_mix[RegionType::Text] = 0.25;
     default_mix[RegionType::Pointer] = 0.20;
@@ -161,7 +167,6 @@ PageSynthesizer::PageSynthesizer(const std::vector<AppProfile> &profiles)
     default_mix[RegionType::Float] = 0.10;
     default_mix[RegionType::Media] = 0.15;
     default_mix[RegionType::Random] = 0.05;
-    defaultPools = buildPools(invalidApp, default_mix);
 }
 
 PageSynthesizer::AppPools
@@ -230,7 +235,10 @@ const PageSynthesizer::AppPools &
 PageSynthesizer::poolsFor(AppId uid) const
 {
     auto it = apps.find(uid);
-    return it == apps.end() ? defaultPools : it->second;
+    const LazyPools &lazy = it == apps.end() ? defaultPools : it->second;
+    std::call_once(lazy.built,
+                   [&] { lazy.pools = buildPools(lazy.uid, lazy.mix); });
+    return lazy.pools;
 }
 
 RegionType

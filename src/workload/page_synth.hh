@@ -21,6 +21,7 @@
 #define ARIADNE_WORKLOAD_PAGE_SYNTH_HH
 
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +31,12 @@
 namespace ariadne
 {
 
-/** Synthesizes page contents for a set of registered applications. */
+/**
+ * Synthesizes page contents for a set of registered applications. An
+ * app's pools are built when the first of its pages is materialized,
+ * so a session that never compresses never pays for them; they depend
+ * only on the uid and mix, so when they are built changes no byte.
+ */
 class PageSynthesizer : public PageContentSource
 {
   public:
@@ -56,15 +62,27 @@ class PageSynthesizer : public PageContentSource
         std::vector<std::vector<std::uint8_t>> templates;
     };
 
+    /** What an app's pools are built from, and the pools once a
+     * materialize() has needed them. */
+    struct LazyPools
+    {
+        AppId uid = invalidApp;
+        ContentMix mix;
+        mutable std::once_flag built;
+        mutable AppPools pools;
+    };
+
     static AppPools buildPools(AppId uid, const ContentMix &mix);
 
+    /** @p uid's pools (the default ones for an unknown uid), built
+     * on the first call that needs them. */
     const AppPools &poolsFor(AppId uid) const;
 
     RegionType pickRegionType(const AppPools &pools,
                               double roll) const noexcept;
 
-    std::unordered_map<AppId, AppPools> apps;
-    AppPools defaultPools;
+    std::unordered_map<AppId, LazyPools> apps;
+    LazyPools defaultPools;
 };
 
 } // namespace ariadne
