@@ -98,11 +98,12 @@ class Rng
     {
         if (bound == 0)
             return 0;
-        // Rejection sampling to avoid modulo bias.
-        std::uint64_t threshold = (-bound) % bound;
+        // Rejection sampling to avoid modulo bias: accept r at or
+        // above 2^64 mod bound. That is below bound, so only r below
+        // bound needs the division that computes it.
         for (;;) {
             std::uint64_t r = next64();
-            if (r >= threshold)
+            if (r >= bound || r >= (-bound) % bound)
                 return r % bound;
         }
     }
@@ -121,19 +122,19 @@ class Rng
         return static_cast<double>(next64() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli trial: true with probability @p p. */
-    bool
-    chance(double p) noexcept
-    {
-        return uniform() < p;
-    }
-
-    /** Bernoulli trial against a prepared threshold; draws, and
-     * returns, exactly what chance(p) does for the same p. */
+    /** Bernoulli trial against a prepared threshold. */
     bool
     chance(Threshold t) noexcept
     {
         return (next64() >> 11) < t.bound;
+    }
+
+    /** Bernoulli trial: true with probability @p p, exactly when
+     * uniform() < p would be. */
+    bool
+    chance(double p) noexcept
+    {
+        return chance(Threshold(p));
     }
 
     /**

@@ -70,9 +70,9 @@ AppInstance::appendGrowth(std::vector<TouchEvent> &events,
     // image, a parsed document, ...): the pages of one buffer share a
     // ground-truth hotness and sit adjacently in allocation order,
     // which is what gives relaunch swap-ins their sector locality.
+    const Threshold warm(prof.warmFraction);
     while (pages.size() < target_pages) {
-        Hotness truth = rng.chance(prof.warmFraction) ? Hotness::Warm
-                                                      : Hotness::Cold;
+        Hotness truth = rng.chance(warm) ? Hotness::Warm : Hotness::Cold;
         std::size_t segment = std::min<std::size_t>(
             8 + rng.below(24), target_pages - pages.size());
         for (std::size_t i = 0; i < segment; ++i)
@@ -102,6 +102,7 @@ AppInstance::execute(Tick dt)
         auto touches = static_cast<std::size_t>(
             0.025 * seconds * static_cast<double>(warmList.size()));
         touches = std::min(touches, warmList.size());
+        const Threshold write_t(prof.writeProb);
         std::size_t emitted = 0;
         while (emitted < touches) {
             std::size_t start = rng.below(warmList.size());
@@ -111,7 +112,7 @@ AppInstance::execute(Tick dt)
             for (std::size_t j = 0; j < run; ++j) {
                 Pfn pfn = warmList[start + j];
                 PageState &st = pages[pfn];
-                bool write = rng.chance(prof.writeProb);
+                bool write = rng.chance(write_t);
                 if (write)
                     ++st.version;
                 events.push_back(TouchEvent{pfn, st.version, st.truth,
@@ -151,17 +152,22 @@ AppInstance::localityOrder(std::size_t n)
         result.push_back(idx);
     };
 
+    // A run continues with a chance that grows with its length, up
+    // to a length of 3.
+    auto continuing = [&](unsigned len) {
+        return Threshold(
+            std::min(prof.seqAccessProb + prof.seqMomentum * len, 0.97));
+    };
+    const Threshold keep_going[] = {continuing(0), continuing(1),
+                                    continuing(2), continuing(3)};
+
     std::uint32_t current = 0;
     visit(current);
     unsigned run_len = 0;
     while (!unvisited.empty()) {
-        double p = std::min(prof.seqAccessProb +
-                                prof.seqMomentum *
-                                    std::min<unsigned>(run_len, 3),
-                            0.97);
         std::uint32_t next = current + 1;
         if (next < n && position[next] != UINT32_MAX &&
-            rng.chance(p)) {
+            rng.chance(keep_going[std::min(run_len, 3u)])) {
             current = next;
             ++run_len;
         } else {
@@ -179,9 +185,13 @@ AppInstance::relaunch()
     panicIf(!launched, "relaunch before coldLaunch");
 
     // --- Churn the hot set (Insight 1 statistics). ---
-    std::vector<Pfn> new_hot;
-    std::vector<Pfn> demoted_warm;
-    std::vector<Pfn> demoted_cold;
+    // A page demoted to cold joins the cold list at once: the refill
+    // below reads only the warm list, which must not see this
+    // relaunch's demotions yet.
+    std::vector<Pfn> &new_hot = newHotScratch;
+    std::vector<Pfn> &demoted_warm = demotedWarmScratch;
+    new_hot.clear();
+    demoted_warm.clear();
     new_hot.reserve(hotTargetPages);
 
     double keep_p = prof.hotSimilarity;
@@ -190,14 +200,17 @@ AppInstance::relaunch()
             ? std::clamp((prof.reuseFraction - keep_p) / (1.0 - keep_p),
                          0.0, 1.0)
             : 1.0;
+    const Threshold keep(keep_p), reuse(reuse_q);
 
     for (Pfn pfn : hotList) {
-        if (rng.chance(keep_p)) {
+        if (rng.chance(keep)) {
             new_hot.push_back(pfn);
-        } else if (rng.chance(reuse_q)) {
+        } else if (rng.chance(reuse)) {
+            pages[pfn].truth = Hotness::Warm;
             demoted_warm.push_back(pfn);
         } else {
-            demoted_cold.push_back(pfn);
+            pages[pfn].truth = Hotness::Cold;
+            coldList.push_back(pfn);
         }
     }
 
@@ -208,8 +221,9 @@ AppInstance::relaunch()
     // (pfns are handed out densely), which is how the emit loop tells
     // a first-touch allocation from a re-touch without a hash map.
     const Pfn first_new_pfn = nextPfn;
+    const Threshold promote(0.7);
     while (new_hot.size() < hotTargetPages) {
-        if (!warmList.empty() && rng.chance(0.7)) {
+        if (!warmList.empty() && rng.chance(promote)) {
             std::size_t want = hotTargetPages - new_hot.size();
             std::size_t start = rng.below(warmList.size());
             std::size_t run = std::min<std::size_t>(
@@ -231,25 +245,20 @@ AppInstance::relaunch()
         }
     }
 
-    // Apply demotions.
-    for (Pfn pfn : demoted_warm) {
-        pages[pfn].truth = Hotness::Warm;
-        warmList.push_back(pfn);
-    }
-    for (Pfn pfn : demoted_cold) {
-        pages[pfn].truth = Hotness::Cold;
-        coldList.push_back(pfn);
-    }
-    for (Pfn pfn : new_hot)
-        pages[pfn].truth = Hotness::Hot;
-
-    prevHotList = std::move(hotList);
-    hotList = std::move(new_hot);
+    // Every page of new_hot is Hot already: kept pages were, promoted
+    // ones were set above and fresh ones were allocated so.
+    warmList.insert(warmList.end(), demoted_warm.begin(),
+                    demoted_warm.end());
+    // The old hot list becomes the previous one, and the previous
+    // one's buffer the next relaunch's new_hot.
+    prevHotList.swap(hotList);
+    hotList.swap(new_hot);
 
     // --- Emit the access sequence with run-based locality. ---
     std::vector<TouchEvent> events;
     events.reserve(hotList.size());
     const auto &order = localityOrder(hotList.size());
+    const Threshold write_t(prof.writeProb / 3.0);
 
     for (std::uint32_t idx : order) {
         Pfn pfn = hotList[idx];
@@ -259,7 +268,7 @@ AppInstance::relaunch()
         // each appears exactly once — its first touch faults as an
         // allocation.
         bool is_new = pfn >= first_new_pfn;
-        bool write = !is_new && rng.chance(prof.writeProb / 3.0);
+        bool write = !is_new && rng.chance(write_t);
         if (write)
             ++st.version;
         events.push_back(

@@ -135,10 +135,12 @@ class AppInstance
     std::vector<Pfn> warmList;
     std::vector<Pfn> coldList;
 
-    // localityOrder working memory, reused across calls.
+    // localityOrder and relaunch working memory, reused across calls.
     std::vector<std::uint32_t> orderScratch;
     std::vector<std::uint32_t> unvisitedScratch;
     std::vector<std::uint32_t> positionScratch;
+    std::vector<Pfn> newHotScratch;
+    std::vector<Pfn> demotedWarmScratch;
 
     Pfn nextPfn = 0;
     Tick ageNs = 0;
