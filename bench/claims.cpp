@@ -11,14 +11,20 @@
  * one table cell, named `ROW/COLUMN` or `ROW`. Every variant runs as
  * one fleet with its sessions kept; a variant whose settings and
  * program repeat an earlier one's, in any file, reuses its sessions.
- * A cell is the mean of its metric over the sessions; a claim takes
- * one value per session, pairing variants by session index, and
+ * The runner loads every file, runs the distinct variants of all of
+ * them at once, one fleet per hardware thread, and then prints the
+ * figures in file order, so its output does not depend on the thread
+ * count. A cell is the mean of its metric over the sessions; a claim
+ * takes one value per session, pairing variants by session index, and
  * report/claims.hh judges it.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <map>
+#include <thread>
 
 #include "bench_common.hh"
 
@@ -235,24 +241,70 @@ fill(std::string name, const std::string &row)
 
 /** Each distinct variant's kept sessions, keyed by its config text
  * with the name blanked. */
-using RunCache = std::map<std::string, driver::FleetResult>;
-
-/** @p spec's result: run now unless @p cache holds one for the same
- * settings and program. */
-const driver::FleetResult &
-runOnce(const driver::ScenarioSpec &spec, RunCache &cache)
+class RunCache
 {
-    driver::ScenarioSpec unnamed = spec;
-    unnamed.name.clear();
-    std::string key = unnamed.toString();
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache
-                 .emplace(std::move(key),
-                          driver::FleetRunner(spec).run(0, 0, true))
-                 .first;
-    return it->second;
-}
+  public:
+    /** Queue @p spec unless one with the same settings and program
+     * is queued. */
+    void
+    add(const driver::ScenarioSpec &spec)
+    {
+        if (index.emplace(key(spec), specs.size()).second)
+            specs.push_back(spec);
+    }
+
+    /** Run every queued variant as a one-thread fleet, up to one
+     * per hardware thread at a time. */
+    void
+    runAll()
+    {
+        results.resize(specs.size());
+        errors.resize(specs.size());
+        std::atomic<std::size_t> next{0};
+        auto work = [&] {
+            for (std::size_t i = next++; i < specs.size(); i = next++) {
+                try {
+                    results[i] = driver::FleetRunner(specs[i]).run(0, 1, true);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            }
+        };
+        unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+        std::vector<std::thread> pool;
+        for (unsigned t = 1; t < std::min<std::size_t>(threads, specs.size());
+             ++t)
+            pool.emplace_back(work);
+        work();
+        for (std::thread &th : pool)
+            th.join();
+    }
+
+    /** The result of the run @p spec was queued as; rethrows what
+     * that run threw. */
+    const driver::FleetResult &
+    at(const driver::ScenarioSpec &spec) const
+    {
+        std::size_t i = index.at(key(spec));
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+        return results[i];
+    }
+
+  private:
+    static std::string
+    key(const driver::ScenarioSpec &spec)
+    {
+        driver::ScenarioSpec unnamed = spec;
+        unnamed.name.clear();
+        return unnamed.toString();
+    }
+
+    std::map<std::string, std::size_t> index;
+    std::vector<driver::ScenarioSpec> specs;
+    std::vector<driver::FleetResult> results;
+    std::vector<std::exception_ptr> errors;
+};
 
 /** One sweep's kept sessions. */
 struct Runs
@@ -265,12 +317,12 @@ struct Runs
     std::vector<std::string> rows;
     std::size_t sessions = 0;
 
-    Runs(const driver::SweepSpec &sweep, RunCache &cache)
+    Runs(const driver::SweepSpec &sweep, const RunCache &cache)
         : sweepName(sweep.name)
     {
         for (std::size_t i = 0; i < sweep.variants.size(); ++i) {
             const driver::ScenarioSpec &spec = sweep.variants[i];
-            const driver::FleetResult &result = runOnce(spec, cache);
+            const driver::FleetResult &result = cache.at(spec);
             auto ev = std::find_if(
                 spec.program.begin(), spec.program.end(),
                 [](const driver::Event &e) { return !e.app.empty(); });
@@ -370,16 +422,31 @@ main(int argc, char **argv)
 {
     std::vector<std::string> paths;
     Ledger out(argc, argv, &paths);
-    RunCache cache;
     try {
-        for (const std::string &path : paths) {
-            driver::SweepSpec sweep = driver::SweepSpec::loadFile(path);
-            auto fig = std::find_if(
-                figures.begin(), figures.end(),
-                [&](const Figure &f) { return f.name == sweep.name; });
-            if (fig == figures.end())
-                throw driver::SpecError(path + ": no figure named '" +
-                                        sweep.name + "'");
+        // A file that fails to load stops the run after the files
+        // before it are printed.
+        std::vector<std::pair<const Figure *, driver::SweepSpec>> sweeps;
+        std::exception_ptr load_error;
+        RunCache cache;
+        try {
+            for (const std::string &path : paths) {
+                driver::SweepSpec sweep = driver::SweepSpec::loadFile(path);
+                auto fig = std::find_if(
+                    figures.begin(), figures.end(),
+                    [&](const Figure &f) { return f.name == sweep.name; });
+                if (fig == figures.end())
+                    throw driver::SpecError(path + ": no figure named '" +
+                                            sweep.name + "'");
+                for (const driver::ScenarioSpec &spec : sweep.variants)
+                    cache.add(spec);
+                sweeps.emplace_back(&*fig, std::move(sweep));
+            }
+        } catch (const std::exception &) {
+            load_error = std::current_exception();
+        }
+        cache.runAll();
+
+        for (const auto &[fig, sweep] : sweeps) {
             Runs runs(sweep, cache);
             out.begin(fig->name, fig->title, sweep.variants.front().scale);
             for (const Table &t : fig->tables) {
@@ -390,6 +457,8 @@ main(int argc, char **argv)
             for (const ClaimSpec &c : fig->claims)
                 out.claim(evaluate(c, runs));
         }
+        if (load_error)
+            std::rethrow_exception(load_error);
     } catch (const std::exception &e) {
         std::cerr << "claims: " << e.what() << "\n";
         return 2;
