@@ -86,6 +86,8 @@ class AriadneScheme : public SwapScheme, public HotnessAware
 
     /** The hot, warm and cold lists. */
     const HotnessOrg &hotnessOrg() const noexcept { return hotOrg; }
+    /** The lists, mutable: tests pop victims through it. */
+    HotnessOrg &hotnessOrg() noexcept { return hotOrg; }
 
     /** Configuration in effect. */
     const AriadneConfig &config() const noexcept { return cfg; }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "analysis/similarity.hh"
+#include "core/ariadne.hh"
 #include "sys/session.hh"
 #include "workload/apps.hh"
 
@@ -171,6 +174,80 @@ TEST(MobileSystem, CoverageReportedForAriadne)
     EXPECT_GT(predicted.size(), 0u);
     EXPECT_GT(coverage, 0.4);
     EXPECT_LE(coverage, 1.0);
+}
+
+TEST(MobileSystem, RelaunchesDrainRetiredHotLists)
+{
+    // A relaunch retires the app's hot list to warm's LRU end, and a
+    // retired list that loses its last page leaves warm's chain. The
+    // generated workloads never drain one, so drive explicit streams.
+    SystemConfig cfg = testConfig("ariadne");
+    AppProfile probe = standardApp("YouTube");
+    // 64 pages at launch, the first 16 of them hot.
+    probe.anonBytes10s = probe.anonBytes5min =
+        static_cast<std::size_t>(64 * pageSize / cfg.scale);
+    probe.hotFraction = 0.25;
+    MobileSystem sys(cfg, {probe});
+    HotnessOrg &org = dynamic_cast<AriadneScheme &>(sys.scheme())
+                          .hotnessOrg();
+    const AppId uid = probe.uid;
+    auto touches = [](std::vector<Pfn> pfns, bool allocate = false) {
+        std::vector<TouchEvent> events;
+        for (Pfn pfn : pfns)
+            events.push_back(
+                TouchEvent{pfn, 0, Hotness::Hot, allocate, false});
+        return events;
+    };
+    auto range = [](Pfn first, Pfn end) {
+        std::vector<Pfn> pfns;
+        for (Pfn pfn = first; pfn < end; ++pfn)
+            pfns.push_back(pfn);
+        return pfns;
+    };
+    auto sizes = [&] {
+        return std::array<std::size_t, 3>{
+            org.listSize(uid, Hotness::Hot),
+            org.listSize(uid, Hotness::Warm),
+            org.listSize(uid, Hotness::Cold)};
+    };
+    using Sizes = std::array<std::size_t, 3>;
+
+    sys.runColdLaunch(uid, touches(range(0, 64), true));
+    EXPECT_EQ(sizes(), (Sizes{16, 0, 48}));
+
+    // Every page of the retired list {0..15} comes back: it drains.
+    std::vector<Pfn> all_hot = range(0, 16);
+    for (Pfn pfn : range(16, 20))
+        all_hot.push_back(pfn);
+    sys.runRelaunch(uid, touches(all_hot));
+    EXPECT_EQ(sizes(), (Sizes{20, 0, 44}));
+
+    // Half of {0..19} comes back; {10..19} stays warm.
+    sys.runRelaunch(uid, touches(range(0, 10)));
+    EXPECT_EQ(sizes(), (Sizes{10, 10, 44}));
+
+    // {0..9} retires behind what is left of {10..19}, and 10..14
+    // come back.
+    sys.runRelaunch(uid, touches(range(10, 15)));
+    EXPECT_EQ(sizes(), (Sizes{5, 15, 44}));
+
+    // {10..14} retires behind {0..9}, and 15..19 come back: they
+    // drain the oldest retirement, which sits mid-chain.
+    sys.runRelaunch(uid, touches(range(15, 20)));
+    EXPECT_EQ(sizes(), (Sizes{5, 15, 44}));
+
+    // Warm's victims come from its LRU end: the newest retirement,
+    // least recently touched first, then the one before it. Popping
+    // them drains both.
+    std::vector<Pfn> victims;
+    while (PageMeta *victim = org.popVictim(uid, Hotness::Warm))
+        victims.push_back(victim->key.pfn);
+    std::vector<Pfn> want = range(10, 15);
+    for (Pfn pfn : range(0, 10))
+        want.push_back(pfn);
+    EXPECT_EQ(victims, want);
+    EXPECT_EQ(sizes(), (Sizes{5, 0, 44}));
+    EXPECT_EQ(org.peekVictim(Hotness::Warm), nullptr);
 }
 
 TEST(MobileSystemDeath, UnknownAppPanics)
