@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 
 #include "compress/registry.hh"
 #include "compress/chunked.hh"
@@ -45,6 +46,22 @@ TEST(PageSynth, VersionChangesContent)
 {
     PageSynthesizer synth(standardApps());
     EXPECT_NE(page(synth, 0, 1, 0), page(synth, 0, 1, 1));
+}
+
+TEST(PageSynth, ConcurrentFirstUseMatchesSequential)
+{
+    // materialize() is const but builds an app's pools on first use:
+    // threads racing to that first use must all get the same pools.
+    PageSynthesizer shared(standardApps());
+    PageSynthesizer reference(standardApps());
+    std::vector<std::vector<std::uint8_t>> got(4);
+    std::vector<std::thread> threads;
+    for (Pfn t = 0; t < got.size(); ++t)
+        threads.emplace_back([&, t] { got[t] = page(shared, 2, 10 + t); });
+    for (std::thread &th : threads)
+        th.join();
+    for (Pfn t = 0; t < got.size(); ++t)
+        EXPECT_EQ(got[t], page(reference, 2, 10 + t));
 }
 
 TEST(PageSynth, UnknownAppUsesDefaultMix)
