@@ -271,13 +271,12 @@ class RunCache
             }
         };
         unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-        std::vector<std::thread> pool;
+        // jthreads join when the pool goes out of scope.
+        std::vector<std::jthread> pool;
         for (unsigned t = 1; t < std::min<std::size_t>(threads, specs.size());
              ++t)
             pool.emplace_back(work);
         work();
-        for (std::thread &th : pool)
-            th.join();
     }
 
     /** The result of the run @p spec was queued as; rethrows what
