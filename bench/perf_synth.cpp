@@ -11,7 +11,7 @@
  * an exact FNV-1a total, so a change to what the synthesizer writes
  * fails the baseline even when its rate improves.
  *
- *     perf_synth [--pages N] [--rounds R] [--out FILE]
+ *     perf_synth [--out FILE]
  */
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/parse_count.hh"
 #include "telemetry/bench_report.hh"
 #include "telemetry/telemetry.hh"
 #include "workload/apps.hh"
@@ -33,23 +32,14 @@ using namespace ariadne;
 int
 main(int argc, char **argv)
 {
-    std::size_t pages = 512;
-    std::size_t rounds = 2;
+    // The baseline pins the totals these counts produce.
+    constexpr std::size_t pages = 512;
+    constexpr std::size_t rounds = 2;
     std::string out_path = "BENCH_synth.json";
-    bool ok = true;
-    for (int i = 1; ok && i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--pages") && i + 1 < argc)
-            ok = parseCount(argv[++i], pages) == std::errc();
-        else if (!std::strcmp(argv[i], "--rounds") && i + 1 < argc)
-            ok = parseCount(argv[++i], rounds) == std::errc();
-        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[++i];
-        else
-            ok = false;
-    }
-    if (!ok) {
-        std::cerr << "usage: " << argv[0]
-                  << " [--pages N] [--rounds R] [--out FILE]\n";
+    if (argc == 3 && !std::strcmp(argv[1], "--out")) {
+        out_path = argv[2];
+    } else if (argc != 1) {
+        std::cerr << "usage: " << argv[0] << " [--out FILE]\n";
         return 2;
     }
 
