@@ -333,22 +333,28 @@ MobileSystem::runTouches(AppId uid,
                          const std::vector<TouchEvent> &events,
                          RelaunchStats *stats)
 {
-    // A touch waits on its page's record and, when it moves the page
-    // between lists, on the records of the page's LRU neighbours. The
-    // stream is known in advance, so each touch prefetches the record
-    // prefetchAhead events ahead, and the neighbours of the record
-    // half as far ahead, which that earlier prefetch has brought in.
-    // A page not allocated yet has no record to fetch.
+    // A relaunch (the one caller with stats) re-touches the previous
+    // hot set, whose pages already have records, and moves them
+    // between lists, so each touch waits on its page's record and on
+    // the records of the page's LRU neighbours. The stream is known in
+    // advance, so a relaunch prefetches the record prefetchAhead
+    // events ahead, and the neighbours of the record half as far
+    // ahead, which that earlier prefetch has brought in. A launch
+    // touches pages that have no record yet, so the lookups only cost
+    // it time, and an execute's gain under reclaim and its cost
+    // without reclaim are each a sliver of a session; neither
+    // prefetches.
     constexpr std::size_t prefetchAhead = 8;
     AppDir &dir = dirFor(uid);
     const std::size_t n = events.size();
+    const bool prefetch = stats != nullptr;
     for (std::size_t i = 0; i < n; ++i) {
-        if (i + prefetchAhead < n) {
+        if (prefetch && i + prefetchAhead < n) {
             if (const PageMeta *later =
                     dir.page(events[i + prefetchAhead].pfn))
                 __builtin_prefetch(later, 1);
         }
-        if (i + prefetchAhead / 2 < n) {
+        if (prefetch && i + prefetchAhead / 2 < n) {
             if (const PageMeta *sooner =
                     dir.page(events[i + prefetchAhead / 2].pfn)) {
                 __builtin_prefetch(sooner->lruPrev, 1);
