@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "driver/json_writer.hh"
 #include "driver/workload_source.hh"
@@ -87,6 +88,44 @@ applySchemeOverride(ScenarioSpec &spec,
     }
 }
 
+/**
+ * The spec a replay runs: the scenario recorded in its trace, so the
+ * replayed report is byte-identical to the recorded one. An explicit
+ * name in the replay spec survives (sweep variants rely on it for
+ * side-by-side reports), and a what-if override swaps the scheme the
+ * recorded workload runs under; everything else comes from the
+ * recording.
+ */
+ScenarioSpec
+replayedSpec(const ScenarioSpec &replay, const ScenarioSpec &recorded)
+{
+    ScenarioSpec effective = recorded;
+    effective.workload = WorkloadKind::Trace;
+    effective.tracePath = replay.tracePath;
+    if (replay.name != "unnamed")
+        effective.name = replay.name;
+    if (!replay.replayScheme.empty() || !replay.replayParams.empty())
+        applySchemeOverride(effective, replay.replayScheme,
+                            replay.replayParams);
+    return effective;
+}
+
+/** An empty aggregation state for sessions [0, @p fleet) of @p spec
+ * (an effective spec). */
+report::FleetPartial
+partialOf(const ScenarioSpec &spec, std::size_t fleet)
+{
+    report::FleetPartial p(spec.percentiles, spec.sketchK);
+    p.scenario = spec.name;
+    p.scheme = SchemeRegistry::instance().at(spec.scheme).displayName;
+    p.ariadneConfig = spec.params.getString("config", "");
+    p.scale = spec.scale;
+    p.seed = spec.seed;
+    p.fleet = fleet;
+    p.sessionsEnd = fleet;
+    return p;
+}
+
 } // namespace
 
 double
@@ -100,34 +139,15 @@ FleetRunner::FleetRunner(ScenarioSpec spec,
     : scenario(std::move(spec)), sessionHooks(std::move(hooks))
 {
     if (scenario.workload == WorkloadKind::Trace) {
-        // The trace carries the recorded scenario; adopt it as the
-        // effective spec so the replayed report is byte-identical to
-        // the recorded one. An explicit name in the replay spec
-        // survives (sweep variants rely on it for side-by-side
-        // reports), and a what-if override swaps the scheme the
-        // recorded workload runs under; everything else comes from
-        // the recording.
         auto replay =
             std::make_shared<TraceReplaySource>(scenario.tracePath);
-        ScenarioSpec effective = replay->recordedSpec();
-        effective.workload = WorkloadKind::Trace;
-        effective.tracePath = scenario.tracePath;
-        if (scenario.name != "unnamed")
-            effective.name = scenario.name;
-        bool what_if = !scenario.replayScheme.empty() ||
-                       !scenario.replayParams.empty();
-        if (what_if)
-            applySchemeOverride(effective, scenario.replayScheme,
-                                scenario.replayParams);
-        scenario = std::move(effective);
+        scenario = replayedSpec(scenario, replay->recordedSpec());
+        // Re-recording a what-if replay must embed the scheme it
+        // actually ran (the workload axes stay the recording's).
         recordedForEmbed = replay->recordedSpec();
         recordedForEmbed->name = scenario.name;
-        if (what_if) {
-            // Re-recording a what-if replay must embed the scheme it
-            // actually ran (the workload axes stay the recording's).
-            recordedForEmbed->scheme = scenario.scheme;
-            recordedForEmbed->params = scenario.params;
-        }
+        recordedForEmbed->scheme = scenario.scheme;
+        recordedForEmbed->params = scenario.params;
         source = std::move(replay);
     } else {
         source = makeWorkloadSource(scenario);
@@ -233,22 +253,14 @@ FleetRunner::resolveFleet(std::size_t fleet) const
     return fleet;
 }
 
-report::FleetPartial
-FleetRunner::makePartial(std::size_t fleet,
-                         const report::ShardPlan &plan) const
+ScenarioSpec
+FleetRunner::effectiveSpec(const ScenarioSpec &spec)
 {
-    report::FleetPartial p(scenario.percentiles, scenario.sketchK);
-    p.scenario = scenario.name;
-    p.scheme =
-        SchemeRegistry::instance().at(scenario.scheme).displayName;
-    p.ariadneConfig = scenario.params.getString("config", "");
-    p.scale = scenario.scale;
-    p.seed = scenario.seed;
-    p.fleet = fleet;
-    auto [begin, end] = plan.sessionRange(fleet);
-    p.sessionsBegin = begin;
-    p.sessionsEnd = end;
-    return p;
+    if (spec.workload != WorkloadKind::Trace)
+        return spec;
+    TraceReader header(spec.tracePath, TraceReader::OnError::Throw);
+    return replayedSpec(
+        spec, TraceReplaySource::embeddedSpec(header, spec.tracePath));
 }
 
 void
@@ -366,8 +378,7 @@ FleetRunner::runFleet(std::size_t fleet, unsigned threads,
     fleet = resolveFleet(fleet);
     // An in-process run is the 1/1 shard of the sharded pipeline:
     // fold into a FleetPartial, finalize through the merge code path.
-    report::FleetPartial partial =
-        makePartial(fleet, report::ShardPlan{});
+    report::FleetPartial partial = partialOf(scenario, fleet);
     std::vector<SessionResult> kept;
     std::size_t peak = 0;
     runPartialInto(partial, threads, keep_sessions ? &kept : nullptr,
@@ -379,43 +390,36 @@ FleetRunner::runFleet(std::size_t fleet, unsigned threads,
 }
 
 report::PartialReport
-FleetRunner::runShard(const report::ShardPlan &plan, std::size_t fleet,
-                      unsigned threads) const
-{
-    fleet = resolveFleet(fleet);
-    report::PartialReport rep;
-    rep.kind = report::PartialReport::Kind::Fleet;
-    rep.shard = plan;
-    rep.fleet = makePartial(fleet, plan);
-    std::size_t peak = 0;
-    runPartialInto(rep.fleet, threads, nullptr, peak, nullptr);
-    return rep;
-}
-
-report::PartialReport
-FleetRunner::runSweepShard(const SweepSpec &sweep,
-                           const report::ShardPlan &plan,
-                           std::size_t fleet, unsigned threads)
+FleetRunner::runShard(const SweepSpec &run,
+                      const report::ShardPlan &plan, std::size_t fleet,
+                      unsigned threads)
 {
     report::PartialReport rep;
-    rep.kind = report::PartialReport::Kind::Sweep;
     rep.shard = plan;
-    rep.sweepName = sweep.name;
-    rep.variantCount = sweep.variants.size();
-    // Shards own disjoint variants, so the merger cannot infer run
-    // consistency from overlap the way fleet shards' session ranges
-    // do; stamp the run identity for it to cross-check instead.
-    rep.sweepSpecHash = report::fnv1a64(sweep.toString());
-    rep.fleetOverride = fleet;
-    for (std::size_t j = 0; j < sweep.variants.size(); ++j) {
-        if (!plan.ownsVariant(j))
+    rep.sweepName = run.name;
+    // The slice depends on every variant's fleet size, which a replay
+    // takes from its trace's header. Runners, and the records they
+    // load, exist only for the variants the slice reaches, one at a
+    // time.
+    std::string identity = run.toString();
+    for (const ScenarioSpec &variant : run.variants) {
+        ScenarioSpec effective = effectiveSpec(variant);
+        rep.variants.push_back(
+            partialOf(effective, fleet ? fleet : effective.fleet));
+        identity += "\nfleet = ";
+        identity += std::to_string(rep.variants.back().fleet);
+    }
+    rep.runHash = report::fnv1a64(identity);
+    auto ranges = rep.plannedRanges();
+    for (std::size_t v = 0; v < ranges.size(); ++v) {
+        report::FleetPartial &part = rep.variants[v];
+        std::tie(part.sessionsBegin, part.sessionsEnd) = ranges[v];
+        if (part.sessionsBegin == part.sessionsEnd)
             continue;
-        // Each owned variant runs its whole fleet as a complete (1/1)
-        // partial; the sweep-level shard identity lives on `rep`.
-        report::PartialReport variant =
-            FleetRunner(sweep.variants[j])
-                .runShard(report::ShardPlan{}, fleet, threads);
-        rep.variants.push_back({j, std::move(variant.fleet)});
+        FleetRunner runner(run.variants[v]);
+        runner.resolveFleet(fleet); // a replay's recorded sessions bound it
+        std::size_t peak = 0;
+        runner.runPartialInto(part, threads, nullptr, peak, nullptr);
     }
     return rep;
 }

@@ -25,8 +25,8 @@
  * report::FleetPartial and the final numbers come from
  * report::finalizeFleet — the same code path `ariadne_sim --merge`
  * uses — so an in-process run is literally the 1/1-shard case of the
- * sharded pipeline (runShard / runSweepShard produce the other
- * shards' PartialReports).
+ * sharded pipeline (runShard produces the other shards'
+ * PartialReports).
  */
 
 #ifndef ARIADNE_DRIVER_FLEET_RUNNER_HH
@@ -171,26 +171,31 @@ class FleetRunner
                             bool keep_sessions = false) const;
 
     /**
-     * Run only this process's share of the fleet — the contiguous
-     * session range @p plan assigns (global indices, so per-session
-     * seeds are unchanged) — and return its mergeable PartialReport.
-     * Merging all COUNT shards (report::mergePartials / `ariadne_sim
-     * --merge`) reproduces run()'s report; byte-identically in exact
-     * percentile mode. Shards never retain sessions or record traces.
-     */
-    report::PartialReport runShard(const report::ShardPlan &plan,
-                                   std::size_t fleet = 0,
-                                   unsigned threads = 1) const;
-
-    /**
-     * Run this process's share of @p sweep — the variants @p plan
-     * assigns round-robin, each as a complete fleet — as a mergeable
-     * PartialReport tagged with the variants' declaration indices.
+     * Run shard @p plan of @p run — a sweep, or a fleet as a nameless
+     * sweep of its one variant — and return its mergeable
+     * PartialReport. The run numbers its sessions variant by variant
+     * in declaration order and the shard runs the contiguous slice
+     * plan.sessionRange(total) of them (PartialReport::plannedRanges),
+     * so merging all COUNT shards (report::mergePartials /
+     * `ariadne_sim --merge`) reproduces run() / runSweep()'s report;
+     * byte-identically in exact percentile mode. Only the variants
+     * the slice reaches get a runner, one at a time, so at most one
+     * replayed trace is loaded at once; shards never retain sessions
+     * or record traces.
+     * @param fleet Per-variant session count; 0 uses each variant's
+     *        own fleet size.
      */
     static report::PartialReport
-    runSweepShard(const SweepSpec &sweep,
-                  const report::ShardPlan &plan, std::size_t fleet = 0,
-                  unsigned threads = 1);
+    runShard(const SweepSpec &run, const report::ShardPlan &plan,
+             std::size_t fleet = 0, unsigned threads = 1);
+
+    /**
+     * The spec FleetRunner(@p spec) runs: @p spec itself, or for a
+     * replay the scenario recorded in its trace, read from the
+     * trace's header alone. Throws like the constructor on an
+     * unreadable header or a bad override.
+     */
+    static ScenarioSpec effectiveSpec(const ScenarioSpec &spec);
 
     /** Run the single session @p index (deterministic in isolation). */
     SessionResult runSession(std::size_t index) const;
@@ -224,9 +229,6 @@ class FleetRunner
                          bool keep_sessions,
                          TraceRecorder *recorder) const;
     std::size_t resolveFleet(std::size_t fleet) const;
-    report::FleetPartial
-    makePartial(std::size_t fleet,
-                const report::ShardPlan &plan) const;
     /** Fold the partial's session range through the thread pool /
      * reorder window; optionally retaining sessions (full-range runs
      * only) and reporting the window's high-water mark. */

@@ -257,24 +257,33 @@ SyntheticPopulationSource::drive(std::size_t index,
 
 // --- TraceReplaySource ----------------------------------------------
 
-TraceReplaySource::TraceReplaySource(std::string trace_path)
-    : path(std::move(trace_path))
+ScenarioSpec
+TraceReplaySource::embeddedSpec(const TraceReader &reader,
+                                const std::string &path)
 {
-    TraceReader reader(path, TraceReader::OnError::Throw);
     if (reader.spec().empty())
         throw SpecError(
             "trace " + path + " carries no embedded scenario; only "
             "traces written by `ariadne_sim --record` (or "
             "FleetRunner::runRecorded) can be replayed");
+    ScenarioSpec spec;
     try {
-        recorded = ScenarioSpec::parseString(reader.spec());
+        spec = ScenarioSpec::parseString(reader.spec());
     } catch (const SpecError &e) {
         throw SpecError("embedded scenario in " + path +
                         " is invalid: " + e.what());
     }
-    if (recorded.workload == WorkloadKind::Trace)
+    if (spec.workload == WorkloadKind::Trace)
         throw SpecError("embedded scenario in " + path +
                         " is itself a trace replay (corrupt trace?)");
+    return spec;
+}
+
+TraceReplaySource::TraceReplaySource(std::string trace_path)
+    : path(std::move(trace_path))
+{
+    TraceReader reader(path, TraceReader::OnError::Throw);
+    recorded = embeddedSpec(reader, path);
     profileSource = makeWorkloadSource(recorded);
 
     TraceRecord rec;

@@ -184,6 +184,12 @@ class TraceReplaySource : public WorkloadSource
         return recorded;
     }
 
+    /** The scenario embedded in the header @p reader has read from
+     * trace @p path; throws SpecError when it carries none, an
+     * invalid one or a replay. */
+    static ScenarioSpec embeddedSpec(const TraceReader &reader,
+                                     const std::string &path);
+
   private:
     struct Span
     {

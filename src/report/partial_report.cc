@@ -1,5 +1,6 @@
 #include "report/partial_report.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -272,36 +273,44 @@ FleetPartial::retainedValues() const noexcept
            compRatio.retainedValues();
 }
 
+std::vector<std::pair<std::size_t, std::size_t>>
+PartialReport::plannedRanges() const
+{
+    std::size_t total = 0;
+    for (const FleetPartial &v : variants) {
+        if (v.fleet > ~std::size_t{0} - total)
+            throw ReportError("the run's fleet sizes overflow its "
+                              "session numbering");
+        total += v.fleet;
+    }
+    auto [begin, end] = shard.sessionRange(total);
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    std::size_t offset = 0;
+    for (const FleetPartial &v : variants) {
+        auto local = [&](std::size_t global) {
+            return global <= offset ? 0 : std::min(global - offset, v.fleet);
+        };
+        ranges.emplace_back(local(begin), local(end));
+        offset += v.fleet;
+    }
+    return ranges;
+}
+
 void
 PartialReport::writeJson(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
     w.field("ariadnePartial", formatVersion);
-    w.field("kind", kind == Kind::Fleet ? "fleet" : "sweep");
     w.field("shardIndex", static_cast<std::uint64_t>(shard.index));
     w.field("shardCount", static_cast<std::uint64_t>(shard.count));
-    if (kind == Kind::Fleet) {
-        w.key("report");
-        writeFleetPartial(w, fleet);
-    } else {
-        w.field("sweep", sweepName);
-        w.field("variantCount",
-                static_cast<std::uint64_t>(variantCount));
-        w.field("sweepSpecHash", sweepSpecHash);
-        w.field("fleetOverride", fleetOverride);
-        w.key("variants");
-        w.beginArray();
-        for (const SweepEntry &entry : variants) {
-            w.beginObject();
-            w.field("variantIndex",
-                    static_cast<std::uint64_t>(entry.index));
-            w.key("report");
-            writeFleetPartial(w, entry.fleet);
-            w.endObject();
-        }
-        w.endArray();
-    }
+    w.field("sweep", sweepName);
+    w.field("runHash", runHash);
+    w.key("variants");
+    w.beginArray();
+    for (const FleetPartial &variant : variants)
+        writeFleetPartial(w, variant);
+    w.endArray();
     w.endObject();
     os << "\n";
 }
@@ -327,30 +336,15 @@ PartialReport::parseText(const std::string &text)
         badReport("shard " + std::to_string(plan.index) + "/" +
                   std::to_string(plan.count) + " is out of range");
     out.shard = plan;
-
-    const std::string &kind_name = doc.at("kind").asString();
-    if (kind_name == "fleet") {
-        out.kind = Kind::Fleet;
-        out.fleet = parseFleetPartial(doc.at("report"));
-        return out;
-    }
-    if (kind_name != "sweep")
-        badReport("unknown kind '" + kind_name + "'");
-    out.kind = Kind::Sweep;
     out.sweepName = doc.at("sweep").asString();
-    out.variantCount = doc.at("variantCount").asU64();
-    out.sweepSpecHash = doc.at("sweepSpecHash").asU64();
-    out.fleetOverride = doc.at("fleetOverride").asU64();
-    for (const JsonValue &entry : doc.at("variants").asArray()) {
-        SweepEntry e;
-        e.index = entry.at("variantIndex").asU64();
-        if (e.index >= out.variantCount)
-            badReport("variantIndex " + std::to_string(e.index) +
-                      " is out of range (variantCount " +
-                      std::to_string(out.variantCount) + ")");
-        e.fleet = parseFleetPartial(entry.at("report"));
-        out.variants.push_back(std::move(e));
-    }
+    out.runHash = doc.at("runHash").asU64();
+    for (const JsonValue &variant : doc.at("variants").asArray())
+        out.variants.push_back(parseFleetPartial(variant));
+    if (out.variants.empty() ||
+        (out.sweepName.empty() && out.variants.size() != 1))
+        badReport("a sweep needs at least one variant and a fleet "
+                  "exactly one (got " +
+                  std::to_string(out.variants.size()) + ")");
     return out;
 }
 

@@ -7,16 +7,17 @@
  * mode), the shard's contiguous session range, the integer totals and
  * one MetricState per report metric. Folding sessions into a partial
  * is the *only* aggregation implementation — FleetRunner uses it for
- * in-process runs (a trivial 1/1 shard), `ariadne_sim --shard i/N
- * --partial out.json` serializes one, and ReportMerger folds K of
- * them back into the exact final report schema FleetRunner emits.
+ * in-process runs, `ariadne_sim --shard i/N --partial out.json`
+ * serializes one per variant, and ReportMerger folds K shards back
+ * into the exact final report schema FleetRunner emits.
  *
- * A PartialReport wraps either one fleet shard (`kind = fleet`,
- * sessions partitioned by ShardPlan::sessionRange) or a sweep shard
- * (`kind = sweep`: the round-robin-owned variants, each carried as a
- * complete FleetPartial tagged with its declaration index).
+ * A PartialReport has one shape for fleets and sweeps: the shard
+ * plan, the sweep name (empty for a fleet, a run of one variant), a
+ * run-identity hash every shard of one run shares, and one
+ * FleetPartial per variant holding the part of the shard's slice
+ * that falls in that variant (see shard_plan.hh).
  *
- * The on-disk format is JSON (`"ariadnePartial": 1`); numbers are
+ * The on-disk format is JSON (`"ariadnePartial": 2`); numbers are
  * written in shortest round-trip form and re-parsed bit-identically,
  * which is what lets merged exact-mode reports reproduce the
  * unsharded run byte for byte. Parse problems throw ReportError.
@@ -94,46 +95,34 @@ struct FleetPartial
     std::size_t retainedValues() const noexcept;
 };
 
-/** One shard's serialized share of a fleet or sweep run. */
+/** One shard's serialized share of a run (a fleet or a sweep). */
 struct PartialReport
 {
     /** On-disk format version ("ariadnePartial"). */
-    static constexpr std::uint64_t formatVersion = 1;
+    static constexpr std::uint64_t formatVersion = 2;
 
-    enum class Kind
-    {
-        Fleet,
-        Sweep,
-    };
-
-    Kind kind = Kind::Fleet;
     ShardPlan shard;
-
-    /** kind == Fleet: the shard's aggregation state. */
-    FleetPartial fleet;
-
-    /** kind == Sweep: sweep identity plus the owned variants. */
+    /** The sweep's name; empty for a fleet. */
     std::string sweepName;
-    std::size_t variantCount = 0;
     /**
-     * Run identity every sweep shard must share: FNV-1a of the
-     * canonical sweep spec plus the CLI --fleet override. Shards own
-     * *disjoint* variants, so unlike fleet shards there is no
-     * overlapping state to cross-check at merge time — workers that
-     * ran different specs or different fleet overrides would
-     * otherwise fold into one silently inconsistent side-by-side
-     * report.
+     * FNV-1a of the canonical spec text and the resolved fleet sizes.
+     * Shards whose variants agree on every report field can still
+     * come from different runs (another event program, another
+     * `--fleet`); the merger refuses shards whose hashes differ.
      */
-    std::uint64_t sweepSpecHash = 0;
-    std::uint64_t fleetOverride = 0;
-    struct SweepEntry
-    {
-        /** Declaration index of the variant in the sweep. */
-        std::size_t index = 0;
-        /** The variant's complete (1/1) aggregation state. */
-        FleetPartial fleet;
-    };
-    std::vector<SweepEntry> variants;
+    std::uint64_t runHash = 0;
+    /** One aggregation state per variant, in declaration order. */
+    std::vector<FleetPartial> variants;
+
+    /**
+     * Each variant's [begin, end) share of this shard's slice, from
+     * the plan and the variants' fleet sizes: sessions are numbered
+     * variant by variant, and a variant the slice misses gets an
+     * empty range at its start or end. Throws ReportError when the
+     * fleet sizes' total overflows.
+     */
+    std::vector<std::pair<std::size_t, std::size_t>>
+    plannedRanges() const;
 
     /** Serialize as JSON (parse(writeJson(x)) round-trips exactly). */
     void writeJson(std::ostream &os) const;

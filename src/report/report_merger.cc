@@ -18,7 +18,7 @@ badMerge(const std::string &msg)
 }
 
 /** Sort by shard index and demand exactly the shards 1..N of one
- * consistent plan, each once. */
+ * run, each once. */
 void
 canonicalize(std::vector<PartialReport> &partials)
 {
@@ -28,15 +28,14 @@ canonicalize(std::vector<PartialReport> &partials)
               [](const PartialReport &a, const PartialReport &b) {
                   return a.shard.index < b.shard.index;
               });
-    std::size_t count = partials[0].shard.count;
+    const PartialReport &first = partials[0];
+    std::size_t count = first.shard.count;
     if (partials.size() != count)
         badMerge("plan says " + std::to_string(count) +
                  " shard(s) but " + std::to_string(partials.size()) +
                  " partial report(s) were given");
     for (std::size_t i = 0; i < partials.size(); ++i) {
         const PartialReport &p = partials[i];
-        if (p.kind != partials[0].kind)
-            badMerge("mixed fleet and sweep partials");
         if (p.shard.count != count)
             badMerge("shard counts differ (" +
                      std::to_string(p.shard.count) + " vs " +
@@ -52,64 +51,15 @@ canonicalize(std::vector<PartialReport> &partials)
                          : "missing shard " + std::to_string(i + 1) +
                                "/" + std::to_string(count));
         }
-    }
-}
-
-FleetResult
-mergeFleet(std::vector<PartialReport> &partials)
-{
-    // Every shard's session range must be exactly what its plan
-    // computes; adjacency (and therefore full [0, fleet) coverage)
-    // then follows, and FleetPartial::merge re-checks it anyway.
-    for (const PartialReport &p : partials) {
-        auto [begin, end] = p.shard.sessionRange(p.fleet.fleet);
-        if (p.fleet.sessionsBegin != begin ||
-            p.fleet.sessionsEnd != end)
-            badMerge("shard " + p.shard.toString() +
-                     " covers sessions [" +
-                     std::to_string(p.fleet.sessionsBegin) + ", " +
-                     std::to_string(p.fleet.sessionsEnd) +
-                     ") but its plan assigns [" +
-                     std::to_string(begin) + ", " +
-                     std::to_string(end) + ")");
-    }
-    FleetPartial merged = std::move(partials[0].fleet);
-    for (std::size_t i = 1; i < partials.size(); ++i)
-        merged.merge(partials[i].fleet);
-    return finalizeFleet(merged);
-}
-
-SweepResult
-mergeSweep(std::vector<PartialReport> &partials)
-{
-    PartialReport combined;
-    combined.kind = PartialReport::Kind::Sweep;
-    combined.shard = ShardPlan{};
-    combined.sweepName = partials[0].sweepName;
-    combined.variantCount = partials[0].variantCount;
-    combined.sweepSpecHash = partials[0].sweepSpecHash;
-    combined.fleetOverride = partials[0].fleetOverride;
-    for (PartialReport &p : partials) {
-        if (p.sweepName != combined.sweepName)
-            badMerge("sweep names differ ('" + p.sweepName + "' vs '" +
-                     combined.sweepName + "')");
-        if (p.variantCount != combined.variantCount)
+        if (p.runHash != first.runHash)
+            badMerge("the shards come from different runs (their run "
+                     "hashes differ; every shard must run the same "
+                     "config with the same --fleet)");
+        if (p.variants.size() != first.variants.size())
             badMerge("variant counts differ (" +
-                     std::to_string(p.variantCount) + " vs " +
-                     std::to_string(combined.variantCount) + ")");
-        if (p.sweepSpecHash != combined.sweepSpecHash)
-            badMerge("sweep shards come from different sweep specs "
-                     "(spec hashes differ; every shard must run the "
-                     "identical sweep config)");
-        if (p.fleetOverride != combined.fleetOverride)
-            badMerge("sweep shards ran with different --fleet "
-                     "overrides (" +
-                     std::to_string(p.fleetOverride) + " vs " +
-                     std::to_string(combined.fleetOverride) + ")");
-        for (PartialReport::SweepEntry &entry : p.variants)
-            combined.variants.push_back(std::move(entry));
+                     std::to_string(p.variants.size()) + " vs " +
+                     std::to_string(first.variants.size()) + ")");
     }
-    return finalizeSweep(combined);
 }
 
 } // namespace
@@ -140,72 +90,47 @@ finalizeFleet(const FleetPartial &p)
 }
 
 SweepResult
-finalizeSweep(const PartialReport &p)
-{
-    if (p.kind != PartialReport::Kind::Sweep)
-        badMerge("expected a sweep partial");
-    std::vector<const PartialReport::SweepEntry *> entries;
-    entries.reserve(p.variants.size());
-    for (const PartialReport::SweepEntry &entry : p.variants)
-        entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto *a, const auto *b) {
-                  return a->index < b->index;
-              });
-    if (entries.size() != p.variantCount) {
-        std::string msg = "sweep '" + p.sweepName + "' declares " +
-                          std::to_string(p.variantCount) +
-                          " variant(s) but the partials carry " +
-                          std::to_string(entries.size());
-        badMerge(msg);
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const PartialReport::SweepEntry &entry = *entries[i];
-        if (entry.index != i)
-            badMerge(i > 0 && entries[i - 1]->index == entry.index
-                         ? "duplicate variant index " +
-                               std::to_string(entry.index)
-                         : "missing variant index " +
-                               std::to_string(i));
-        if (entry.fleet.sessionsBegin != 0 ||
-            entry.fleet.sessionsEnd != entry.fleet.fleet)
-            badMerge("variant " + std::to_string(entry.index) +
-                     " ('" + entry.fleet.scenario +
-                     "') is incomplete: covers sessions [" +
-                     std::to_string(entry.fleet.sessionsBegin) + ", " +
-                     std::to_string(entry.fleet.sessionsEnd) +
-                     ") of fleet " +
-                     std::to_string(entry.fleet.fleet));
-    }
-    SweepResult result;
-    result.name = p.sweepName;
-    result.variants.reserve(entries.size());
-    for (const auto *entry : entries)
-        result.variants.push_back(finalizeFleet(entry->fleet));
-    return result;
-}
-
-MergedReport
 mergePartials(std::vector<PartialReport> partials)
 {
     canonicalize(partials);
-    MergedReport out;
-    out.kind = partials[0].kind;
-    if (out.kind == PartialReport::Kind::Fleet)
-        out.fleet = mergeFleet(partials);
-    else
-        out.sweep = mergeSweep(partials);
-    return out;
+    // Every variant's session range must be exactly what the plan
+    // computes; adjacency (and therefore full coverage) then follows,
+    // and FleetPartial::merge re-checks it anyway.
+    for (const PartialReport &p : partials) {
+        auto ranges = p.plannedRanges();
+        for (std::size_t v = 0; v < ranges.size(); ++v) {
+            const FleetPartial &part = p.variants[v];
+            auto [begin, end] = ranges[v];
+            if (part.sessionsBegin != begin || part.sessionsEnd != end)
+                badMerge("shard " + p.shard.toString() + " covers "
+                         "sessions [" +
+                         std::to_string(part.sessionsBegin) + ", " +
+                         std::to_string(part.sessionsEnd) +
+                         ") of variant " + std::to_string(v) +
+                         " but its plan assigns [" +
+                         std::to_string(begin) + ", " +
+                         std::to_string(end) + ")");
+        }
+    }
+    SweepResult result;
+    result.name = partials[0].sweepName;
+    for (std::size_t v = 0; v < partials[0].variants.size(); ++v) {
+        FleetPartial merged = std::move(partials[0].variants[v]);
+        for (std::size_t i = 1; i < partials.size(); ++i)
+            merged.merge(partials[i].variants[v]);
+        result.variants.push_back(finalizeFleet(merged));
+    }
+    return result;
 }
 
-MergedReport
+SweepResult
 mergeReportFiles(const std::vector<std::string> &paths)
 {
     std::vector<PartialReport> partials;
     partials.reserve(paths.size());
     for (const std::string &path : paths)
         partials.push_back(PartialReport::loadFile(path));
-    return mergePartials(partials);
+    return mergePartials(std::move(partials));
 }
 
 } // namespace ariadne::report

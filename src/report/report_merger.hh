@@ -2,18 +2,19 @@
  * @file
  * ReportMerger — fold K partial reports into the final report.
  *
- * finalizeFleet()/finalizeSweep() turn aggregation state into the
- * exact FleetResult/SweepResult schema FleetRunner emits — they are
- * the *only* summarization path, shared by in-process runs (a 1/1
- * shard) and `ariadne_sim --merge`.
+ * finalizeFleet() turns one variant's aggregation state into the
+ * exact FleetResult schema FleetRunner emits — the *only*
+ * summarization path, shared by in-process runs and
+ * `ariadne_sim --merge`.
  *
  * The merger canonicalizes before folding: partials sort by shard
  * index (CLI argument order cannot change the result), every shard
- * 1..N must be present exactly once, run identities must agree, and
- * fleet session ranges must be exactly the ShardPlan ranges — so an
- * exact-mode merge reproduces the unsharded report byte for byte, and
- * a sketch-mode merge is deterministic for a given shard set.
- * Violations throw ReportError (the CLI's exit-2 currency).
+ * 1..N must be present exactly once, every shard must carry the same
+ * run hash, and each variant's session range must be exactly the one
+ * PartialReport::plannedRanges computes — so an exact-mode merge
+ * reproduces the unsharded report byte for byte, and a sketch-mode
+ * merge is deterministic for a given shard set. Violations throw
+ * ReportError (the CLI's exit-2 currency).
  */
 
 #ifndef ARIADNE_REPORT_REPORT_MERGER_HH
@@ -31,26 +32,17 @@ namespace ariadne::report
  * the final report record. */
 driver::FleetResult finalizeFleet(const FleetPartial &p);
 
-/** Summarize a complete sweep partial (every variant present, each
- * complete); throws ReportError otherwise. */
-driver::SweepResult finalizeSweep(const PartialReport &p);
-
-/** Outcome of a merge: exactly one of the two reports, per kind. */
-struct MergedReport
-{
-    PartialReport::Kind kind = PartialReport::Kind::Fleet;
-    driver::FleetResult fleet;
-    driver::SweepResult sweep;
-};
-
 /**
- * Fold @p partials into the final report. Validates coverage and
- * identity (see file header); throws ReportError on any mismatch.
+ * Fold @p partials into the final report, one FleetResult per
+ * variant; a fleet's shards (empty sweep name) merge to a nameless
+ * sweep of one variant. Validates coverage and identity (see file
+ * header); throws ReportError on any mismatch.
  */
-MergedReport mergePartials(std::vector<PartialReport> partials);
+driver::SweepResult mergePartials(std::vector<PartialReport> partials);
 
 /** Load @p paths (PartialReport::loadFile) and merge them. */
-MergedReport mergeReportFiles(const std::vector<std::string> &paths);
+driver::SweepResult
+mergeReportFiles(const std::vector<std::string> &paths);
 
 } // namespace ariadne::report
 

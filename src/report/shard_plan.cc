@@ -35,24 +35,18 @@ ShardPlan::toString() const
 }
 
 std::pair<std::size_t, std::size_t>
-ShardPlan::sessionRange(std::size_t fleet) const noexcept
+ShardPlan::sessionRange(std::size_t total) const noexcept
 {
     // Balanced contiguous ranges: shard i gets
-    // [ (i-1)*fleet/count, i*fleet/count ). Integer arithmetic tiles
-    // [0, fleet) exactly, with sizes differing by at most one. The
+    // [ (i-1)*total/count, i*total/count ). Integer arithmetic tiles
+    // [0, total) exactly, with sizes differing by at most one. The
     // products go through 128 bits: COUNT is unbounded user input,
     // and a wrapped product would yield begin > end.
     auto cut = [&](std::size_t i) {
         return static_cast<std::size_t>(
-            static_cast<unsigned __int128>(i) * fleet / count);
+            static_cast<unsigned __int128>(i) * total / count);
     };
     return {cut(index - 1), cut(index)};
-}
-
-bool
-ShardPlan::ownsVariant(std::size_t variant_index) const noexcept
-{
-    return variant_index % count == index - 1;
 }
 
 } // namespace ariadne::report

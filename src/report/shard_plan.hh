@@ -4,19 +4,20 @@
  *
  * A plan is the pair "shard INDEX of COUNT" (1-based, the CLI's
  * `--shard i/N`). It is pure arithmetic with no state, so any process
- * handed the same spec and the same `i/N` computes the same share:
+ * handed the same spec and the same `i/N` computes the same share.
  *
- *  - fleets partition by *session index* into contiguous balanced
- *    ranges — sessionRange(F) of shards 1..N tile [0, F) exactly, and
- *    because sessions derive their seeds from their global index, the
- *    union of the shards is the unsharded run, session for session;
- *  - sweeps partition by *variant index*, round-robin — shard i owns
- *    variants j with j % N == i-1, and each owned variant runs its
- *    whole fleet.
+ * One rule covers fleets and sweeps: a run numbers its sessions
+ * variant by variant in declaration order (a fleet is a run of one
+ * variant), and shard i gets the contiguous balanced slice
+ * sessionRange(total) of that numbering. Slices of shards 1..N tile
+ * [0, total) exactly, and because sessions derive their seeds from
+ * their index within their variant, the union of the shards is the
+ * unsharded run, session for session
+ * (PartialReport::plannedRanges cuts a slice at variant boundaries).
  *
- * Contiguous session ranges are what make merged exact-mode reports
- * byte-identical: concatenating the shards' per-metric sample vectors
- * in shard order reproduces the unsharded fold order exactly.
+ * Contiguous slices are what make merged exact-mode reports
+ * byte-identical: concatenating each variant's per-metric sample
+ * vectors in shard order reproduces the unsharded fold order exactly.
  */
 
 #ifndef ARIADNE_REPORT_SHARD_PLAN_HH
@@ -50,17 +51,13 @@ struct ShardPlan
     std::string toString() const;
 
     /**
-     * Session indices [begin, end) of this shard in a fleet of
-     * @p fleet sessions: contiguous balanced ranges that tile
-     * [0, fleet) across the COUNT shards (shards may be empty when
-     * fleet < COUNT).
+     * Session indices [begin, end) of this shard in a run of
+     * @p total sessions: contiguous balanced ranges that tile
+     * [0, total) across the COUNT shards (shards may be empty when
+     * total < COUNT).
      */
     std::pair<std::size_t, std::size_t>
-    sessionRange(std::size_t fleet) const noexcept;
-
-    /** Whether this shard runs sweep variant @p variant_index
-     * (round-robin assignment). */
-    bool ownsVariant(std::size_t variant_index) const noexcept;
+    sessionRange(std::size_t total) const noexcept;
 
     bool operator==(const ShardPlan &o) const = default;
 };

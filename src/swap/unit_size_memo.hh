@@ -16,8 +16,9 @@
  * numbers its apps' pages from pfn 0 and starts them at the same
  * versions, and ZRAM and Ariadne's AL also re-size unchanged pages
  * within a session. A fleet worker
- * therefore keeps one memo for one FleetRunner::run() or runShard()
- * call and lends it to each session it builds (WorkerState). bind()
+ * therefore keeps one memo for one FleetRunner::run() call, or for
+ * one variant's slice of a runShard() call, and lends it to each
+ * session it builds (WorkerState). bind()
  * drops every entry when a session synthesizes its pages from another
  * (uid, ContentMix) list than the entries were filled under. A full
  * memo keeps its entries and sizes later units without storing them.

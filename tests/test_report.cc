@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "driver/json_writer.hh"
@@ -144,19 +145,6 @@ TEST(ShardPlan, HugeShardCountsDoNotOverflowTheRanges)
     auto [last_begin, last_end] = ShardPlan{huge, huge}.sessionRange(3);
     EXPECT_EQ(last_end, 3u);
     (void)last_begin;
-}
-
-TEST(ShardPlan, VariantsRoundRobinAcrossShards)
-{
-    const std::size_t count = 3;
-    for (std::size_t j = 0; j < 10; ++j) {
-        std::size_t owners = 0;
-        for (std::size_t i = 1; i <= count; ++i)
-            owners += ShardPlan{i, count}.ownsVariant(j) ? 1 : 0;
-        EXPECT_EQ(owners, 1u) << "variant " << j;
-    }
-    EXPECT_TRUE((ShardPlan{1, 3}.ownsVariant(0)));
-    EXPECT_TRUE((ShardPlan{2, 3}.ownsVariant(4)));
 }
 
 // --- MetricState ----------------------------------------------------
@@ -489,13 +477,15 @@ TEST(PartialReport, JsonRoundTripIsExact)
     for (PercentileMode mode :
          {PercentileMode::Exact, PercentileMode::Sketch}) {
         PartialReport rep;
-        rep.kind = PartialReport::Kind::Fleet;
         rep.shard = {2, 4};
-        rep.fleet = samplePartial(mode, 2, 4, 7);
+        rep.runHash = ~std::uint64_t{0} - 5;
+        rep.variants = {samplePartial(mode, 2, 4, 7)};
         std::string text = partialJson(rep);
         PartialReport back = PartialReport::parseText(text);
         EXPECT_EQ(back.shard, rep.shard);
-        EXPECT_EQ(back.fleet.seed, rep.fleet.seed);
+        EXPECT_EQ(back.runHash, rep.runHash);
+        ASSERT_EQ(back.variants.size(), 1u);
+        EXPECT_EQ(back.variants[0].seed, rep.variants[0].seed);
         // Re-serializing the parsed report reproduces every byte —
         // doubles round-trip exactly.
         EXPECT_EQ(partialJson(back), text);
@@ -505,18 +495,17 @@ TEST(PartialReport, JsonRoundTripIsExact)
 TEST(PartialReport, SweepRoundTrip)
 {
     PartialReport rep;
-    rep.kind = PartialReport::Kind::Sweep;
     rep.shard = {1, 2};
     rep.sweepName = "schemes";
-    rep.variantCount = 3;
-    rep.variants.push_back(
-        {0, samplePartial(PercentileMode::Exact, 0, 8, 1)});
-    rep.variants.push_back(
-        {2, samplePartial(PercentileMode::Exact, 0, 8, 2)});
+    rep.runHash = 7;
+    rep.variants = {samplePartial(PercentileMode::Exact, 0, 8, 1),
+                    samplePartial(PercentileMode::Exact, 0, 4, 2),
+                    samplePartial(PercentileMode::Exact, 0, 0, 3)};
     std::string text = partialJson(rep);
     PartialReport back = PartialReport::parseText(text);
-    ASSERT_EQ(back.variants.size(), 2u);
-    EXPECT_EQ(back.variants[1].index, 2u);
+    EXPECT_EQ(back.sweepName, "schemes");
+    ASSERT_EQ(back.variants.size(), 3u);
+    EXPECT_EQ(back.variants[1].sessionsEnd, 4u);
     EXPECT_EQ(partialJson(back), text);
 }
 
@@ -528,9 +517,16 @@ TEST(PartialReport, RejectsCorruptDocuments)
                      R"({"ariadnePartial": 99, "kind": "fleet",
                          "shardIndex": 1, "shardCount": 1})"),
                  ReportError);
-    // Truncated sample vectors are diagnosed via the count field.
+    // A fleet carries exactly one variant, a sweep at least one.
     PartialReport rep;
-    rep.fleet = samplePartial(PercentileMode::Exact, 0, 4, 3);
+    EXPECT_THROW(PartialReport::parseText(partialJson(rep)), ReportError);
+    rep.variants.assign(2, samplePartial(PercentileMode::Exact, 0, 4, 3));
+    EXPECT_THROW(PartialReport::parseText(partialJson(rep)), ReportError);
+    rep.sweepName = "s";
+    EXPECT_NO_THROW(PartialReport::parseText(partialJson(rep)));
+    // Truncated sample vectors are diagnosed via the count field.
+    rep.sweepName.clear();
+    rep.variants.resize(1);
     std::string text = partialJson(rep);
     auto pos = text.find("\"samples\": [");
     ASSERT_NE(pos, std::string::npos);
@@ -542,34 +538,52 @@ TEST(PartialReport, RejectsCorruptDocuments)
                  ReportError);
 }
 
+TEST(PartialReport, RejectsVersionOnePartials)
+{
+    // Version 1 had a fleet shape and a sweep shape; this build reads
+    // only the one shape of version 2.
+    try {
+        PartialReport::parseText(R"({"ariadnePartial": 1, "kind": "fleet",
+            "shardIndex": 1, "shardCount": 2, "report": {}})");
+        FAIL() << "a version-1 partial parsed";
+    } catch (const ReportError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported format version 1 (this build reads 2)"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // --- Merger ---------------------------------------------------------
 
 TEST(ReportMerger, MergesShardsInCanonicalOrder)
 {
     PartialReport a, b;
     a.shard = {1, 2};
-    a.fleet = samplePartial(PercentileMode::Exact, 0, 4, 5);
+    a.variants = {samplePartial(PercentileMode::Exact, 0, 4, 5)};
     b.shard = {2, 2};
-    b.fleet = samplePartial(PercentileMode::Exact, 4, 8, 5);
+    b.variants = {samplePartial(PercentileMode::Exact, 4, 8, 5)};
 
-    MergedReport forward = mergePartials({a, b});
-    MergedReport shuffled = mergePartials({b, a});
+    driver::SweepResult forward = mergePartials({a, b});
+    driver::SweepResult shuffled = mergePartials({b, a});
     std::ostringstream x, y;
-    forward.fleet.writeJson(x);
-    shuffled.fleet.writeJson(y);
+    forward.writeJson(x);
+    shuffled.writeJson(y);
     EXPECT_EQ(x.str(), y.str());
-    EXPECT_EQ(forward.fleet.fleet, 8u);
-    EXPECT_EQ(forward.fleet.relaunchMs.samples, 8u);
+    EXPECT_EQ(forward.name, "");
+    ASSERT_EQ(forward.variants.size(), 1u);
+    EXPECT_EQ(forward.variants[0].fleet, 8u);
+    EXPECT_EQ(forward.variants[0].relaunchMs.samples, 8u);
 }
 
 TEST(ReportMerger, SingleShardMergeEqualsFinalize)
 {
     PartialReport solo;
-    solo.fleet = samplePartial(PercentileMode::Exact, 0, 8, 9);
-    MergedReport merged = mergePartials({solo});
+    solo.variants = {samplePartial(PercentileMode::Exact, 0, 8, 9)};
+    driver::SweepResult merged = mergePartials({solo});
     std::ostringstream x, y;
-    merged.fleet.writeJson(x);
-    finalizeFleet(solo.fleet).writeJson(y);
+    merged.variants.at(0).writeJson(x);
+    finalizeFleet(solo.variants[0]).writeJson(y);
     EXPECT_EQ(x.str(), y.str());
 }
 
@@ -577,29 +591,34 @@ TEST(ReportMerger, DiagnosesBadShardSets)
 {
     PartialReport a, b, dup;
     a.shard = {1, 2};
-    a.fleet = samplePartial(PercentileMode::Exact, 0, 4, 5);
+    a.variants = {samplePartial(PercentileMode::Exact, 0, 4, 5)};
     b.shard = {2, 2};
-    b.fleet = samplePartial(PercentileMode::Exact, 4, 8, 5);
+    b.variants = {samplePartial(PercentileMode::Exact, 4, 8, 5)};
     dup = a;
 
     EXPECT_THROW(mergePartials({}), ReportError);
     EXPECT_THROW(mergePartials({a}), ReportError);         // missing 2/2
     EXPECT_THROW(mergePartials({a, dup}), ReportError);    // duplicate
     PartialReport wrong_seed = b;
-    wrong_seed.fleet.seed ^= 1;
+    wrong_seed.variants[0].seed ^= 1;
     EXPECT_THROW(mergePartials({a, wrong_seed}), ReportError);
     PartialReport wrong_range = b;
-    wrong_range.fleet.sessionsBegin = 3;
+    wrong_range.variants[0].sessionsBegin = 3;
     EXPECT_THROW(mergePartials({a, wrong_range}), ReportError);
     PartialReport wrong_mode = b;
-    wrong_mode.fleet = samplePartial(PercentileMode::Sketch, 4, 8, 5);
+    wrong_mode.variants = {samplePartial(PercentileMode::Sketch, 4, 8, 5)};
     EXPECT_THROW(mergePartials({a, wrong_mode}), ReportError);
+    // Fleet sizes whose total wraps are refused, not wrapped.
+    PartialReport huge = b;
+    huge.variants.push_back(b.variants[0]);
+    huge.variants[0].fleet = ~std::size_t{0};
+    EXPECT_THROW(huge.plannedRanges(), ReportError);
 }
 
 TEST(PartialReport, RejectsCorruptSketchState)
 {
     PartialReport rep;
-    rep.fleet = samplePartial(PercentileMode::Sketch, 0, 4, 3);
+    rep.variants = {samplePartial(PercentileMode::Sketch, 0, 4, 3)};
     std::string text = partialJson(rep);
     // Empty the first sketch's levels while leaving its count: the
     // weight invariant (levels weigh exactly `count`) must catch it
@@ -622,59 +641,67 @@ TEST(PartialReport, RejectsCorruptSketchState)
 
 TEST(ReportMerger, SweepShardsMustShareOneRunIdentity)
 {
+    // Two variants of 8 sessions on 2 shards: shard 1 runs variant 0,
+    // shard 2 variant 1, and each carries an empty slice of the other.
     auto shard = [](std::size_t index, std::uint64_t hash,
-                    std::uint64_t fleet_override) {
+                    const std::string &name) {
         PartialReport p;
-        p.kind = PartialReport::Kind::Sweep;
         p.shard = {index, 2};
-        p.sweepName = "s";
-        p.variantCount = 2;
-        p.sweepSpecHash = hash;
-        p.fleetOverride = fleet_override;
-        PartialReport::SweepEntry e;
-        e.index = index - 1;
-        e.fleet = samplePartial(PercentileMode::Exact, 0, 8, index);
-        p.variants.push_back(std::move(e));
+        p.sweepName = name;
+        p.runHash = hash;
+        std::size_t cut = index == 1 ? 0 : 8;
+        p.variants = {
+            samplePartial(PercentileMode::Exact, cut, 8, index),
+            samplePartial(PercentileMode::Exact, 0, cut, index)};
         return p;
     };
     // Same spec + same --fleet merges fine...
-    EXPECT_EQ(mergePartials({shard(1, 7, 0), shard(2, 7, 0)})
-                  .sweep.variants.size(),
+    EXPECT_EQ(mergePartials({shard(1, 7, "s"), shard(2, 7, "s")})
+                  .variants.size(),
               2u);
-    // ...but shards of different sweep specs or different --fleet
-    // overrides must be refused, not silently mixed.
-    EXPECT_THROW(mergePartials({shard(1, 7, 0), shard(2, 8, 0)}),
+    // ...but shards of different specs or different --fleet values
+    // must be refused, not silently mixed: a sweep's, and a fleet's,
+    // whose shards differ in nothing else.
+    EXPECT_THROW(mergePartials({shard(1, 7, "s"), shard(2, 8, "s")}),
                  ReportError);
-    EXPECT_THROW(mergePartials({shard(1, 7, 4), shard(2, 7, 2)}),
-                 ReportError);
+    PartialReport a, b;
+    a.shard = {1, 2};
+    a.runHash = 1;
+    a.variants = {samplePartial(PercentileMode::Exact, 0, 4, 5)};
+    b.shard = {2, 2};
+    b.runHash = 2;
+    b.variants = {samplePartial(PercentileMode::Exact, 4, 8, 5)};
+    EXPECT_THROW(mergePartials({a, b}), ReportError);
 }
 
 TEST(ReportMerger, SweepNeedsEveryVariantExactlyOnce)
 {
-    auto entry = [](std::size_t index) {
-        PartialReport::SweepEntry e;
-        e.index = index;
-        e.fleet = samplePartial(PercentileMode::Exact, 0, 8, index);
-        return e;
-    };
+    // Three variants of 8 sessions on 2 shards: 24 sessions, 12 each,
+    // so variant 1 is split between the shards.
     PartialReport a, b;
-    a.kind = b.kind = PartialReport::Kind::Sweep;
     a.sweepName = b.sweepName = "s";
-    a.variantCount = b.variantCount = 3;
     a.shard = {1, 2};
     b.shard = {2, 2};
-    a.variants.push_back(entry(0));
-    a.variants.push_back(entry(2));
-    b.variants.push_back(entry(1));
+    a.variants = {samplePartial(PercentileMode::Exact, 0, 8, 0),
+                  samplePartial(PercentileMode::Exact, 0, 4, 1),
+                  samplePartial(PercentileMode::Exact, 0, 0, 2)};
+    b.variants = {samplePartial(PercentileMode::Exact, 8, 8, 0),
+                  samplePartial(PercentileMode::Exact, 4, 8, 1),
+                  samplePartial(PercentileMode::Exact, 0, 8, 2)};
 
-    driver::SweepResult merged = mergePartials({b, a}).sweep;
+    driver::SweepResult merged = mergePartials({b, a});
     ASSERT_EQ(merged.variants.size(), 3u);
     EXPECT_EQ(merged.name, "s");
+    EXPECT_EQ(merged.variants[1].relaunchMs.samples, 8u);
 
     PartialReport missing = b;
-    missing.variants.clear();
+    missing.variants.pop_back();
     EXPECT_THROW(mergePartials({a, missing}), ReportError);
     PartialReport incomplete = b;
-    incomplete.variants[0].fleet.sessionsEnd = 4;
+    incomplete.variants[2].sessionsEnd = 4;
     EXPECT_THROW(mergePartials({a, incomplete}), ReportError);
+    // A variant run whole on one shard is not its slice of the plan.
+    PartialReport whole = a;
+    whole.variants[1] = samplePartial(PercentileMode::Exact, 0, 8, 1);
+    EXPECT_THROW(mergePartials({whole, b}), ReportError);
 }

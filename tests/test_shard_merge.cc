@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "driver/fleet_runner.hh"
 #include "report/report_merger.hh"
@@ -21,9 +22,9 @@ namespace
 
 /** Busy-enough fleet scenario (mirrors test_fleet_runner's). */
 ScenarioSpec
-fleetSpec()
+fleetSpec(int switches = 6)
 {
-    return ScenarioSpec::parseString(R"(
+    return ScenarioSpec::parseString(std::string(R"(
 name = shard-fleet
 scheme = ariadne
 scheme.config = EHL-1K-2K-16K
@@ -31,10 +32,18 @@ scale = 0.0625
 seed = 11
 fleet = 8
 event = warmup
-event = repeat 6
+event = repeat )") + std::to_string(switches) + R"(
 event =   switch_next 200ms 100ms
 event = end
 )");
+}
+
+/** A fleet as the shard pipeline runs it: a nameless sweep of one
+ * variant. */
+SweepSpec
+asRun(ScenarioSpec spec)
+{
+    return SweepSpec{"", {std::move(spec)}};
 }
 
 SweepSpec
@@ -88,15 +97,28 @@ throughDisk(const PartialReport &p)
     return PartialReport::parseText(os.str());
 }
 
+/** Run every shard of the fleet through disk and merge them. */
 std::string
-mergedFleetJson(const FleetRunner &runner, std::size_t shards,
-                std::size_t fleet, unsigned threads)
+mergedFleetJson(std::size_t shards, std::size_t fleet, unsigned threads)
 {
     std::vector<PartialReport> partials;
     for (std::size_t i = 1; i <= shards; ++i)
-        partials.push_back(throughDisk(
-            runner.runShard(ShardPlan{i, shards}, fleet, threads)));
-    return jsonOf(mergePartials(std::move(partials)).fleet);
+        partials.push_back(throughDisk(FleetRunner::runShard(
+            asRun(fleetSpec()), ShardPlan{i, shards}, fleet, threads)));
+    SweepResult merged = mergePartials(std::move(partials));
+    EXPECT_EQ(merged.name, "");
+    EXPECT_EQ(merged.variants.size(), 1u);
+    return jsonOf(merged.variants.at(0));
+}
+
+/** Sessions shard @p p ran, over all variants. */
+std::size_t
+sessionsRun(const PartialReport &p)
+{
+    std::size_t ran = 0;
+    for (const FleetPartial &v : p.variants)
+        ran += v.sessionsEnd - v.sessionsBegin;
+    return ran;
 }
 
 } // namespace
@@ -106,49 +128,45 @@ TEST(ShardMerge, MergedFleetShardsAreByteIdenticalToUnsharded)
     FleetRunner runner(fleetSpec());
     std::string unsharded = jsonOf(runner.run(8, 2));
     // 2, 4 and 8 shards, with varying worker counts per shard.
-    EXPECT_EQ(mergedFleetJson(runner, 2, 8, 1), unsharded);
-    EXPECT_EQ(mergedFleetJson(runner, 4, 8, 3), unsharded);
-    EXPECT_EQ(mergedFleetJson(runner, 8, 8, 2), unsharded);
+    EXPECT_EQ(mergedFleetJson(2, 8, 1), unsharded);
+    EXPECT_EQ(mergedFleetJson(4, 8, 3), unsharded);
+    EXPECT_EQ(mergedFleetJson(8, 8, 2), unsharded);
 }
 
 TEST(ShardMerge, MergeOrderCannotChangeTheResult)
 {
-    FleetRunner runner(fleetSpec());
     std::vector<PartialReport> partials;
     for (std::size_t i = 1; i <= 3; ++i)
-        partials.push_back(throughDisk(
-            runner.runShard(ShardPlan{i, 3}, 6, 2)));
-    std::string sorted = jsonOf(
-        mergePartials({partials[0], partials[1], partials[2]}).fleet);
-    std::string shuffled = jsonOf(
-        mergePartials({partials[2], partials[0], partials[1]}).fleet);
+        partials.push_back(throughDisk(FleetRunner::runShard(
+            asRun(fleetSpec()), ShardPlan{i, 3}, 6, 2)));
+    std::string sorted =
+        jsonOf(mergePartials({partials[0], partials[1], partials[2]}));
+    std::string shuffled =
+        jsonOf(mergePartials({partials[2], partials[0], partials[1]}));
     EXPECT_EQ(sorted, shuffled);
 }
 
 TEST(ShardMerge, ShardsNeverRetainMoreThanTheirShare)
 {
-    FleetRunner runner(fleetSpec());
-    PartialReport p = runner.runShard(ShardPlan{2, 4}, 8, 1);
-    EXPECT_EQ(p.fleet.sessionsBegin, 2u);
-    EXPECT_EQ(p.fleet.sessionsEnd, 4u);
+    PartialReport p =
+        FleetRunner::runShard(asRun(fleetSpec()), ShardPlan{2, 4}, 8, 1);
+    ASSERT_EQ(p.variants.size(), 1u);
+    EXPECT_EQ(p.variants[0].sessionsBegin, 2u);
+    EXPECT_EQ(p.variants[0].sessionsEnd, 4u);
     // Two sessions' worth of samples, not the whole fleet's.
-    EXPECT_EQ(p.fleet.relaunchMs.count(), 12u);
+    EXPECT_EQ(p.variants[0].relaunchMs.count(), 12u);
     // Tiny fleets leave some shards empty — still mergeable.
-    PartialReport empty = runner.runShard(ShardPlan{3, 4}, 2, 1);
-    EXPECT_EQ(empty.fleet.sessionsBegin, empty.fleet.sessionsEnd);
-    EXPECT_EQ(empty.fleet.relaunchMs.count(), 0u);
+    PartialReport empty =
+        FleetRunner::runShard(asRun(fleetSpec()), ShardPlan{3, 4}, 2, 1);
+    EXPECT_EQ(empty.variants[0].sessionsBegin,
+              empty.variants[0].sessionsEnd);
+    EXPECT_EQ(empty.variants[0].relaunchMs.count(), 0u);
 }
 
 TEST(ShardMerge, TinyFleetShardsStillMergeExactly)
 {
     FleetRunner runner(fleetSpec());
-    std::string unsharded = jsonOf(runner.run(2, 1));
-    std::vector<PartialReport> partials;
-    for (std::size_t i = 1; i <= 4; ++i)
-        partials.push_back(
-            throughDisk(runner.runShard(ShardPlan{i, 4}, 2, 1)));
-    EXPECT_EQ(jsonOf(mergePartials(std::move(partials)).fleet),
-              unsharded);
+    EXPECT_EQ(mergedFleetJson(4, 2, 1), jsonOf(runner.run(2, 1)));
 }
 
 TEST(ShardMerge, MergedSweepShardsAreByteIdenticalToUnsharded)
@@ -158,14 +176,53 @@ TEST(ShardMerge, MergedSweepShardsAreByteIdenticalToUnsharded)
         jsonOf(FleetRunner::runSweep(sweep, 0, 2));
     std::vector<PartialReport> partials;
     for (std::size_t i = 1; i <= 2; ++i)
-        partials.push_back(throughDisk(FleetRunner::runSweepShard(
+        partials.push_back(throughDisk(FleetRunner::runShard(
             sweep, ShardPlan{i, 2}, 0, i == 1 ? 1 : 2)));
-    // Round-robin: shard 1 owns variants 0 and 2, shard 2 owns 1.
-    EXPECT_EQ(partials[0].variants.size(), 2u);
-    EXPECT_EQ(partials[1].variants.size(), 1u);
-    MergedReport merged = mergePartials(std::move(partials));
-    ASSERT_EQ(merged.kind, PartialReport::Kind::Sweep);
-    EXPECT_EQ(jsonOf(merged.sweep), unsharded);
+    // Six sessions, numbered variant by variant: shard 1 runs both of
+    // zram's and ariadne's first, shard 2 the other three.
+    EXPECT_EQ(sessionsRun(partials[0]), 3u);
+    EXPECT_EQ(sessionsRun(partials[1]), 3u);
+    EXPECT_EQ(jsonOf(mergePartials(std::move(partials))), unsharded);
+}
+
+TEST(ShardMerge, SweepWithFewerVariantsThanShardsSplitsSessionsEvenly)
+{
+    // Three variants of two sessions on four shards: T = 6, N = 4.
+    SweepSpec sweep = smallSweep();
+    std::vector<PartialReport> partials;
+    std::size_t empty_slices = 0;
+    for (std::size_t i = 1; i <= 4; ++i) {
+        partials.push_back(throughDisk(
+            FleetRunner::runShard(sweep, ShardPlan{i, 4}, 0, 1)));
+        // Every shard runs floor(6/4) or ceil(6/4) sessions.
+        std::size_t ran = sessionsRun(partials.back());
+        EXPECT_TRUE(ran == 1 || ran == 2) << "shard " << i << ": " << ran;
+        for (const FleetPartial &v : partials.back().variants)
+            empty_slices += v.sessionsBegin == v.sessionsEnd;
+    }
+    EXPECT_GT(empty_slices, 0u);
+    // zram's two sessions fall on shards 1 and 2.
+    EXPECT_EQ(partials[0].variants[0].sessionsEnd, 1u);
+    EXPECT_EQ(partials[1].variants[0].sessionsBegin, 1u);
+    EXPECT_EQ(partials[1].variants[0].sessionsEnd, 2u);
+    EXPECT_EQ(jsonOf(mergePartials(std::move(partials))),
+              jsonOf(FleetRunner::runSweep(sweep, 0, 2)));
+}
+
+TEST(ShardMerge, FleetShardsOfDifferentProgramsAreRefused)
+{
+    // Same scenario name, scheme, seed and fleet; only the program
+    // differs, so no report field tells the shards apart.
+    PartialReport a = throughDisk(
+        FleetRunner::runShard(asRun(fleetSpec()), ShardPlan{1, 2}, 2, 1));
+    PartialReport b = throughDisk(
+        FleetRunner::runShard(asRun(fleetSpec(5)), ShardPlan{2, 2}, 2, 1));
+    EXPECT_EQ(a.variants[0].scenario, b.variants[0].scenario);
+    EXPECT_THROW(mergePartials({a, b}), ReportError);
+    // The same program merges.
+    PartialReport c = throughDisk(
+        FleetRunner::runShard(asRun(fleetSpec()), ShardPlan{2, 2}, 2, 1));
+    EXPECT_EQ(mergePartials({a, c}).variants.size(), 1u);
 }
 
 TEST(ShardMerge, SketchModeBoundsMemoryAndRankError)
@@ -195,8 +252,8 @@ TEST(ShardMerge, SketchModeBoundsMemoryAndRankError)
     // statistics that far apart; compare against the exact
     // distribution's neighbouring percentiles.
     PartialReport part =
-        sketch_runner.runShard(ShardPlan{1, 1}, 6, 2);
-    const MetricState &relaunch = part.fleet.relaunchMs;
+        FleetRunner::runShard(asRun(sketch_spec), ShardPlan{1, 1}, 6, 2);
+    const MetricState &relaunch = part.variants[0].relaunchMs;
     auto n = static_cast<double>(relaunch.count());
     std::uint64_t bound = relaunch.sketch().rankErrorBound();
     double slack = static_cast<double>(bound) / n;
@@ -204,9 +261,9 @@ TEST(ShardMerge, SketchModeBoundsMemoryAndRankError)
     double hi_p = std::min(1.0, 0.5 + slack);
     // Exact order statistics around p50 from the exact run's shard.
     PartialReport exact_part =
-        exact_runner.runShard(ShardPlan{1, 1}, 6, 2);
+        FleetRunner::runShard(asRun(exact_spec), ShardPlan{1, 1}, 6, 2);
     std::vector<double> sorted =
-        exact_part.fleet.relaunchMs.sampleValues();
+        exact_part.variants[0].relaunchMs.sampleValues();
     std::sort(sorted.begin(), sorted.end());
     auto nearest_rank = [&](double p) {
         auto rank = static_cast<std::size_t>(
@@ -221,10 +278,10 @@ TEST(ShardMerge, SketchModeBoundsMemoryAndRankError)
     EXPECT_LE(relaunch.retainedValues(), std::size_t{32} * 8);
     std::vector<PartialReport> partials;
     for (std::size_t i = 1; i <= 2; ++i)
-        partials.push_back(throughDisk(
-            sketch_runner.runShard(ShardPlan{i, 2}, 6, 1)));
-    std::string once = jsonOf(mergePartials(partials).fleet);
-    std::string twice = jsonOf(mergePartials(partials).fleet);
+        partials.push_back(throughDisk(FleetRunner::runShard(
+            asRun(sketch_spec), ShardPlan{i, 2}, 6, 1)));
+    std::string once = jsonOf(mergePartials(partials));
+    std::string twice = jsonOf(mergePartials(partials));
     EXPECT_EQ(once, twice);
     // The merged report is the thread-invariant in-process one too:
     // sketch folding happens in session-index order either way.

@@ -343,9 +343,9 @@ TEST_F(FlightTest, MergedShardSnapshotsEqualUnsharded)
     // Shards 1/2 and 2/2 record into one registry, whose snapshot()
     // sums them.
     Registry::global().reset();
-    FleetRunner runner(smallSpec());
-    runner.runShard(report::ShardPlan::parse("1/2"));
-    runner.runShard(report::ShardPlan::parse("2/2"));
+    SweepSpec run{"", {smallSpec()}};
+    FleetRunner::runShard(run, report::ShardPlan::parse("1/2"));
+    FleetRunner::runShard(run, report::ShardPlan::parse("2/2"));
     auto merged = Registry::global().snapshot();
 
     expectStableKindsEqual(whole, merged);

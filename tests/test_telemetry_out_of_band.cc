@@ -51,9 +51,8 @@ fleetJson(unsigned threads)
 std::string
 partialJson()
 {
-    FleetRunner runner(smallSpec());
-    report::PartialReport part =
-        runner.runShard(report::ShardPlan::parse("1/2"));
+    report::PartialReport part = FleetRunner::runShard(
+        SweepSpec{"", {smallSpec()}}, report::ShardPlan::parse("1/2"));
     std::ostringstream os;
     part.writeJson(os);
     return os.str();

@@ -9,9 +9,9 @@
  *                 --threads 8 --json out.json
  *
  * or runs a multi-scenario sweep, comparing named variants side by
- * side in one report:
+ * side in one report (a config with `sweep =` / `variant =` lines):
  *
- *     ariadne_sim --sweep scenarios/sweep_schemes.cfg --json out.json
+ *     ariadne_sim --config scenarios/sweep_schemes.cfg --json out.json
  *
  * or replays a recorded trace — optionally under a *different*
  * registered scheme (what-if replay; the recorded workload stream is
@@ -23,13 +23,14 @@
  *     ariadne_sim --replay daily.trace --sweep-schemes
  *
  * Runs also distribute across processes/machines: each worker runs
- * one deterministic shard and writes a mergeable partial report, and
- * a merge folds the partials into the standard report — in exact
- * percentile mode byte-identical to the unsharded run:
+ * one deterministic shard — a contiguous slice of the run's sessions,
+ * numbered variant by variant — and writes a mergeable partial
+ * report, and a merge folds the partials into the standard report —
+ * in exact percentile mode byte-identical to the unsharded run:
  *
  *     ariadne_sim --config daily.cfg --shard 1/2 --partial a.json
  *     ariadne_sim --config daily.cfg --shard 2/2 --partial b.json
- *     ariadne_sim --merge a.json b.json -o report.json
+ *     ariadne_sim --merge a.json b.json --json report.json
  *
  * Aggregates are bit-identical regardless of --threads; every
  * session derives its seed from the scenario's base seed and its own
@@ -68,15 +69,14 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: ariadne_sim (--config FILE | --sweep FILE | "
-          "--replay TRACE |\n"
-          "                    --merge PARTIAL...) [options]\n"
+    os << "usage: ariadne_sim (--config FILE | --replay TRACE | "
+          "--merge PARTIAL...)\n"
+          "                   [options]\n"
           "\n"
           "options:\n"
-          "  --config FILE    scenario config (one scenario; sweep "
-          "configs are\n"
-          "                   auto-detected and run as sweeps)\n"
-          "  --sweep FILE     sweep config (named variants, one "
+          "  --config FILE    scenario or sweep config (`sweep =` and "
+          "`variant =` lines\n"
+          "                   make a sweep: named variants in one "
           "side-by-side report)\n"
           "  --replay TRACE   replay a recorded trace (shorthand for "
           "a config with\n"
@@ -92,11 +92,13 @@ usage(std::ostream &os)
           "                   scheme as sweep variants in one "
           "side-by-side report\n"
           "                   (--replay only)\n"
-          "  --shard I/N      run only shard I of N (fleets: a "
-          "contiguous session\n"
-          "                   range; sweeps: round-robin variants) "
-          "and write the\n"
-          "                   mergeable partial report to --partial. "
+          "  --shard I/N      run only shard I of N and write the "
+          "mergeable partial\n"
+          "                   report to --partial. A run numbers its "
+          "sessions variant\n"
+          "                   by variant (a fleet is one variant); "
+          "shard I runs the\n"
+          "                   I-th of N contiguous, balanced slices. "
           "Merging all N\n"
           "                   partials reproduces the unsharded "
           "report —\n"
@@ -106,21 +108,23 @@ usage(std::ostream &os)
           "('-' = stdout)\n"
           "  --merge P...     fold partial reports (one per shard) "
           "into the final\n"
-          "                   report; write it with -o/--json\n"
-          "  -o FILE          alias of --json\n"
+          "                   report; the paths end at the next "
+          "argument that starts\n"
+          "                   with '-'\n"
           "  --fleet N        session count (default: the config's "
           "fleet size)\n"
           "  --threads T      worker threads (default 1; 0 = hardware "
           "count)\n"
           "  --record FILE    record the run as a replayable trace "
-          "(--config or\n"
-          "                   --replay; forces one worker). Replay it "
-          "with --replay\n"
-          "                   FILE — the replayed report is "
-          "byte-identical to the\n"
-          "                   recorded one\n"
-          "  --json FILE      write the aggregate report as JSON "
-          "('-' = stdout)\n"
+          "(a scenario\n"
+          "                   --config, or --replay; forces one "
+          "worker). Replay it\n"
+          "                   with --replay FILE — the replayed "
+          "report is\n"
+          "                   byte-identical to the recorded one\n"
+          "  --json FILE      write the aggregate report, or the "
+          "--merge result, as\n"
+          "                   JSON ('-' = stdout)\n"
           "  --per-session    include per-session records in the JSON\n"
           "  --print-config   echo the parsed config and exit\n"
           "  --list-events    document the event vocabulary and exit\n"
@@ -266,7 +270,6 @@ listSchemes(std::ostream &os)
 struct Options
 {
     std::string configPath;
-    std::string sweepPath;
     std::string replayPath;
     std::string schemeName;
     bool sweepSchemes = false;
@@ -355,10 +358,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!need_value(i, arg))
                 return false;
             opt.configPath = argv[++i];
-        } else if (!std::strcmp(arg, "--sweep")) {
-            if (!need_value(i, arg))
-                return false;
-            opt.sweepPath = argv[++i];
         } else if (!std::strcmp(arg, "--replay")) {
             if (!need_value(i, arg))
                 return false;
@@ -387,8 +386,7 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (!std::strcmp(arg, "--merge")) {
             opt.mergeMode = true;
             // Consume the run of partial-report paths that follows.
-            while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) &&
-                   std::strcmp(argv[i + 1], "-o"))
+            while (i + 1 < argc && argv[i + 1][0] != '-')
                 opt.mergeInputs.push_back(argv[++i]);
         } else if (!std::strcmp(arg, "--fleet")) {
             if (!need_value(i, arg) ||
@@ -402,8 +400,7 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!need_value(i, arg))
                 return false;
             opt.recordPath = argv[++i];
-        } else if (!std::strcmp(arg, "--json") ||
-                   !std::strcmp(arg, "-o")) {
+        } else if (!std::strcmp(arg, "--json")) {
             if (!need_value(i, arg))
                 return false;
             opt.jsonPath = argv[++i];
@@ -443,12 +440,11 @@ parseArgs(int argc, char **argv, Options &opt)
         }
     }
     int sources = (opt.configPath.empty() ? 0 : 1) +
-                  (opt.sweepPath.empty() ? 0 : 1) +
                   (opt.replayPath.empty() ? 0 : 1) +
                   (opt.mergeMode ? 1 : 0);
     if (sources != 1) {
-        std::cerr << "ariadne_sim: exactly one of --config / --sweep "
-                     "/ --replay / --merge is required\n";
+        std::cerr << "ariadne_sim: exactly one of --config / --replay "
+                     "/ --merge is required\n";
         usage(std::cerr);
         return false;
     }
@@ -503,17 +499,6 @@ parseArgs(int argc, char **argv, Options &opt)
                      "only; it cannot combine with --record, --json "
                      "or --per-session (merge the partials for the "
                      "final report)\n";
-        return false;
-    }
-    if (!opt.recordPath.empty() && !opt.sweepPath.empty()) {
-        std::cerr << "ariadne_sim: --record works with --config or "
-                     "--replay only (record each sweep variant "
-                     "separately)\n";
-        return false;
-    }
-    if (!opt.recordPath.empty() && opt.sweepSchemes) {
-        std::cerr << "ariadne_sim: --record works on single runs, not "
-                     "the --sweep-schemes what-if sweep\n";
         return false;
     }
     if (!opt.recordPath.empty() && opt.threads != 1) {
@@ -633,10 +618,23 @@ emitJson(const Options &opt, const Result &result)
     return rc;
 }
 
-/** Write a shard's partial report; returns the exit code. */
+/** Run shard --shard of @p run (a sweep, or a fleet as a nameless
+ * sweep of one variant) and write its partial report; returns the
+ * exit code. */
 int
-emitPartial(const Options &opt, const report::PartialReport &p)
+runShard(const Options &opt, const SweepSpec &run)
 {
+    report::PartialReport p =
+        FleetRunner::runShard(run, opt.shard, opt.fleet, opt.threads);
+    if (!opt.quiet) {
+        std::size_t ran = 0, total = 0;
+        for (const report::FleetPartial &v : p.variants) {
+            ran += v.sessionsEnd - v.sessionsBegin;
+            total += v.fleet;
+        }
+        statusStream(opt) << "shard " << p.shard.toString() << ": ran "
+                          << ran << " of " << total << " session(s)\n";
+    }
     int rc = emitArtifact(opt.partialPath,
                           [&](std::ostream &os) { p.writeJson(os); });
     if (rc == 0 && !opt.quiet && opt.partialPath != "-")
@@ -777,33 +775,26 @@ runScenario(const Options &opt)
         std::cout << spec.toString();
         return 0;
     }
+    if (opt.sharded) {
+        // A replay names its recorded scenario and sampling knobs.
+        ScenarioSpec observed = FleetRunner::effectiveSpec(spec);
+        auto [begin, end] = opt.shard.sessionRange(
+            opt.fleet ? opt.fleet : observed.fleet);
+        startObservability(opt, end - begin,
+                           "shard " + opt.shard.toString(),
+                           observed.journeySample);
+        int rc = runShard(opt, SweepSpec{"", {std::move(spec)}});
+        int obs = finishObservability(opt, observed.name,
+                                      observed.toString(),
+                                      observed.timelineIntervalMs,
+                                      observed.journeySample);
+        return rc ? rc : obs;
+    }
     FleetRunner runner(std::move(spec));
     // For trace replays spec().fleet is the recorded fleet, so the
     // progress total is right in every mode.
-    std::size_t fleet =
-        opt.fleet ? opt.fleet : runner.spec().fleet;
-    if (opt.sharded) {
-        auto [begin, end] = opt.shard.sessionRange(fleet);
-        startObservability(opt, end - begin,
-                           "shard " + opt.shard.toString(),
-                           runner.spec().journeySample);
-        report::PartialReport part =
-            runner.runShard(opt.shard, opt.fleet, opt.threads);
-        if (!opt.quiet)
-            statusStream(opt)
-                << "shard " << part.shard.toString()
-                << ": ran sessions [" << part.fleet.sessionsBegin
-                << ", " << part.fleet.sessionsEnd << ") of fleet "
-                << part.fleet.fleet << "\n";
-        int rc = emitPartial(opt, part);
-        int obs = finishObservability(opt, runner.spec().name,
-                                      runner.spec().toString(),
-                                      runner.spec().timelineIntervalMs,
-                                      runner.spec().journeySample);
-        return rc ? rc : obs;
-    }
-    startObservability(opt, fleet, runner.spec().name,
-                       runner.spec().journeySample);
+    startObservability(opt, opt.fleet ? opt.fleet : runner.spec().fleet,
+                       runner.spec().name, runner.spec().journeySample);
     // Sessions are only worth retaining when a JSON report will
     // actually carry them; otherwise streaming keeps memory bounded.
     bool keep = opt.perSession && !opt.jsonPath.empty();
@@ -829,6 +820,12 @@ runScenario(const Options &opt)
 int
 runSweep(const Options &opt, const SweepSpec &sweep)
 {
+    if (!opt.recordPath.empty()) {
+        std::cerr << "ariadne_sim: --record works on single runs "
+                     "(--config with a scenario, or --replay), not "
+                     "sweeps (record each variant separately)\n";
+        return 2;
+    }
     if (opt.printConfig) {
         std::cout << sweep.toString();
         return 0;
@@ -840,26 +837,17 @@ runSweep(const Options &opt, const SweepSpec &sweep)
     // stride.
     startObservability(opt, 0, sweep.name,
                        ScenarioSpec::defaultJourneySample);
+    int rc = 0;
     if (opt.sharded) {
-        report::PartialReport part = FleetRunner::runSweepShard(
-            sweep, opt.shard, opt.fleet, opt.threads);
+        rc = runShard(opt, sweep);
+    } else {
+        bool keep = opt.perSession && !opt.jsonPath.empty();
+        SweepResult result =
+            FleetRunner::runSweep(sweep, opt.fleet, opt.threads, keep);
         if (!opt.quiet)
-            statusStream(opt)
-                << "shard " << part.shard.toString() << ": ran "
-                << part.variants.size() << " of " << part.variantCount
-                << " variant(s)\n";
-        int rc = emitPartial(opt, part);
-        int obs = finishObservability(
-            opt, sweep.name, sweep.toString(), 0,
-            ScenarioSpec::defaultJourneySample);
-        return rc ? rc : obs;
+            printSweepSummary(statusStream(opt), result);
+        rc = emitJson(opt, result);
     }
-    bool keep = opt.perSession && !opt.jsonPath.empty();
-    SweepResult result =
-        FleetRunner::runSweep(sweep, opt.fleet, opt.threads, keep);
-    if (!opt.quiet)
-        printSweepSummary(statusStream(opt), result);
-    int rc = emitJson(opt, result);
     int obs = finishObservability(opt, sweep.name, sweep.toString(), 0,
                                   ScenarioSpec::defaultJourneySample);
     return rc ? rc : obs;
@@ -889,16 +877,17 @@ schemeSweep(const std::string &trace_path)
 int
 runMerge(const Options &opt)
 {
-    report::MergedReport merged =
-        report::mergeReportFiles(opt.mergeInputs);
-    if (merged.kind == report::PartialReport::Kind::Fleet) {
+    SweepResult merged = report::mergeReportFiles(opt.mergeInputs);
+    if (merged.name.empty()) {
+        // A fleet's shards merge to a nameless sweep of one variant.
+        const FleetResult &fleet = merged.variants.front();
         if (!opt.quiet)
-            printSummary(statusStream(opt), merged.fleet);
-        return emitJson(opt, merged.fleet);
+            printSummary(statusStream(opt), fleet);
+        return emitJson(opt, fleet);
     }
     if (!opt.quiet)
-        printSweepSummary(statusStream(opt), merged.sweep);
-    return emitJson(opt, merged.sweep);
+        printSweepSummary(statusStream(opt), merged);
+    return emitJson(opt, merged);
 }
 
 } // namespace
@@ -919,23 +908,18 @@ main(int argc, char **argv)
     else if (opt.verbosity == 1)
         setLogLevel(LogLevel::Inform);
 
-    // A sweep config handed to --config runs as a sweep: the two
-    // formats share their grammar, so the section lines identify it.
-    if (opt.sweepPath.empty() && !opt.configPath.empty()) {
-        std::ifstream probe(opt.configPath);
-        if (probe && looksLikeSweepConfig(probe)) {
-            opt.sweepPath = opt.configPath;
-            opt.configPath.clear();
-        }
-    }
+    // A sweep config runs as a sweep: the two formats share their
+    // grammar, so the section lines identify it.
+    std::ifstream probe(opt.configPath);
+    bool sweep_config = probe && looksLikeSweepConfig(probe);
 
     try {
         if (opt.mergeMode)
             return runMerge(opt);
         if (opt.sweepSchemes)
             return runSweep(opt, schemeSweep(opt.replayPath));
-        if (!opt.sweepPath.empty())
-            return runSweep(opt, SweepSpec::loadFile(opt.sweepPath));
+        if (sweep_config)
+            return runSweep(opt, SweepSpec::loadFile(opt.configPath));
         return runScenario(opt);
     } catch (const SpecError &e) {
         std::cerr << "ariadne_sim: " << e.what() << "\n";
