@@ -10,14 +10,52 @@
  *
  * The usage trace is declarative (prepare_target + one extra
  * relaunch cycle); the scoring relaunch runs in a `custom` hook
- * because it needs touch captures around individual driver calls.
+ * because it observes the pages touched by individual driver calls.
  */
 
 #include "analysis/similarity.hh"
 #include "bench_common.hh"
+#include "core/ariadne.hh"
 
 using namespace ariadne;
 using namespace ariadne::bench;
+
+namespace
+{
+
+/** The distinct pages one app touches while attached. */
+class TouchedPages : public SystemObserver
+{
+  public:
+    explicit TouchedPages(AppId uid) : uid(uid) {}
+
+    void
+    onTouch(AppId app, const TouchEvent &ev, Tick) override
+    {
+        if (app == uid)
+            seen.set(ev.pfn);
+    }
+
+    std::vector<Pfn> pfns() const { return seen.toSortedVector(); }
+
+  private:
+    AppId uid;
+    PfnBitmap seen;
+};
+
+/** The distinct pfns @p uid touches while @p run runs, ascending. */
+template <class Run>
+std::vector<Pfn>
+touchedDuring(MobileSystem &sys, AppId uid, Run &&run)
+{
+    TouchedPages window(uid);
+    sys.setObserver(&window);
+    run();
+    sys.setObserver(nullptr);
+    return window.pfns();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -54,21 +92,18 @@ main(int argc, char **argv)
                 // Score the prediction on the next relaunch +
                 // execution.
                 std::vector<PageKey> predicted_keys =
-                    sys.hotness()->predictedHotSet(uid);
+                    dynamic_cast<const AriadneScheme &>(sys.scheme())
+                        .predictedHotSet(uid);
                 std::vector<Pfn> predicted;
                 predicted.reserve(predicted_keys.size());
                 for (const auto &key : predicted_keys)
                     predicted.push_back(key.pfn);
 
-                sys.startTouchCapture(uid);
-                sys.appRelaunch(uid);
-                std::vector<Pfn> relaunch_used =
-                    sys.stopTouchCapture(uid);
-
-                sys.startTouchCapture(uid);
-                sys.appExecute(uid, Tick{20} * 1000000000ULL);
-                std::vector<Pfn> exec_used =
-                    sys.stopTouchCapture(uid);
+                std::vector<Pfn> relaunch_used = touchedDuring(
+                    sys, uid, [&] { sys.appRelaunch(uid); });
+                std::vector<Pfn> exec_used = touchedDuring(sys, uid, [&] {
+                    sys.appExecute(uid, Tick{20} * 1000000000ULL);
+                });
 
                 std::vector<Pfn> used = relaunch_used;
                 used.insert(used.end(), exec_used.begin(),

@@ -7,19 +7,44 @@
  * hot data *early* (part 0), because launch-time data looks least
  * recently used — the root cause of unnecessary decompressions.
  *
- * Each app is one ScenarioSpec variant; a `custom` hook reads the
- * ZRAM compression log after the target scenario (the event
- * vocabulary measures latencies, not analysis logs).
+ * Each app is one ScenarioSpec variant; a `custom` hook at the start
+ * of its program attaches an observer that records the hotness of
+ * each of the app's pages ZRAM compresses (the event vocabulary
+ * measures latencies, not compression order).
  */
 
 #include <algorithm>
 
 #include "analysis/hotness_dist.hh"
 #include "bench_common.hh"
-#include "swap/zram.hh"
 
 using namespace ariadne;
 using namespace ariadne::bench;
+
+namespace
+{
+
+/** Ground-truth hotness of each page of one app put into the zpool,
+ * in compression order. */
+class CompressionStream : public SystemObserver
+{
+  public:
+    explicit CompressionStream(AppId uid) : uid(uid) {}
+
+    void
+    onZpoolPut(const PageMeta &page) override
+    {
+        if (page.key.uid == uid)
+            truths.push_back(page.truth);
+    }
+
+    std::vector<Hotness> truths;
+
+  private:
+    AppId uid;
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -33,23 +58,17 @@ main(int argc, char **argv)
                         .unit = "x"};
 
     for (const auto &name : plottedApps()) {
-        AppId target = standardApp(name).uid;
-        std::vector<Hotness> stream;
+        CompressionStream observed(standardApp(name).uid);
+        const std::vector<Hotness> &stream = observed.truths;
 
         driver::ScenarioSpec spec = makeSpec("zram");
         spec.name = name + "/zram";
-        spec.program.push_back(driver::Event::targetScenario(name, 0));
         spec.program.push_back(driver::Event::custom(0));
-        driver::SessionHook read_log =
+        spec.program.push_back(driver::Event::targetScenario(name, 0));
+        driver::SessionHook attach =
             [&](MobileSystem &sys, SessionDriver &,
-                driver::SessionResult &) {
-                auto *zram = dynamic_cast<ZramScheme *>(&sys.scheme());
-                for (const auto &ev : zram->compressionLog()) {
-                    if (ev.key.uid == target)
-                        stream.push_back(ev.truthAtCompression);
-                }
-            };
-        runVariant(std::move(spec), {read_log});
+                driver::SessionResult &) { sys.setObserver(&observed); };
+        runVariant(std::move(spec), {attach});
 
         auto deciles = hotnessByCompressionOrder(stream, 10);
 

@@ -5,12 +5,12 @@
  * Exercises the structures under every simulated touch in isolation:
  * PageArena allocation with a reset() between rounds (the path a
  * fleet worker takes between sessions), direct-indexed per-app lookup
- * (the MobileSystem page-directory shape), intrusive LruList
- * touch-to-front traffic, and PfnBitmap capture marking, over a
- * million-page arena. Emits BENCH_pagetable.json with ops/sec rates
- * in the stable `ariadneBench` schema; the checked-in counters pin
- * the op mix so a behavioural change shows up as counter drift, not
- * just a rate shift.
+ * (the MobileSystem page-directory shape) and intrusive LruList
+ * touch-to-front traffic, over a million-page arena. Emits
+ * BENCH_pagetable.json with ops/sec rates in the stable
+ * `ariadneBench` schema; the checked-in counters pin the op mix so a
+ * behavioural change shows up as counter drift, not just a rate
+ * shift.
  *
  *     perf_pagetable [--out FILE]
  */
@@ -71,7 +71,6 @@ main(int argc, char **argv)
 
     PageArena arena;
     std::vector<PageMeta *> dir(pages, nullptr);
-    PfnBitmap capture;
     std::uint64_t lru_ops = 0;
     std::optional<LruList> list;
     auto total_start = std::chrono::steady_clock::now();
@@ -97,15 +96,14 @@ main(int argc, char **argv)
         rate(rounds * pages,
              std::chrono::steady_clock::now() - start));
 
-    // Touch: the processTouch fast path — direct-indexed lookup,
-    // capture-bitmap mark, LRU move-to-front. Strided so the list is
-    // actually reordered rather than rotating its head.
+    // Touch: the processTouch fast path — direct-indexed lookup, LRU
+    // move-to-front. Strided so the list is actually reordered rather
+    // than rotating its head.
     start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
         for (std::size_t i = 0; i < pages; ++i) {
             std::size_t pfn = (i * 7 + r) % pages;
             PageMeta *page = dir[pfn];
-            capture.set(static_cast<Pfn>(pfn));
             list->touch(*page);
             c_touch.add();
         }

@@ -9,18 +9,30 @@
  *
  * Each app is one ScenarioSpec variant: `prepare_target` builds the
  * usage scenario declaratively; the measured relaunch runs in a
- * `custom` hook so the ZRAM sector-access log can be cleared right
- * before it (only the target relaunch's swap-in stream counts).
+ * `custom` hook with an observer attached around it, so only the
+ * target relaunch's swap-in stream counts.
  */
 
 #include <tuple>
 
 #include "analysis/locality.hh"
 #include "bench_common.hh"
-#include "swap/zram.hh"
 
 using namespace ariadne;
 using namespace ariadne::bench;
+
+namespace
+{
+
+/** Zpool sectors swapped in while attached, in fault order. */
+struct SwapInSectors : SystemObserver
+{
+    void onZpoolSwapIn(Sector sector) override { sectors.push_back(sector); }
+
+    std::vector<Sector> sectors;
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -63,13 +75,12 @@ main(int argc, char **argv)
         driver::SessionHook measure =
             [&](MobileSystem &sys, SessionDriver &,
                 driver::SessionResult &) {
-                auto *zram = dynamic_cast<ZramScheme *>(&sys.scheme());
-                // Measure only the target relaunch's swap-in stream.
-                zram->clearLogs();
+                SwapInSectors observed;
+                sys.setObserver(&observed);
                 sys.appRelaunch(target);
-                const auto &sectors = zram->sectorAccessLog();
-                p2 = consecutiveAccessProbability(sectors, 2);
-                p4 = consecutiveAccessProbability(sectors, 4);
+                sys.setObserver(nullptr);
+                p2 = consecutiveAccessProbability(observed.sectors, 2);
+                p4 = consecutiveAccessProbability(observed.sectors, 4);
             };
         runVariant(std::move(spec), {measure});
 

@@ -72,13 +72,19 @@ main(int argc, char **argv)
 
     // Read back and summarize (the header knows the session count and
     // carries the scenario text the trace was recorded under).
-    TraceReader header(path);
-    std::printf("trace v%u: %llu records, %u session(s), %zu bytes "
-                "of embedded scenario\n",
-                header.version(),
-                static_cast<unsigned long long>(header.count()),
-                header.sessionCount(), header.spec().size());
-    auto loaded = readTrace(path);
+    std::vector<TraceRecord> loaded;
+    try {
+        TraceReader header(path);
+        std::printf("trace v%u: %llu records, %u session(s), %zu bytes "
+                    "of embedded scenario\n",
+                    header.version(),
+                    static_cast<unsigned long long>(header.count()),
+                    header.sessionCount(), header.spec().size());
+        loaded = readTrace(path);
+    } catch (const TraceError &e) {
+        std::fprintf(stderr, "trace_inspector: %s\n", e.what());
+        return 2;
+    }
     std::array<std::size_t, 3> by_truth{};
     std::size_t touches = 0, allocations = 0, relaunches = 0;
     for (const auto &rec : loaded) {

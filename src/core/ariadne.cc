@@ -1,5 +1,7 @@
 #include "core/ariadne.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 #include "telemetry/journey.hh"
 #include "telemetry/telemetry.hh"
@@ -43,11 +45,11 @@ ariadneSchemeInfo()
          "fallback hot-list seed when no profile exists (the D1 "
          "ablation axis)"},
         {"seed_profiles", "bool", "true",
-         "seed per-app hot-set profiles from offline data "
-         "(consumed by the system layer; the D1 ablation axis)"},
+         "seed per-app hot-set profiles from offline data (the D1 "
+         "ablation axis)"},
     };
     info.build = [](SwapContext ctx, const SchemeParams &params,
-                    double scale) {
+                    double scale, const std::vector<AppProfile> &apps) {
         AriadneConfig ac;
         if (const std::string *text = params.raw("config")) {
             std::string error;
@@ -64,10 +66,20 @@ ariadneSchemeInfo()
             params.getBool("predecomp", ac.preDecompEnabled);
         ac.defaultHotInitPages = params.getU64(
             "hot_init_pages", ac.defaultHotInitPages);
-        // `seed_profiles` is schema-validated here but consumed by
-        // MobileSystem, which owns the app profiles the seeding
-        // derives its hot-set sizes from.
-        return std::make_unique<AriadneScheme>(ctx, ac);
+        auto scheme = std::make_unique<AriadneScheme>(ctx, ac);
+        // Offline profiling seed: each app's expected hot pages
+        // (§4.2). Apps left unseeded start from hot_init_pages.
+        if (params.getBool("seed_profiles", true)) {
+            for (const AppProfile &p : apps) {
+                auto hot_pages = static_cast<std::size_t>(
+                    p.hotFraction *
+                    static_cast<double>(p.anonBytes10s) * scale /
+                    static_cast<double>(pageSize));
+                scheme->seedProfile(
+                    p.uid, std::max<std::size_t>(1, hot_pages));
+            }
+        }
+        return scheme;
     };
     return info;
 }
@@ -180,6 +192,8 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
                                telemetry::JourneyStep::Zram,
                                ctx.clock.now(), csize);
         p->location = PageLocation::Zpool;
+        if (observer)
+            observer->onZpoolPut(*p);
         if (p->predictionArmed) {
             pendingPredictions.erase(p);
             p->predictionArmed = false;
@@ -388,7 +402,7 @@ AriadneScheme::swapIn(PageMeta &page)
             u.levelAtCompression)] += 1;
         // Find the speculation candidate before the object vanishes.
         next = store.zpool().nextInSectorOrder(u.object);
-        store.swapInZpool(u.object);
+        store.swapInZpool(u.object, observer);
         u.object = invalidObject;
     } else {
         store.swapInFlash(page.flashSlot,

@@ -38,7 +38,7 @@ namespace ariadne
 {
 
 /** Hotness-aware, size-adaptive compressed swap scheme. */
-class AriadneScheme : public SwapScheme, public HotnessAware
+class AriadneScheme : public SwapScheme
 {
   public:
     AriadneScheme(SwapContext context, AriadneConfig config);
@@ -62,9 +62,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     const Zpool *zpool() const override { return &store.zpool(); }
     const FlashDevice *flash() const override { return store.flash(); }
 
-    /** Hotness capability (profile seeding, Fig. 14 scoring). */
-    HotnessAware *hotness() noexcept override { return this; }
-
     bool
     levelPopulations(std::size_t &hot, std::size_t &warm,
                      std::size_t &cold) const override
@@ -76,10 +73,10 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     }
 
     /** Seed the per-app hot-set size profile (offline profiling). */
-    void seedProfile(AppId uid, std::size_t hot_pages) override;
+    void seedProfile(AppId uid, std::size_t hot_pages);
 
     /** The scheme's relaunch prediction for Fig. 14 scoring. */
-    std::vector<PageKey> predictedHotSet(AppId uid) const override;
+    std::vector<PageKey> predictedHotSet(AppId uid) const;
 
     /** PreDecomp staging statistics. */
     const PreDecomp &preDecomp() const noexcept { return stagingBuf; }

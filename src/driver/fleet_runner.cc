@@ -258,7 +258,7 @@ FleetRunner::effectiveSpec(const ScenarioSpec &spec)
 {
     if (spec.workload != WorkloadKind::Trace)
         return spec;
-    TraceReader header(spec.tracePath, TraceReader::OnError::Throw);
+    TraceReader header(spec.tracePath);
     return replayedSpec(
         spec, TraceReplaySource::embeddedSpec(header, spec.tracePath));
 }

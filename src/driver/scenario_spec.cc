@@ -368,7 +368,6 @@ ScenarioSpec::systemConfig(std::size_t session_index) const
     cfg.scheme = scheme;
     cfg.schemeParams = params;
     cfg.seed = sessionSeed(session_index);
-    cfg.timelineIntervalMs = timelineIntervalMs;
     return cfg;
 }
 
@@ -413,10 +412,6 @@ ScenarioSpec::toString() const
            << "\n";
         os << "sketch_k = " << sketchK << "\n";
     }
-    if (timelineIntervalMs != defaultTimelineIntervalMs)
-        os << "timeline_interval_ms = " << timelineIntervalMs << "\n";
-    if (journeySample != defaultJourneySample)
-        os << "journey_sample = " << journeySample << "\n";
     if (!apps.empty()) {
         os << "apps = ";
         for (std::size_t i = 0; i < apps.size(); ++i)
@@ -725,26 +720,6 @@ SpecParser::Impl::feed(const std::string &raw, std::size_t lineno)
                                     report::PercentileSketch::minK) +
                                 ", got '" + value + "'");
             spec.sketchK = v;
-        } else if (key == "timeline_interval_ms") {
-            // MobileSystem samples every N * 10^6 simulated ns; a
-            // larger N would wrap the 64-bit Tick.
-            constexpr std::uint64_t max_ms =
-                std::numeric_limits<Tick>::max() / 1'000'000;
-            std::uint64_t v =
-                parseU64(value, lineno, "timeline_interval_ms");
-            if (v > max_ms)
-                bad(lineno, "timeline_interval_ms must be <= " +
-                                std::to_string(max_ms) + ", got '" +
-                                value + "'");
-            spec.timelineIntervalMs = v;
-        } else if (key == "journey_sample") {
-            std::uint64_t v =
-                parseU64(value, lineno, "journey_sample");
-            if (v < 1)
-                bad(lineno,
-                    "journey_sample must be >= 1, got '" + value +
-                        "'");
-            spec.journeySample = v;
         } else if (key == "apps") {
             // Like every other key, a later `apps` line overrides an
             // earlier one (sweep variants rely on this to replace the

@@ -200,30 +200,6 @@ struct ScenarioSpec
     /** Sketch buffer size (`sketch_k = N`, sketch mode only). */
     std::size_t sketchK = report::PercentileSketch::defaultK;
 
-    /** Default gauge-sampling cadence (`timeline_interval_ms`). */
-    static constexpr std::size_t defaultTimelineIntervalMs = 1000;
-    /** Default journey sampling stride (`journey_sample`). */
-    static constexpr std::size_t defaultJourneySample = 64;
-
-    /**
-     * Flight-recorder cadence (`timeline_interval_ms = N`, default
-     * 1000, 0 = off, at most 18446744073709 so that N * 10^6 ns fits
-     * a 64-bit Tick): how often, in simulated milliseconds, each
-     * session samples its gauges (zram/flash occupancy, free pages,
-     * hotness populations, ...) for `--metrics` summaries and
-     * `--timeline` series. Observability-only: sampling reads state,
-     * so any value produces byte-identical reports.
-     */
-    std::size_t timelineIntervalMs = defaultTimelineIntervalMs;
-    /**
-     * Page-journey sampling stride (`journey_sample = K`, default
-     * 64, min 1): `--journeys` follows every K-th page, selected by a
-     * deterministic hash of (uid, pfn) so the sample is a property of
-     * the workload, not of scheduling. Observability-only, like
-     * timeline_interval_ms.
-     */
-    std::size_t journeySample = defaultJourneySample;
-
     /** App names; empty = all ten standard apps. For synthetic
      * workloads this is the pool users draw their subsets from. */
     std::vector<std::string> apps;

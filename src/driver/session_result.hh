@@ -65,7 +65,7 @@ struct SessionResult
  * Per-session hook a `custom` event calls back into:
  * hooks[event.hook](system, driver, result). The benches use these
  * for measurements the declarative vocabulary cannot express
- * (analysis-log inspection, touch captures, workload-layer probes).
+ * (attaching a SystemObserver, workload-layer probes).
  * Hooks run on the worker thread of their session; a hook that
  * writes bench state shared across sessions must synchronize or run
  * single-session fleets.

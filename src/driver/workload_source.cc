@@ -282,7 +282,7 @@ TraceReplaySource::embeddedSpec(const TraceReader &reader,
 TraceReplaySource::TraceReplaySource(std::string trace_path)
     : path(std::move(trace_path))
 {
-    TraceReader reader(path, TraceReader::OnError::Throw);
+    TraceReader reader(path);
     recorded = embeddedSpec(reader, path);
     profileSource = makeWorkloadSource(recorded);
 

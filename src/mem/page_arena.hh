@@ -68,9 +68,9 @@ class PageArena
 
 /**
  * Dense per-app page-frame bitmap (pfns are allocated densely from 0
- * by the workload generator). Used for touch-capture sets and
- * relaunch dedup where an unordered_set<Pfn> used to hash every
- * insert.
+ * by the workload generator). Used for relaunch dedup and for the
+ * touched-page sets Fig. 14 scores, where an unordered_set<Pfn> would
+ * hash every insert.
  */
 class PfnBitmap
 {

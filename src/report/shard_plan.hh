@@ -38,9 +38,6 @@ struct ShardPlan
     std::size_t index = 1;
     std::size_t count = 1;
 
-    /** Whether this is the trivial single-shard plan. */
-    bool unsharded() const noexcept { return count == 1; }
-
     /**
      * Parse "INDEX/COUNT" (e.g. "2/4"); throws ReportError on
      * malformed text, a zero count, or an index outside [1, COUNT].

@@ -79,9 +79,11 @@ CompressedStore::put(std::size_t csize, std::uint64_t cookie,
 }
 
 std::size_t
-CompressedStore::swapInZpool(ZObjectId obj)
+CompressedStore::swapInZpool(ZObjectId obj, SystemObserver *observer)
 {
     c_swapinZpool.add();
+    if (observer)
+        observer->onZpoolSwapIn(pool.sectorOf(obj));
     std::size_t csize = pool.objectSize(obj);
     pool.erase(obj);
     return csize;

@@ -65,8 +65,9 @@ class CompressedStore
     ZObjectId put(std::size_t csize, std::uint64_t cookie,
                   SpillClass spill_class);
 
-    /** Take @p obj out of the zpool on a fault. @return its size. */
-    std::size_t swapInZpool(ZObjectId obj);
+    /** Take @p obj out of the zpool on a fault, telling @p observer
+     * (when set) its sector. @return its size. */
+    std::size_t swapInZpool(ZObjectId obj, SystemObserver *observer);
 
     /** Read and free @p slot on a fault, which waits for the submit
      * and a read of @p wait_pages pages. @return its size. */

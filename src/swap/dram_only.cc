@@ -12,7 +12,8 @@ dramOnlySchemeInfo()
     info.description = "ideal all-in-DRAM baseline: no compression, "
                        "no swapping, no reclaim";
     info.unboundedDram = true;
-    info.build = [](SwapContext ctx, const SchemeParams &, double) {
+    info.build = [](SwapContext ctx, const SchemeParams &, double,
+                    const std::vector<AppProfile> &) {
         return std::make_unique<DramOnlyScheme>(ctx);
     };
     return info;

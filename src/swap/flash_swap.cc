@@ -33,8 +33,8 @@ flashSwapSchemeInfo()
     info.displayName = "SWAP";
     info.description = "uncompressed flash swap with readahead "
                        "clustering (low CPU, high latency and wear)";
-    info.build = [](SwapContext ctx, const SchemeParams &,
-                    double scale) {
+    info.build = [](SwapContext ctx, const SchemeParams &, double scale,
+                    const std::vector<AppProfile> &) {
         FlashSwapConfig fc;
         fc.flashBytes = scaledBytes(fc.flashBytes, scale);
         return std::make_unique<FlashSwapScheme>(ctx, fc);

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "mem/dram.hh"
 #include "mem/flash.hh"
@@ -31,6 +30,7 @@
 #include "sim/energy_model.hh"
 #include "sim/timing_model.hh"
 #include "swap/page_compressor.hh"
+#include "workload/trace.hh"
 
 namespace ariadne
 {
@@ -75,26 +75,6 @@ struct CompStats
 
     /** Merge @p o into this. */
     void add(const CompStats &o) noexcept;
-};
-
-/**
- * Optional hotness-prediction capability of a scheme. The system and
- * the benches query it through SwapScheme::hotness() instead of
- * downcasting to a concrete scheme type, so any future scheme with
- * per-app hot-set knowledge (e.g. a TRRIP-style temperature
- * predictor) plugs into profile seeding and Fig. 14 scoring without
- * driver changes.
- */
-class HotnessAware
-{
-  public:
-    virtual ~HotnessAware() = default;
-
-    /** Seed the per-app hot-set size profile (offline profiling). */
-    virtual void seedProfile(AppId uid, std::size_t hot_pages) = 0;
-
-    /** The scheme's current relaunch prediction for @p uid. */
-    virtual std::vector<PageKey> predictedHotSet(AppId uid) const = 0;
 };
 
 /** Outcome of a swap-in fault. */
@@ -166,13 +146,12 @@ class SwapScheme
         return false;
     }
 
-    /** Hotness-prediction capability, when the scheme has one. */
-    virtual HotnessAware *hotness() noexcept { return nullptr; }
-    const HotnessAware *
-    hotness() const noexcept
-    {
-        return const_cast<SwapScheme *>(this)->hotness();
-    }
+    /**
+     * Attach (or with nullptr detach) the observer told of each page
+     * this scheme puts into the zpool and each zpool swap-in.
+     * MobileSystem::setObserver hands its observer over. Not owned.
+     */
+    void setObserver(SystemObserver *obs) noexcept { observer = obs; }
 
     /** Per-app compression statistics. */
     const CompStats &appStats(AppId uid) const;
@@ -225,6 +204,7 @@ class SwapScheme
     void chargeLruOps();
 
     SwapContext ctx;
+    SystemObserver *observer = nullptr;
     std::map<AppId, CompStats> perApp;
     std::uint64_t lruOpCount = 0;
     std::uint64_t lost = 0;

@@ -230,11 +230,12 @@ SchemeRegistry::validate(const std::string &key,
 
 std::unique_ptr<SwapScheme>
 SchemeRegistry::build(const std::string &key, SwapContext ctx,
-                      const SchemeParams &params, double scale) const
+                      const SchemeParams &params, double scale,
+                      const std::vector<AppProfile> &apps) const
 {
     const SchemeInfo &info = at(key);
     validate(key, params);
-    return info.build(ctx, params, scale);
+    return info.build(ctx, params, scale, apps);
 }
 
 } // namespace ariadne

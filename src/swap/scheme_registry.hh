@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "swap/scheme.hh"
+#include "workload/app_model.hh"
 
 namespace ariadne
 {
@@ -143,9 +144,12 @@ struct SchemeInfo
      * Build the scheme. @p params has been validated against the
      * schema; capacity knobs are given at paper scale and the factory
      * multiplies them by @p scale (the footprint scale of the run).
+     * @p apps are the session's app profiles, which a scheme may
+     * derive per-app state from (Ariadne seeds its hot-set sizes).
      */
     std::function<std::unique_ptr<SwapScheme>(
-        SwapContext ctx, const SchemeParams &params, double scale)>
+        SwapContext ctx, const SchemeParams &params, double scale,
+        const std::vector<AppProfile> &apps)>
         build;
 };
 
@@ -184,11 +188,11 @@ class SchemeRegistry
     void validate(const std::string &key,
                   const SchemeParams &params) const;
 
-    /** validate() then build the scheme. */
-    std::unique_ptr<SwapScheme> build(const std::string &key,
-                                      SwapContext ctx,
-                                      const SchemeParams &params,
-                                      double scale) const;
+    /** validate() then build the scheme for a session of @p apps. */
+    std::unique_ptr<SwapScheme>
+    build(const std::string &key, SwapContext ctx,
+          const SchemeParams &params, double scale,
+          const std::vector<AppProfile> &apps) const;
 
   private:
     SchemeRegistry();

@@ -41,8 +41,8 @@ zramFamilyInfo(bool writeback)
         {"zpool_mb", "mb", "3072", "zpool capacity (paper scale)"},
     };
     info.build = [writeback](SwapContext ctx,
-                             const SchemeParams &params,
-                             double scale) {
+                             const SchemeParams &params, double scale,
+                             const std::vector<AppProfile> &) {
         ZramConfig zc;
         zc.writeback = writeback;
         zc.zpoolBytes = scaledBytes(
@@ -99,7 +99,8 @@ ZramScheme::evict(PageMeta &victim, bool synchronous)
                            ctx.clock.now(), csize);
     victim.location = PageLocation::Zpool;
     victim.objectId = obj;
-    compLog.push_back(CompressionEvent{victim.key, victim.truth});
+    if (observer)
+        observer->onZpoolPut(victim);
 
     chargeCompression(victim.key.uid, codec->cost(), pageSize,
                       pageSize, csize, synchronous);
@@ -134,8 +135,7 @@ ZramScheme::swapIn(PageMeta &page)
 
     std::size_t csize = 0;
     if (page.location == PageLocation::Zpool) {
-        sectorLog.push_back(store.zpool().sectorOf(page.objectId));
-        csize = store.swapInZpool(page.objectId);
+        csize = store.swapInZpool(page.objectId, observer);
         page.objectId = invalidObject;
     } else if (page.location == PageLocation::Flash) {
         csize = store.swapInFlash(page.flashSlot, 1);

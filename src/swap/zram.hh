@@ -15,7 +15,6 @@
 #define ARIADNE_SWAP_ZRAM_HH
 
 #include <memory>
-#include <vector>
 
 #include "compress/registry.hh"
 #include "swap/compressed_store.hh"
@@ -63,35 +62,6 @@ class ZramScheme : public LruScheme
     const Zpool *zpool() const override { return &store.zpool(); }
     const FlashDevice *flash() const override { return store.flash(); }
 
-    /** Compression-order log: (sequence number, page, truth). Feeds
-     * the Fig. 4 decile analysis. */
-    struct CompressionEvent
-    {
-        PageKey key;
-        Hotness truthAtCompression;
-    };
-
-    const std::vector<CompressionEvent> &
-    compressionLog() const noexcept
-    {
-        return compLog;
-    }
-
-    /** Sector access log during swap-ins (Table 3 locality input). */
-    const std::vector<Sector> &
-    sectorAccessLog() const noexcept
-    {
-        return sectorLog;
-    }
-
-    /** Clear the analysis logs (between scenario phases). */
-    void
-    clearLogs()
-    {
-        compLog.clear();
-        sectorLog.clear();
-    }
-
   private:
     /** Compress one victim page into the store (or lose it). */
     void evict(PageMeta &victim, bool synchronous) override;
@@ -100,9 +70,6 @@ class ZramScheme : public LruScheme
     std::unique_ptr<Codec> codec;
     /** Objects are single pages; a cookie is the page's address. */
     CompressedStore store;
-
-    std::vector<CompressionEvent> compLog;
-    std::vector<Sector> sectorLog;
 };
 
 /** Registry entry for `scheme = zram` (see scheme_registry.cc). */

@@ -33,9 +33,10 @@ telemetry::SpanProbe d_background("sys.background");
 telemetry::SpanProbe d_idle("sys.idle");
 telemetry::SpanProbe d_generate("workload.generate");
 
-// Flight-recorder gauges, sampled on the timeline_interval_ms
-// cadence (sampleGauges). Values are simulated state at simulated
-// times, so summaries are thread- and shard-invariant.
+// Flight-recorder gauges, sampled every sampleIntervalNs of simulated
+// time (sampleGauges). Values are simulated state at simulated times,
+// so summaries are thread- and shard-invariant.
+constexpr Tick sampleIntervalNs = telemetry::timelineIntervalMs * 1'000'000;
 telemetry::TimelineGauge g_freePages("mem.free_pages");
 telemetry::TimelineGauge g_watermarkHeadroom("mem.watermark_headroom");
 telemetry::TimelineGauge g_zpoolBytes("swap.zpool_bytes");
@@ -97,11 +98,11 @@ MobileSystem::MobileSystem(const SystemConfig &config,
         worker->unitSizes.bind(appProfiles);
     pageCompressor = std::make_unique<PageCompressor>(
         *synth, worker ? &worker->unitSizes : nullptr);
-    makeScheme();
-    reclaimDaemon = std::make_unique<Kswapd>(
-        SwapContext{simClock, timing, cpuAccount, activity, *dramModel,
-                    *pageCompressor},
-        *swapScheme);
+    SwapContext ctx{simClock, timing, cpuAccount, activity, *dramModel,
+                    *pageCompressor};
+    swapScheme = SchemeRegistry::instance().build(
+        cfg.scheme, ctx, cfg.schemeParams, cfg.scale, appProfiles);
+    reclaimDaemon = std::make_unique<Kswapd>(ctx, *swapScheme);
 
     for (const auto &p : appProfiles) {
         instances.emplace(
@@ -112,39 +113,8 @@ MobileSystem::MobileSystem(const SystemConfig &config,
 
     // Arm the flight recorder's sampling cadence. Only when telemetry
     // is on: disarmed, maybeSample() is one load and a branch.
-    if (telemetry::enabled() && cfg.timelineIntervalMs > 0) {
-        sampleIntervalNs =
-            static_cast<Tick>(cfg.timelineIntervalMs) * 1'000'000;
+    if (telemetry::enabled())
         nextSampleNs = sampleIntervalNs;
-    }
-}
-
-void
-MobileSystem::makeScheme()
-{
-    SwapContext ctx{simClock, timing, cpuAccount, activity, *dramModel,
-                    *pageCompressor};
-
-    swapScheme = SchemeRegistry::instance().build(
-        cfg.scheme, ctx, cfg.schemeParams, cfg.scale);
-
-    // Offline profiling seed: expected hot pages per app (§4.2),
-    // derived from the profiles this system carries — which is why
-    // the system layer, not the scheme factory, performs it. Any
-    // scheme with the hotness capability participates; the
-    // `seed_profiles` knob is the D1 ablation axis.
-    HotnessAware *predictor = swapScheme->hotness();
-    if (predictor &&
-        cfg.schemeParams.getBool("seed_profiles", true)) {
-        for (const auto &p : appProfiles) {
-            auto hot_pages = static_cast<std::size_t>(
-                p.hotFraction *
-                static_cast<double>(p.anonBytes10s) * cfg.scale /
-                static_cast<double>(pageSize));
-            predictor->seedProfile(
-                p.uid, std::max<std::size_t>(1, hot_pages));
-        }
-    }
 }
 
 AppInstance &
@@ -240,8 +210,6 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
     c_touch.add();
     if (stats)
         ++stats->pagesTouched;
-    if (dir.capturing)
-        dir.capture.set(ev.pfn);
 
     PageMeta *slot = dir.page(ev.pfn);
     if (!slot) {
@@ -470,26 +438,6 @@ MobileSystem::idle(Tick dt)
     simClock.advance(dt);
     maybeKswapd();
     maybeSample();
-}
-
-void
-MobileSystem::startTouchCapture(AppId uid)
-{
-    AppDir &dir = dirFor(uid);
-    dir.capture.clear();
-    dir.capturing = true;
-}
-
-std::vector<Pfn>
-MobileSystem::stopTouchCapture(AppId uid)
-{
-    AppDir &dir = dirFor(uid);
-    if (!dir.capturing)
-        return {};
-    std::vector<Pfn> result = dir.capture.toSortedVector();
-    dir.capture.clear();
-    dir.capturing = false;
-    return result;
 }
 
 Tick

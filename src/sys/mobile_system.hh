@@ -31,26 +31,6 @@
 namespace ariadne
 {
 
-/**
- * Observer of the primitive op/touch stream a MobileSystem executes.
- * Trace recording attaches one (driver::TraceRecorder); observation is
- * strictly passive, so an observed run behaves bit-identically to an
- * unobserved one.
- */
-class SystemObserver
-{
-  public:
-    virtual ~SystemObserver() = default;
-
-    /** One primitive driver op. @p arg is the duration of
-     * Execute/Idle ops and zero otherwise; @p now is the simulated
-     * time the op begins. */
-    virtual void onOp(TraceOp op, AppId uid, Tick arg, Tick now) = 0;
-
-    /** One page touch executed for @p uid at time @p now. */
-    virtual void onTouch(AppId uid, const TouchEvent &ev, Tick now) = 0;
-};
-
 /** Measured relaunch outcome (one bar of Fig. 2 / Fig. 10). */
 struct RelaunchStats
 {
@@ -138,16 +118,15 @@ class MobileSystem
 
     /**
      * Attach (or with nullptr detach) a passive observer of the
-     * primitive op/touch stream. Not owned; must outlive the runs it
-     * observes.
+     * primitive op/touch stream and of the scheme's zpool traffic.
+     * Not owned; must outlive the runs it observes.
      */
-    void setObserver(SystemObserver *obs) noexcept { observer = obs; }
-
-    /** Start recording every pfn @p uid touches. */
-    void startTouchCapture(AppId uid);
-
-    /** Stop recording and return the captured set. */
-    std::vector<Pfn> stopTouchCapture(AppId uid);
+    void
+    setObserver(SystemObserver *obs) noexcept
+    {
+        observer = obs;
+        swapScheme->setObserver(obs);
+    }
 
     // --- Introspection -------------------------------------------------
     const Clock &clock() const noexcept { return simClock; }
@@ -160,14 +139,6 @@ class MobileSystem
     const SystemConfig &config() const noexcept { return cfg; }
     Dram &dram() noexcept { return *dramModel; }
     PageCompressor &compressor() noexcept { return *pageCompressor; }
-
-    /**
-     * The scheme's hotness-prediction capability, or nullptr when the
-     * scheme has none. Replaces the old concrete-type downcast
-     * (MobileSystem::ariadne()), so driver and bench code works with
-     * any registered scheme that predicts hot sets.
-     */
-    HotnessAware *hotness() noexcept { return swapScheme->hotness(); }
 
     /** kswapd-thread CPU (reclaim daemon + file writeback), Fig. 3. */
     Tick kswapdCpuNs() const noexcept;
@@ -196,16 +167,13 @@ class MobileSystem
      * Per-app page directory. The workload generator hands out pfns
      * densely from 0, so a flat vector indexed by pfn replaces the
      * old hashed PageKey map: one bounds check plus one load per
-     * touch lookup. The touch-capture set is a pfn bitmap for the
-     * same reason. PageMeta records themselves live in the arena so
+     * touch lookup. PageMeta records themselves live in the arena so
      * their addresses stay stable for the intrusive LruList hooks.
      */
     struct AppDir
     {
         AppId uid = invalidApp;
         std::vector<PageMeta *> pages;
-        PfnBitmap capture;
-        bool capturing = false;
 
         PageMeta *
         page(Pfn pfn) const noexcept
@@ -214,7 +182,6 @@ class MobileSystem
         }
     };
 
-    void makeScheme();
     /** Directory for @p uid, created on first use (sorted by uid). */
     AppDir &dirFor(AppId uid);
     void processTouch(AppDir &dir, const TouchEvent &ev,
@@ -225,8 +192,8 @@ class MobileSystem
     void chargeFileWriteback(std::size_t new_pages);
 
     /** Flight-recorder cadence check: sample the gauges when the
-     * simulated clock crossed the next boundary. Disabled (interval
-     * 0 at construction) this is one member load and a branch. */
+     * simulated clock crossed the next boundary. Disarmed (telemetry
+     * off at construction) this is one member load and a branch. */
     void
     maybeSample()
     {
@@ -264,10 +231,8 @@ class MobileSystem
     double filePageDebt = 0.0;
     std::uint64_t lostPages = 0;
 
-    /** Gauge-sampling cadence in simulated ns (0 = disarmed; set at
-     * construction from cfg.timelineIntervalMs iff telemetry is on). */
-    Tick sampleIntervalNs = 0;
-    /** Next simulated-time sampling boundary (0 = disarmed). */
+    /** Next simulated-time sampling boundary (0 = disarmed; armed at
+     * construction iff telemetry is on). */
     Tick nextSampleNs = 0;
 };
 

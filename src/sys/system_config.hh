@@ -57,12 +57,6 @@ struct SystemConfig
     /** Deterministic seed for the workload instances. */
     std::uint64_t seed = 42;
 
-    /** Gauge-sampling cadence in simulated milliseconds for the
-     * telemetry flight recorder (0 = never sample). Only consulted
-     * while telemetry is enabled; sampling reads simulator state and
-     * never mutates it, so the knob cannot change a report byte. */
-    std::size_t timelineIntervalMs = 1000;
-
     /** Per-page application-side touch cost (read/first-use work). */
     Tick pageTouchNs = 1500;
 };

@@ -143,8 +143,7 @@ writeMetricsJson(std::ostream &os, const RunMeta &meta,
 }
 
 void
-writeTimelineJson(std::ostream &os, const RunMeta &meta,
-                  std::uint64_t interval_ms)
+writeTimelineJson(std::ostream &os, const RunMeta &meta)
 {
     const TimelineRecorder &rec = TimelineRecorder::global();
     std::vector<std::string> names = rec.seriesNames();
@@ -154,7 +153,7 @@ writeTimelineJson(std::ostream &os, const RunMeta &meta,
     w.beginObject();
     w.field("ariadneTimeline", std::uint64_t{1});
     writeMeta(w, meta);
-    w.field("intervalMs", interval_ms);
+    w.field("intervalMs", timelineIntervalMs);
     w.field("droppedPoints", rec.droppedPoints());
     w.key("series");
     w.beginObject();
@@ -180,8 +179,7 @@ writeTimelineJson(std::ostream &os, const RunMeta &meta,
 }
 
 void
-writeJourneysJson(std::ostream &os, const RunMeta &meta,
-                  std::uint64_t sample_every)
+writeJourneysJson(std::ostream &os, const RunMeta &meta)
 {
     const JourneyLog &log = JourneyLog::global();
     std::vector<JourneyLog::Event> evs = log.events();
@@ -190,7 +188,7 @@ writeJourneysJson(std::ostream &os, const RunMeta &meta,
     w.beginObject();
     w.field("ariadneJourneys", std::uint64_t{1});
     writeMeta(w, meta);
-    w.field("sampleEvery", sample_every);
+    w.field("sampleEvery", journeySampleEvery);
     w.field("droppedEvents", log.droppedEvents());
     w.key("pages");
     w.beginArray();

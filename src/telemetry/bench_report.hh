@@ -79,21 +79,19 @@ void writeMetricsJson(std::ostream &os, const RunMeta &meta,
  * Write the `--timeline` document (`"ariadneTimeline": 1`): every
  * gauge sample point buffered by the TimelineRecorder, grouped into
  * per-gauge series of {session, tMs, v} sorted by (gauge, session,
- * time). @p interval_ms is the sampling cadence the run used (0 when
- * mixed, e.g. across sweep variants); `droppedPoints` counts the
- * points dropped past the per-thread cap, so truncation is never
+ * time). `intervalMs` is timelineIntervalMs; `droppedPoints` counts
+ * the points dropped past the per-thread cap, so truncation is never
  * silent.
  */
-void writeTimelineJson(std::ostream &os, const RunMeta &meta,
-                       std::uint64_t interval_ms);
+void writeTimelineJson(std::ostream &os, const RunMeta &meta);
 
 /**
  * Write the `--journeys` document (`"ariadneJourneys": 1`): sampled
  * page lifecycles grouped per (session, uid, pfn), each a list of
  * {tMs, step[, detail]} transitions in simulated-time order.
+ * `sampleEvery` is journeySampleEvery.
  */
-void writeJourneysJson(std::ostream &os, const RunMeta &meta,
-                       std::uint64_t sample_every);
+void writeJourneysJson(std::ostream &os, const RunMeta &meta);
 
 /** Peak resident set of this process in bytes (0 if unsupported). */
 std::uint64_t currentPeakRssBytes() noexcept;

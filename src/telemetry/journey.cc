@@ -11,15 +11,11 @@ namespace ariadne::telemetry
 namespace detail
 {
 std::atomic<bool> g_journeyEnabled{false};
-std::atomic<std::uint64_t> g_journeySampleEvery{64};
 } // namespace detail
 
 void
-setJourneyEnabled(bool on, std::uint64_t sample_every) noexcept
+setJourneyEnabled(bool on) noexcept
 {
-    detail::g_journeySampleEvery.store(sample_every < 1 ? 1
-                                                        : sample_every,
-                                       std::memory_order_relaxed);
     detail::g_journeyEnabled.store(on, std::memory_order_relaxed);
 }
 

@@ -2,14 +2,14 @@
  * @file
  * Sampled page-lifecycle journey tracing.
  *
- * Every K-th allocated page — chosen deterministically from a
- * splitmix64 hash of its (uid, pfn) key, so the sample set is a
- * function of the workload and not of thread scheduling — records
- * its state transitions with simulated timestamps: alloc, hotness
- * moves (hot/warm/cold), compression into zram, writeback to flash,
- * staging, swap-in, loss and recreation. The result is the
- * paper's story per page: you can watch a cold page ride the
- * FIFO into flash and pay the flash fault on relaunch.
+ * One allocated page in journeySampleEvery (64) — chosen
+ * deterministically from a splitmix64 hash of its (uid, pfn) key, so
+ * the sample set is a function of the workload and not of thread
+ * scheduling — records its state transitions with simulated
+ * timestamps: alloc, hotness moves (hot/warm/cold), compression into
+ * zram, writeback to flash, staging, swap-in, loss and recreation.
+ * The result is the paper's story per page: you can watch a cold page
+ * ride the FIFO into flash and pay the flash fault on relaunch.
  *
  * Same contract as the rest of src/telemetry/: strictly out-of-band
  * (sites read state, never mutate it), one relaxed load + branch
@@ -33,12 +33,13 @@
 namespace ariadne::telemetry
 {
 
+/** Journey sampling stride: one page in this many is followed. */
+constexpr std::uint64_t journeySampleEvery = 64;
+
 namespace detail
 {
 /** Whether journey events are recorded; read relaxed per site. */
 extern std::atomic<bool> g_journeyEnabled;
-/** Sample every K-th page (1 = every page). */
-extern std::atomic<std::uint64_t> g_journeySampleEvery;
 } // namespace detail
 
 /** Whether journey sites record anything. */
@@ -48,9 +49,8 @@ journeyEnabled() noexcept
     return detail::g_journeyEnabled.load(std::memory_order_relaxed);
 }
 
-/** Turn journey recording on or off and set the sampling stride. */
-void setJourneyEnabled(bool on,
-                       std::uint64_t sample_every = 64) noexcept;
+/** Turn journey recording on or off. */
+void setJourneyEnabled(bool on) noexcept;
 
 /** A page's lifecycle steps, in rough forward order. */
 enum class JourneyStep : std::uint8_t
@@ -76,11 +76,8 @@ const char *journeyStepName(JourneyStep s) noexcept;
 inline bool
 journeySampled(std::uint32_t uid, std::uint64_t pfn) noexcept
 {
-    std::uint64_t k =
-        detail::g_journeySampleEvery.load(std::memory_order_relaxed);
-    if (k <= 1)
-        return true;
-    return mix64((static_cast<std::uint64_t>(uid) << 40) ^ pfn) % k ==
+    return mix64((static_cast<std::uint64_t>(uid) << 40) ^ pfn) %
+               journeySampleEvery ==
            0;
 }
 

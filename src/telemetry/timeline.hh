@@ -13,8 +13,8 @@
  * (points are copies of simulator state, never references), one
  * relaxed load + branch when disabled, a per-thread BoundedLog
  * (per_thread.hh) when enabled. Sampling happens at deterministic
- * simulated times (MobileSystem crosses `timeline_interval_ms`
- * boundaries), so the set of points per session is a function of
+ * simulated times (MobileSystem crosses every timelineIntervalMs
+ * boundary), so the set of points per session is a function of
  * (spec, seed); only their distribution across thread buffers
  * varies, and export sorts them into a canonical order.
  *
@@ -37,6 +37,10 @@
 
 namespace ariadne::telemetry
 {
+
+/** Gauge-sampling cadence in simulated milliseconds: each session
+ * samples its gauges once per interval of simulated time. */
+constexpr std::uint64_t timelineIntervalMs = 1000;
 
 namespace detail
 {

@@ -147,39 +147,32 @@ TraceWriter::close()
     out.close();
 }
 
-void
-TraceReader::fail(const std::string &msg) const
-{
-    if (onError == OnError::Throw)
-        throw TraceError(msg);
-    fatal(msg);
-}
-
-TraceReader::TraceReader(const std::string &path, OnError on_error)
-    : in(path, std::ios::binary), path(path), onError(on_error)
+TraceReader::TraceReader(const std::string &path)
+    : in(path, std::ios::binary), path(path)
 {
     if (!in)
-        fail("cannot open trace: " + path);
+        throw TraceError("cannot open trace: " + path);
     std::uint32_t magic = 0;
     in.read(reinterpret_cast<char *>(&magic), 4);
     in.read(reinterpret_cast<char *>(&fileVersion), 4);
     in.read(reinterpret_cast<char *>(&total), 8);
     if (!in || magic != traceMagic)
-        fail("bad trace header: " + path);
+        throw TraceError("bad trace header: " + path);
     if (fileVersion != traceVersion)
-        fail("unsupported trace version " +
-             std::to_string(fileVersion) + " in " + path +
-             " (this build reads version " +
-             std::to_string(traceVersion) + ")");
+        throw TraceError("unsupported trace version " +
+                         std::to_string(fileVersion) + " in " + path +
+                         " (this build reads version " +
+                         std::to_string(traceVersion) + ")");
     std::uint32_t spec_len = 0;
     in.read(reinterpret_cast<char *>(&sessions), 4);
     in.read(reinterpret_cast<char *>(&spec_len), 4);
     if (!in)
-        fail("bad trace header: " + path);
+        throw TraceError("bad trace header: " + path);
     specText.resize(spec_len);
     in.read(specText.data(), spec_len);
     if (!in)
-        fail("trace truncated inside embedded scenario: " + path);
+        throw TraceError("trace truncated inside embedded scenario: " +
+                         path);
 }
 
 bool
@@ -190,20 +183,21 @@ TraceReader::next(TraceRecord &rec)
     std::array<char, recordBytes> buf;
     in.read(buf.data(), buf.size());
     if (!in)
-        fail("trace truncated: header promises " +
-             std::to_string(total) + " record(s) but " + path +
-             " ends after " + std::to_string(consumed));
+        throw TraceError("trace truncated: header promises " +
+                         std::to_string(total) + " record(s) but " +
+                         path + " ends after " +
+                         std::to_string(consumed));
     if (!decode(buf, rec))
-        fail("corrupt trace record " + std::to_string(consumed) +
-             " in " + path);
+        throw TraceError("corrupt trace record " +
+                         std::to_string(consumed) + " in " + path);
     ++consumed;
     return true;
 }
 
 std::vector<TraceRecord>
-readTrace(const std::string &path, TraceReader::OnError on_error)
+readTrace(const std::string &path)
 {
-    TraceReader reader(path, on_error);
+    TraceReader reader(path);
     std::vector<TraceRecord> records;
     records.reserve(reader.count());
     TraceRecord rec;

@@ -17,6 +17,10 @@
  * MobileSystem executes (`Execute`/`Idle` store their duration in the
  * record's `pfn` field; `Sample` marks a relaunch the driver recorded
  * into its session result).
+ *
+ * SystemObserver, the passive tap on a simulated session that trace
+ * recording and the figure hooks attach, lives here beside the op
+ * vocabulary it reports, where the swap schemes can include it.
  */
 
 #ifndef ARIADNE_WORKLOAD_TRACE_HH
@@ -54,6 +58,36 @@ enum class TraceOp : std::uint8_t
 /** Stable display name of a trace op. */
 const char *traceOpName(TraceOp op) noexcept;
 
+struct TouchEvent;
+
+/**
+ * Passive observer of a simulated session: the primitive op and touch
+ * stream a MobileSystem executes, and the zpool traffic of its swap
+ * scheme. Trace recording (driver::TraceRecorder) and the figure
+ * hooks attach one through MobileSystem::setObserver. Every callback
+ * defaults to doing nothing, and observing never changes the run.
+ */
+class SystemObserver
+{
+  public:
+    virtual ~SystemObserver() = default;
+
+    /** One primitive driver op. @p arg is the duration of
+     * Execute/Idle ops and zero otherwise; @p now is the simulated
+     * time the op begins. */
+    virtual void onOp(TraceOp, AppId, Tick /*arg*/, Tick /*now*/) {}
+
+    /** One page touch executed for @p uid at time @p now. */
+    virtual void onTouch(AppId, const TouchEvent &, Tick /*now*/) {}
+
+    /** @p page was compressed into the zpool (once per page, also
+     * for each page of a multi-page unit). */
+    virtual void onZpoolPut(const PageMeta &) {}
+
+    /** A fault took the object at @p sector out of the zpool. */
+    virtual void onZpoolSwapIn(Sector) {}
+};
+
 /** One trace event. */
 struct TraceRecord
 {
@@ -72,9 +106,9 @@ struct TraceRecord
 };
 
 /**
- * Unreadable or corrupt trace file. Raised instead of fatal() when a
- * reader runs with OnError::Throw, so library callers (the driver, the
- * CLI) can surface the problem as a clean non-zero exit.
+ * Unreadable or corrupt trace file. TraceReader raises it so callers
+ * (the driver, the CLI, the examples) can surface the problem as a
+ * clean non-zero exit.
  */
 class TraceError : public std::runtime_error
 {
@@ -125,24 +159,16 @@ class TraceWriter
 class TraceReader
 {
   public:
-    /** How to report unreadable or corrupt input. */
-    enum class OnError
-    {
-        Fatal, //!< fatal() with a message (programmatic misuse)
-        Throw, //!< raise TraceError (driver / CLI paths)
-    };
-
     /**
-     * Open @p path. Missing files, bad magic, unsupported versions and
-     * truncated headers are diagnosed via @p on_error.
+     * Open @p path. Throws TraceError on a missing file, bad magic,
+     * an unsupported version or a truncated header.
      */
-    explicit TraceReader(const std::string &path,
-                         OnError on_error = OnError::Fatal);
+    explicit TraceReader(const std::string &path);
 
     /**
      * Read the next record. @return false at end of file.
-     * A file shorter than its header promises (truncation) or a record
-     * that fails to decode is diagnosed via the reader's error policy.
+     * Throws TraceError when the file is shorter than its header
+     * promises (truncation) or a record fails to decode.
      */
     bool next(TraceRecord &rec);
 
@@ -159,11 +185,8 @@ class TraceReader
     const std::string &spec() const noexcept { return specText; }
 
   private:
-    [[noreturn]] void fail(const std::string &msg) const;
-
     std::ifstream in;
     std::string path;
-    OnError onError;
     std::uint64_t total = 0;
     std::uint64_t consumed = 0;
     std::uint32_t fileVersion = 0;
@@ -171,10 +194,9 @@ class TraceReader
     std::string specText;
 };
 
-/** Read an entire trace into memory. */
-std::vector<TraceRecord> readTrace(
-    const std::string &path,
-    TraceReader::OnError on_error = TraceReader::OnError::Fatal);
+/** Read an entire trace into memory; throws TraceError like
+ * TraceReader. */
+std::vector<TraceRecord> readTrace(const std::string &path);
 
 /** Write an entire trace; convenience over TraceWriter. */
 void writeTrace(const std::string &path,

@@ -101,7 +101,7 @@ TEST(CompressedStore, SpillsInSectorOrderAndRecycledCookiesWait)
     store.put(block, 2, SpillClass::First);
     store.put(block, 3, SpillClass::First);
     // Unit 1 is swapped in, and a new unit takes its freed id.
-    store.swapInZpool(first);
+    store.swapInZpool(first, nullptr);
     store.put(block, 1, SpillClass::First);
 
     SpillLog log;

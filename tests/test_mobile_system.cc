@@ -7,6 +7,7 @@
 #include "analysis/similarity.hh"
 #include "core/ariadne.hh"
 #include "sys/session.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/apps.hh"
 
 using namespace ariadne;
@@ -22,6 +23,72 @@ testConfig(const std::string &kind)
     cfg.scheme = kind;
     cfg.seed = 7;
     return cfg;
+}
+
+/** The touches of one app while attached, and its distinct pfns. */
+class TouchedPages : public SystemObserver
+{
+  public:
+    explicit TouchedPages(AppId uid) : uid(uid) {}
+
+    void
+    onTouch(AppId app, const TouchEvent &ev, Tick) override
+    {
+        if (app != uid)
+            return;
+        ++touches;
+        seen.set(ev.pfn);
+    }
+
+    std::vector<Pfn> pfns() const { return seen.toSortedVector(); }
+
+    std::size_t touches = 0;
+
+  private:
+    AppId uid;
+    PfnBitmap seen;
+};
+
+/** Counts a session's zpool callbacks. */
+struct ZpoolTraffic : SystemObserver
+{
+    void onZpoolPut(const PageMeta &) override { ++puts; }
+    void onZpoolSwapIn(Sector) override { ++swapIns; }
+
+    std::uint64_t puts = 0;
+    std::uint64_t swapIns = 0;
+};
+
+/** A one-app profile whose cold launch allocates 64 pages, the first
+ * 16 of them hot by its profile. */
+AppProfile
+probeProfile(double scale)
+{
+    AppProfile probe = standardApp("YouTube");
+    probe.anonBytes10s = probe.anonBytes5min =
+        static_cast<std::size_t>(64 * pageSize / scale);
+    probe.hotFraction = 0.25;
+    return probe;
+}
+
+/** Touches of @p pfns, each Hot, allocating when @p allocate. */
+std::vector<TouchEvent>
+touchesOf(const std::vector<Pfn> &pfns, bool allocate = false)
+{
+    std::vector<TouchEvent> events;
+    for (Pfn pfn : pfns)
+        events.push_back(TouchEvent{pfn, 0, Hotness::Hot, allocate, false});
+    return events;
+}
+
+/** Pfns [first, end). */
+std::vector<Pfn>
+pfnRange(Pfn first, Pfn end)
+{
+    std::vector<Pfn> pfns;
+    for (Pfn pfn = first; pfn < end; ++pfn)
+        pfns.push_back(pfn);
+    return pfns;
 }
 
 } // namespace
@@ -88,21 +155,51 @@ TEST(MobileSystem, AriadneBeatsZram)
     EXPECT_LT(run("ariadne"), run("zram"));
 }
 
-TEST(MobileSystem, HotnessCapabilityOnlyForPredictingSchemes)
+TEST(MobileSystem, AriadneFactorySeedsHotSetSizes)
 {
-    // The capability query replaces the old AriadneScheme downcast:
-    // schemes without hot-set prediction return nullptr, Ariadne
-    // exposes seeding and prediction through the interface.
-    MobileSystem zram(testConfig("zram"), standardApps());
-    EXPECT_EQ(zram.hotness(), nullptr);
-    MobileSystem ari(testConfig("ariadne"), standardApps());
-    ASSERT_NE(ari.hotness(), nullptr);
-    // The capability serves predictions once the scheme has seen a
-    // relaunch (the same data Fig. 14 scores).
-    SessionDriver driver(ari);
-    AppId yt = standardApp("YouTube").uid;
-    driver.targetRelaunchScenario(yt, 0);
-    EXPECT_FALSE(ari.hotness()->predictedHotSet(yt).empty());
+    // The ariadne factory seeds each app's hot-set size from its
+    // profile; with seed_profiles off, an app starts from
+    // hot_init_pages. A cold launch fills the hot list to that size.
+    SystemConfig cfg = testConfig("ariadne");
+    AppProfile probe = probeProfile(cfg.scale);
+    auto hot_after_launch = [&] {
+        MobileSystem sys(cfg, {probe});
+        sys.runColdLaunch(probe.uid, touchesOf(pfnRange(0, 64), true));
+        return dynamic_cast<AriadneScheme &>(sys.scheme())
+            .hotnessOrg()
+            .listSize(probe.uid, Hotness::Hot);
+    };
+    EXPECT_EQ(hot_after_launch(), 16u);
+    cfg.schemeParams.set("hot_init_pages", "24");
+    EXPECT_EQ(hot_after_launch(), 16u);
+    cfg.schemeParams.set("seed_profiles", "false");
+    EXPECT_EQ(hot_after_launch(), 24u);
+}
+
+TEST(MobileSystem, ObserverSeesEveryZpoolPutAndSwapIn)
+{
+    // ZRAM and Ariadne alike report each page they put into the zpool
+    // and each zpool swap-in, as their stats and counters see them.
+    telemetry::setEnabled(true);
+    for (const char *scheme : {"zram", "ariadne"}) {
+        telemetry::Registry::global().reset();
+        MobileSystem sys(testConfig(scheme), standardApps());
+        ZpoolTraffic traffic;
+        sys.setObserver(&traffic);
+        SessionDriver(sys).targetRelaunchScenario(
+            standardApp("YouTube").uid, 0);
+        EXPECT_GT(traffic.puts, 0u) << scheme;
+        EXPECT_GT(traffic.swapIns, 0u) << scheme;
+        EXPECT_EQ(traffic.puts,
+                  sys.scheme().totalStats().inBytes / pageSize)
+            << scheme;
+        EXPECT_EQ(traffic.swapIns,
+                  telemetry::Registry::global().snapshot().counter(
+                      "zram.swapin_zpool"))
+            << scheme;
+    }
+    telemetry::setEnabled(false);
+    telemetry::Registry::global().reset();
 }
 
 TEST(MobileSystem, KswapdCpuGrowsUnderPressure)
@@ -129,11 +226,15 @@ TEST(MobileSystem, TouchCaptureRecordsAccesses)
 {
     MobileSystem sys(testConfig("zram"), standardApps());
     AppId yt = standardApp("YouTube").uid;
-    sys.startTouchCapture(yt);
+    TouchedPages touched(yt);
+    sys.setObserver(&touched);
     sys.appColdLaunch(yt);
-    auto touched = sys.stopTouchCapture(yt);
-    EXPECT_EQ(touched.size(), sys.app(yt).pageCount());
-    EXPECT_TRUE(sys.stopTouchCapture(yt).empty()); // consumed
+    sys.setObserver(nullptr);
+    EXPECT_EQ(touched.pfns().size(), sys.app(yt).pageCount());
+    // Detached, the observer hears nothing more.
+    std::size_t touches = touched.touches;
+    sys.appExecute(yt, Tick{1} * 1000000000ULL);
+    EXPECT_EQ(touched.touches, touches);
 }
 
 TEST(MobileSystem, IdleRunsKswapd)
@@ -165,12 +266,14 @@ TEST(MobileSystem, CoverageReportedForAriadne)
     driver.targetRelaunchScenario(yt, 0);
     // Second relaunch: prediction from the first one exists.
     std::vector<Pfn> predicted;
-    for (const PageKey &key : sys.hotness()->predictedHotSet(yt))
+    for (const PageKey &key :
+         dynamic_cast<AriadneScheme &>(sys.scheme()).predictedHotSet(yt))
         predicted.push_back(key.pfn);
-    sys.startTouchCapture(yt);
+    TouchedPages touched(yt);
+    sys.setObserver(&touched);
     sys.appRelaunch(yt);
-    double coverage =
-        predictionCoverage(predicted, sys.stopTouchCapture(yt));
+    sys.setObserver(nullptr);
+    double coverage = predictionCoverage(predicted, touched.pfns());
     EXPECT_GT(predicted.size(), 0u);
     EXPECT_GT(coverage, 0.4);
     EXPECT_LE(coverage, 1.0);
@@ -182,28 +285,11 @@ TEST(MobileSystem, RelaunchesDrainRetiredHotLists)
     // retired list that loses its last page leaves warm's chain. The
     // generated workloads never drain one, so drive explicit streams.
     SystemConfig cfg = testConfig("ariadne");
-    AppProfile probe = standardApp("YouTube");
-    // 64 pages at launch, the first 16 of them hot.
-    probe.anonBytes10s = probe.anonBytes5min =
-        static_cast<std::size_t>(64 * pageSize / cfg.scale);
-    probe.hotFraction = 0.25;
+    AppProfile probe = probeProfile(cfg.scale);
     MobileSystem sys(cfg, {probe});
     HotnessOrg &org = dynamic_cast<AriadneScheme &>(sys.scheme())
                           .hotnessOrg();
     const AppId uid = probe.uid;
-    auto touches = [](std::vector<Pfn> pfns, bool allocate = false) {
-        std::vector<TouchEvent> events;
-        for (Pfn pfn : pfns)
-            events.push_back(
-                TouchEvent{pfn, 0, Hotness::Hot, allocate, false});
-        return events;
-    };
-    auto range = [](Pfn first, Pfn end) {
-        std::vector<Pfn> pfns;
-        for (Pfn pfn = first; pfn < end; ++pfn)
-            pfns.push_back(pfn);
-        return pfns;
-    };
     auto sizes = [&] {
         return std::array<std::size_t, 3>{
             org.listSize(uid, Hotness::Hot),
@@ -212,28 +298,28 @@ TEST(MobileSystem, RelaunchesDrainRetiredHotLists)
     };
     using Sizes = std::array<std::size_t, 3>;
 
-    sys.runColdLaunch(uid, touches(range(0, 64), true));
+    sys.runColdLaunch(uid, touchesOf(pfnRange(0, 64), true));
     EXPECT_EQ(sizes(), (Sizes{16, 0, 48}));
 
     // Every page of the retired list {0..15} comes back: it drains.
-    std::vector<Pfn> all_hot = range(0, 16);
-    for (Pfn pfn : range(16, 20))
+    std::vector<Pfn> all_hot = pfnRange(0, 16);
+    for (Pfn pfn : pfnRange(16, 20))
         all_hot.push_back(pfn);
-    sys.runRelaunch(uid, touches(all_hot));
+    sys.runRelaunch(uid, touchesOf(all_hot));
     EXPECT_EQ(sizes(), (Sizes{20, 0, 44}));
 
     // Half of {0..19} comes back; {10..19} stays warm.
-    sys.runRelaunch(uid, touches(range(0, 10)));
+    sys.runRelaunch(uid, touchesOf(pfnRange(0, 10)));
     EXPECT_EQ(sizes(), (Sizes{10, 10, 44}));
 
     // {0..9} retires behind what is left of {10..19}, and 10..14
     // come back.
-    sys.runRelaunch(uid, touches(range(10, 15)));
+    sys.runRelaunch(uid, touchesOf(pfnRange(10, 15)));
     EXPECT_EQ(sizes(), (Sizes{5, 15, 44}));
 
     // {10..14} retires behind {0..9}, and 15..19 come back: they
     // drain the oldest retirement, which sits mid-chain.
-    sys.runRelaunch(uid, touches(range(15, 20)));
+    sys.runRelaunch(uid, touchesOf(pfnRange(15, 20)));
     EXPECT_EQ(sizes(), (Sizes{5, 15, 44}));
 
     // Warm's victims come from its LRU end: the newest retirement,
@@ -242,8 +328,8 @@ TEST(MobileSystem, RelaunchesDrainRetiredHotLists)
     std::vector<Pfn> victims;
     while (PageMeta *victim = org.popVictim(uid, Hotness::Warm))
         victims.push_back(victim->key.pfn);
-    std::vector<Pfn> want = range(10, 15);
-    for (Pfn pfn : range(0, 10))
+    std::vector<Pfn> want = pfnRange(10, 15);
+    for (Pfn pfn : pfnRange(0, 10))
         want.push_back(pfn);
     EXPECT_EQ(victims, want);
     EXPECT_EQ(sizes(), (Sizes{5, 0, 44}));

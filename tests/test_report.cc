@@ -101,8 +101,7 @@ TEST(ShardPlan, ParsesValidSpecs)
     EXPECT_EQ(p.index, 2u);
     EXPECT_EQ(p.count, 4u);
     EXPECT_EQ(p.toString(), "2/4");
-    EXPECT_FALSE(p.unsharded());
-    EXPECT_TRUE(ShardPlan::parse("1/1").unsharded());
+    EXPECT_EQ(ShardPlan::parse("1/1").toString(), "1/1");
 }
 
 TEST(ShardPlan, RejectsMalformedSpecs)

@@ -132,6 +132,14 @@ TEST(ScenarioSpec, RemovedCompressMemoKeyIsUnknown)
     expectUnknownKeyOnLine2("compress_memo = off");
 }
 
+// The flight recorder samples at fixed telemetry constants (1000 ms of
+// simulated time, one page in 64); its two scenario knobs are gone.
+TEST(ScenarioSpec, RemovedFlightRecorderKeysAreUnknown)
+{
+    expectUnknownKeyOnLine2("timeline_interval_ms = 500");
+    expectUnknownKeyOnLine2("journey_sample = 32");
+}
+
 TEST(ScenarioSpec, RemovedAriadneAliasIsUnknown)
 {
     expectUnknownKeyOnLine2("ariadne = EHL-1K-2K-16K");
@@ -412,55 +420,6 @@ TEST(ScenarioSpec, ValidatesPercentileModeKeys)
                                            "trace = x.trace\n"
                                            "percentiles = sketch\n"),
                  SpecError);
-}
-
-TEST(ScenarioSpec, ParsesFlightRecorderKeys)
-{
-    ScenarioSpec spec = ScenarioSpec::parseString(
-        "timeline_interval_ms = 250\n"
-        "journey_sample = 7\n"
-        "event = warmup\n");
-    EXPECT_EQ(spec.timelineIntervalMs, 250u);
-    EXPECT_EQ(spec.journeySample, 7u);
-    // Non-default values are spelled out in the canonical form.
-    EXPECT_NE(spec.toString().find("timeline_interval_ms = 250"),
-              std::string::npos);
-    EXPECT_NE(spec.toString().find("journey_sample = 7"),
-              std::string::npos);
-    EXPECT_TRUE(ScenarioSpec::parseString(spec.toString()) == spec);
-
-    // The largest cadence whose nanoseconds fit a 64-bit Tick.
-    ScenarioSpec slowest = ScenarioSpec::parseString(
-        "timeline_interval_ms = 18446744073709\n"
-        "event = warmup\n");
-    EXPECT_EQ(slowest.timelineIntervalMs, 18446744073709u);
-}
-
-TEST(ScenarioSpec, ValidatesFlightRecorderKeys)
-{
-    // One more millisecond would wrap the cadence in nanoseconds.
-    try {
-        ScenarioSpec::parseString("event = warmup\n"
-                                  "timeline_interval_ms = "
-                                  "18446744073710\n");
-        FAIL() << "expected SpecError";
-    } catch (const SpecError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("line 2"), std::string::npos);
-        EXPECT_NE(msg.find("timeline_interval_ms must be <= "
-                           "18446744073709"),
-                  std::string::npos);
-    }
-    try {
-        ScenarioSpec::parseString("journey_sample = 0\n"
-                                  "event = warmup\n");
-        FAIL() << "expected SpecError";
-    } catch (const SpecError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("line 1"), std::string::npos);
-        EXPECT_NE(msg.find("journey_sample must be >= 1"),
-                  std::string::npos);
-    }
 }
 
 TEST(ScenarioSpec, DefaultsWhenKeysOmitted)

@@ -162,13 +162,12 @@ TEST(SchemeRegistry, BuildsEachSchemeWithItsKnobs)
     SchemeHarness h;
 
     auto zram = SchemeRegistry::instance().build(
-        "zram", h.context(), SchemeParams{}, 1.0);
+        "zram", h.context(), SchemeParams{}, 1.0, {});
     EXPECT_EQ(zram->name(), "zram");
     EXPECT_EQ(zram->flash(), nullptr);
-    EXPECT_EQ(zram->hotness(), nullptr);
 
     auto zswap = SchemeRegistry::instance().build(
-        "zswap", h.context(), SchemeParams{}, 1.0);
+        "zswap", h.context(), SchemeParams{}, 1.0, {});
     EXPECT_EQ(zswap->name(), "zswap");
     EXPECT_NE(zswap->flash(), nullptr);
 
@@ -176,17 +175,16 @@ TEST(SchemeRegistry, BuildsEachSchemeWithItsKnobs)
     ap.set("config", "AL-512-2K-16K");
     ap.set("zpool_mb", "64");
     auto ariadne_scheme = SchemeRegistry::instance().build(
-        "ariadne", h.context(), ap, 1.0);
+        "ariadne", h.context(), ap, 1.0, {});
     EXPECT_EQ(ariadne_scheme->name(), "Ariadne-AL-512-2K-16K");
-    ASSERT_NE(ariadne_scheme->hotness(), nullptr);
     EXPECT_EQ(ariadne_scheme->zpool()->capacityBytes(),
               std::size_t{64} << 20);
 
     auto dram = SchemeRegistry::instance().build(
-        "dram", h.context(), SchemeParams{}, 1.0);
+        "dram", h.context(), SchemeParams{}, 1.0, {});
     EXPECT_EQ(dram->name(), "dram");
     auto swap = SchemeRegistry::instance().build(
-        "swap", h.context(), SchemeParams{}, 1.0);
+        "swap", h.context(), SchemeParams{}, 1.0, {});
     EXPECT_EQ(swap->name(), "swap");
     EXPECT_NE(swap->flash(), nullptr);
 
@@ -194,17 +192,17 @@ TEST(SchemeRegistry, BuildsEachSchemeWithItsKnobs)
     SchemeParams zp;
     zp.set("zpool_mb", "128");
     auto scaled = SchemeRegistry::instance().build(
-        "zram", h.context(), zp, 0.5);
+        "zram", h.context(), zp, 0.5, {});
     EXPECT_EQ(scaled->zpool()->capacityBytes(),
               (std::size_t{128} << 20) / 2);
 
     // build() validates: unknown scheme and unknown knob both throw.
     EXPECT_THROW(SchemeRegistry::instance().build(
-                     "nonsense", h.context(), SchemeParams{}, 1.0),
+                     "nonsense", h.context(), SchemeParams{}, 1.0, {}),
                  SchemeError);
     SchemeParams bad;
     bad.set("bogus", "1");
     EXPECT_THROW(SchemeRegistry::instance().build(
-                     "zram", h.context(), bad, 1.0),
+                     "zram", h.context(), bad, 1.0, {}),
                  SchemeError);
 }

@@ -215,34 +215,35 @@ TEST_F(FlightTest, TimelineJsonHasSchemaAndSeries)
     telemetry::beginSession(2);
     g.sample(1'000'000, 11);
     std::ostringstream os;
-    telemetry::writeTimelineJson(os, telemetry::RunMeta::current(),
-                                 250);
+    telemetry::writeTimelineJson(os, telemetry::RunMeta::current());
     std::string doc = os.str();
     EXPECT_NE(doc.find("\"ariadneTimeline\": 1"), std::string::npos);
-    EXPECT_NE(doc.find("\"intervalMs\": 250"), std::string::npos);
+    EXPECT_NE(doc.find("\"intervalMs\": 1000"), std::string::npos);
     EXPECT_NE(doc.find("\"test.tl.json\""), std::string::npos);
     EXPECT_NE(doc.find("\"session\": 2"), std::string::npos);
 }
 
 TEST_F(FlightTest, JourneySamplingIsDeterministicInPageKey)
 {
-    telemetry::setJourneyEnabled(true, 64);
     bool first = telemetry::journeySampled(3, 1234);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(telemetry::journeySampled(3, 1234), first);
-    // Stride 1 samples every page.
-    telemetry::setJourneyEnabled(true, 1);
-    EXPECT_TRUE(telemetry::journeySampled(7, 99999));
+    // One page in journeySampleEvery, give or take the hash's spread.
+    std::size_t sampled = 0;
+    for (std::uint64_t pfn = 0; pfn < 64 * 1000; ++pfn)
+        sampled += telemetry::journeySampled(7, pfn);
+    EXPECT_GT(sampled, 800u);
+    EXPECT_LT(sampled, 1200u);
 }
 
 TEST_F(FlightTest, JourneyLogGroupsAndOrdersEvents)
 {
-    telemetry::setJourneyEnabled(true, 1);
+    JourneyLog &log = JourneyLog::global();
     telemetry::beginSession(0);
-    telemetry::journeyMark(1, 10, JourneyStep::Alloc, 100);
-    telemetry::journeyMark(1, 10, JourneyStep::Cold, 100);
-    telemetry::journeyMark(0, 20, JourneyStep::Alloc, 50);
-    telemetry::journeyMark(1, 10, JourneyStep::Zram, 300, 2048);
+    log.record(1, 10, JourneyStep::Alloc, 100);
+    log.record(1, 10, JourneyStep::Cold, 100);
+    log.record(0, 20, JourneyStep::Alloc, 50);
+    log.record(1, 10, JourneyStep::Zram, 300, 2048);
     auto evs = JourneyLog::global().events();
     ASSERT_EQ(evs.size(), 4u);
     // Sorted by (session, uid, pfn, time, issue order).
@@ -255,23 +256,28 @@ TEST_F(FlightTest, JourneyLogGroupsAndOrdersEvents)
 
 TEST_F(FlightTest, JourneyMarkIsGatedByEnable)
 {
+    // A page in the sample records only while journeys are on.
+    std::uint64_t pfn = 0;
+    while (!telemetry::journeySampled(1, pfn))
+        ++pfn;
     telemetry::setJourneyEnabled(false);
-    telemetry::journeyMark(1, 10, JourneyStep::Alloc, 100);
+    telemetry::journeyMark(1, pfn, JourneyStep::Alloc, 100);
     EXPECT_TRUE(JourneyLog::global().events().empty());
+    telemetry::setJourneyEnabled(true);
+    telemetry::journeyMark(1, pfn, JourneyStep::Alloc, 100);
+    EXPECT_EQ(JourneyLog::global().events().size(), 1u);
 }
 
 TEST_F(FlightTest, JourneysJsonGroupsPerPage)
 {
-    telemetry::setJourneyEnabled(true, 1);
     telemetry::beginSession(0);
-    telemetry::journeyMark(4, 77, JourneyStep::Alloc, 1'000'000);
-    telemetry::journeyMark(4, 77, JourneyStep::Zram, 2'000'000, 512);
+    JourneyLog::global().record(4, 77, JourneyStep::Alloc, 1'000'000);
+    JourneyLog::global().record(4, 77, JourneyStep::Zram, 2'000'000, 512);
     std::ostringstream os;
-    telemetry::writeJourneysJson(os, telemetry::RunMeta::current(),
-                                 1);
+    telemetry::writeJourneysJson(os, telemetry::RunMeta::current());
     std::string doc = os.str();
     EXPECT_NE(doc.find("\"ariadneJourneys\": 1"), std::string::npos);
-    EXPECT_NE(doc.find("\"sampleEvery\": 1"), std::string::npos);
+    EXPECT_NE(doc.find("\"sampleEvery\": 64"), std::string::npos);
     EXPECT_NE(doc.find("\"pfn\": 77"), std::string::npos);
     EXPECT_NE(doc.find("\"step\": \"zram\""), std::string::npos);
     EXPECT_NE(doc.find("\"detail\": 512"), std::string::npos);

@@ -199,10 +199,30 @@ TEST(Trace, OpNamesStable)
     EXPECT_STREQ(traceOpName(TraceOp::Free), "free");
 }
 
+namespace
+{
+
+/** Expect @p read to throw a TraceError whose message holds @p what;
+ * a reader error ends the read, and the caller decides how to exit. */
+template <class Read>
+void
+expectTraceError(Read &&read, const std::string &what)
+{
+    try {
+        read();
+        ADD_FAILURE() << "expected a TraceError holding '" << what << "'";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
 TEST(TraceDeath, MissingFileIsFatal)
 {
-    EXPECT_DEATH(TraceReader("/nonexistent/path/trace.bin"),
-                 "cannot open");
+    expectTraceError([] { TraceReader("/nonexistent/path/trace.bin"); },
+                     "cannot open");
 }
 
 TEST(TraceDeath, CorruptHeaderIsFatal)
@@ -212,7 +232,8 @@ TEST(TraceDeath, CorruptHeaderIsFatal)
         std::ofstream out(path, std::ios::binary);
         out << "garbage that is not a trace header";
     }
-    EXPECT_DEATH(TraceReader reader(path), "bad trace header");
+    expectTraceError([&] { TraceReader reader(path); },
+                     "bad trace header");
     std::remove(path.c_str());
 }
 
@@ -244,8 +265,8 @@ TEST(TraceDeath, TruncatedRecordSectionIsFatalNotSilent)
     // must diagnose the truncation, not quietly report end-of-file.
     std::string path =
         truncatedTrace("ariadne_trace_trunc.bin", 24 + 2 * 27 + 5);
-    EXPECT_DEATH(
-        {
+    expectTraceError(
+        [&] {
             TraceReader reader(path);
             TraceRecord rec;
             while (reader.next(rec)) {
@@ -257,23 +278,20 @@ TEST(TraceDeath, TruncatedRecordSectionIsFatalNotSilent)
 
 TEST(Trace, ThrowPolicyRaisesTraceErrorInsteadOfExiting)
 {
-    EXPECT_THROW(TraceReader("/nonexistent/path/trace.bin",
-                             TraceReader::OnError::Throw),
-                 TraceError);
+    EXPECT_THROW(TraceReader("/nonexistent/path/trace.bin"), TraceError);
 
     std::string bad = tempPath("ariadne_trace_bad_throw.bin");
     {
         std::ofstream out(bad, std::ios::binary);
         out << "garbage that is not a trace header";
     }
-    EXPECT_THROW(TraceReader(bad, TraceReader::OnError::Throw),
-                 TraceError);
+    EXPECT_THROW(TraceReader{bad}, TraceError);
     std::remove(bad.c_str());
 
     std::string trunc =
         truncatedTrace("ariadne_trace_trunc_throw.bin",
                        24 + 2 * 27 + 5);
-    TraceReader reader(trunc, TraceReader::OnError::Throw);
+    TraceReader reader(trunc);
     TraceRecord rec;
     EXPECT_TRUE(reader.next(rec));
     EXPECT_TRUE(reader.next(rec));
@@ -293,8 +311,7 @@ TEST(Trace, UnsupportedVersionIsRejected)
         f.seekp(4);
         f.write(reinterpret_cast<const char *>(&version), 4);
         f.close();
-        EXPECT_THROW(TraceReader(path, TraceReader::OnError::Throw),
-                     TraceError)
+        EXPECT_THROW(TraceReader{path}, TraceError)
             << "version " << version;
         std::remove(path.c_str());
     }

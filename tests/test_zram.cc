@@ -22,6 +22,19 @@ smallConfig(bool writeback = false)
     return cfg;
 }
 
+/** What a scheme reports of its zpool traffic, in order. */
+struct ZpoolLog : SystemObserver
+{
+    void onZpoolPut(const PageMeta &page) override
+    {
+        truths.push_back(page.truth);
+    }
+    void onZpoolSwapIn(Sector sector) override { sectors.push_back(sector); }
+
+    std::vector<Hotness> truths;
+    std::vector<Sector> sectors;
+};
+
 } // namespace
 
 TEST(Zram, ReclaimCompressesLruVictims)
@@ -130,31 +143,34 @@ TEST(Zram, CompressionLogRecordsTruth)
 {
     SchemeHarness h(256);
     ZramScheme zram(h.context(), smallConfig());
+    ZpoolLog log;
+    zram.setObserver(&log);
     h.admitPages(zram, 1, 4, Hotness::Hot);
     h.admitPages(zram, 1, 4, Hotness::Cold, 100);
     zram.reclaim(8, false);
-    ASSERT_EQ(zram.compressionLog().size(), 8u);
-    // Admission order = eviction order: hot pages logged first.
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(zram.compressionLog()[i].truthAtCompression,
-                  Hotness::Hot);
-    }
+    ASSERT_EQ(log.truths.size(), 8u);
+    // Admission order = eviction order: hot pages reported first.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(log.truths[i], Hotness::Hot);
 }
 
 TEST(Zram, SectorLogTracksFaults)
 {
     SchemeHarness h(256);
     ZramScheme zram(h.context(), smallConfig());
+    ZpoolLog log;
+    zram.setObserver(&log);
     auto pages = h.admitPages(zram, 1, 8);
     zram.reclaim(8, false);
     zram.swapIn(*pages[0]);
     zram.swapIn(*pages[1]);
-    ASSERT_EQ(zram.sectorAccessLog().size(), 2u);
+    ASSERT_EQ(log.sectors.size(), 2u);
     // Consecutive LRU victims got consecutive sectors.
-    EXPECT_EQ(zram.sectorAccessLog()[1],
-              zram.sectorAccessLog()[0] + 1);
-    zram.clearLogs();
-    EXPECT_TRUE(zram.sectorAccessLog().empty());
+    EXPECT_EQ(log.sectors[1], log.sectors[0] + 1);
+    // Detached, the scheme reports nothing.
+    zram.setObserver(nullptr);
+    zram.swapIn(*pages[2]);
+    EXPECT_EQ(log.sectors.size(), 2u);
 }
 
 TEST(Zram, ProactiveBackgroundCompression)

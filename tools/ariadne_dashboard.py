@@ -219,11 +219,9 @@ def main():
         doc = load(args.timeline, "ariadneTimeline")
         body.append("<h2>Gauge timelines</h2>")
         body.append(meta_block(doc))
-        interval = doc.get("intervalMs", 0)
         dropped = doc.get("droppedPoints", 0)
-        cadence = (f"sampled every {interval} ms of simulated time"
-                   if interval else "mixed sampling cadence")
-        body.append(f'<p class="meta">{cadence}'
+        body.append('<p class="meta">sampled every '
+                    f'{doc.get("intervalMs")} ms of simulated time'
                     + (f" · {fmt(dropped)} points dropped to ring caps"
                        if dropped else "") + "</p>")
         series = doc.get("series", {})

@@ -139,14 +139,13 @@ usage(std::ostream &os)
           "                   or without it)\n"
           "  --timeline FILE  write sampled gauge time-series as JSON "
           "('-' =\n"
-          "                   stdout; one point per "
-          "timeline_interval_ms of\n"
-          "                   simulated time per session)\n"
+          "                   stdout; one point per second of "
+          "simulated time\n"
+          "                   per session)\n"
           "  --journeys FILE  write sampled page-lifecycle journeys "
           "as JSON\n"
-          "                   ('-' = stdout; every journey_sample-th "
-          "page,\n"
-          "                   chosen deterministically by page key). "
+          "                   ('-' = stdout; one page in 64, chosen\n"
+          "                   deterministically by page key). "
           "With\n"
           "                   --trace-events the journeys also appear "
           "as\n"
@@ -647,13 +646,11 @@ runShard(const Options &opt, const SweepSpec &run)
 /**
  * Arm telemetry and the progress meter for a run of @p total sessions
  * (0 = unknown) labeled @p label. Called after config parsing so a
- * usage error never produces telemetry files. @p journey_sample is
- * the scenario's journey_sample knob (sample every K-th page).
+ * usage error never produces telemetry files.
  */
 void
 startObservability(const Options &opt, std::uint64_t total,
-                   const std::string &label,
-                   std::uint64_t journey_sample)
+                   const std::string &label)
 {
     if (!opt.metricsPath.empty())
         telemetry::setEnabled(true);
@@ -669,7 +666,7 @@ startObservability(const Options &opt, std::uint64_t total,
         telemetry::setTimelineEnabled(true);
     }
     if (!opt.journeysPath.empty())
-        telemetry::setJourneyEnabled(true, journey_sample);
+        telemetry::setJourneyEnabled(true);
     if (opt.progress)
         telemetry::ProgressMeter::global().enable(total, label);
 }
@@ -706,15 +703,11 @@ injectJourneysIntoTrace()
  * Emit the out-of-band artifacts (--metrics / --timeline / --journeys
  * / --trace-events) and the final progress line. Never touches stdout
  * unless an artifact path is explicitly '-'; returns 1 on an
- * unwritable path. @p interval_ms is the run's sampling cadence for
- * the timeline header (0 = mixed/unknown, e.g. across sweep
- * variants); @p journey_sample its sampling stride.
+ * unwritable path.
  */
 int
 finishObservability(const Options &opt, const std::string &scenario,
-                    const std::string &spec_text,
-                    std::uint64_t interval_ms,
-                    std::uint64_t journey_sample)
+                    const std::string &spec_text)
 {
     if (opt.progress) {
         telemetry::ProgressMeter::global().finish();
@@ -734,12 +727,12 @@ finishObservability(const Options &opt, const std::string &scenario,
     }
     if (!opt.timelinePath.empty()) {
         rc |= emitArtifact(opt.timelinePath, [&](std::ostream &os) {
-            telemetry::writeTimelineJson(os, meta, interval_ms);
+            telemetry::writeTimelineJson(os, meta);
         });
     }
     if (!opt.journeysPath.empty()) {
         rc |= emitArtifact(opt.journeysPath, [&](std::ostream &os) {
-            telemetry::writeJourneysJson(os, meta, journey_sample);
+            telemetry::writeJourneysJson(os, meta);
         });
     }
     if (!opt.traceEventsPath.empty()) {
@@ -776,25 +769,22 @@ runScenario(const Options &opt)
         return 0;
     }
     if (opt.sharded) {
-        // A replay names its recorded scenario and sampling knobs.
+        // A replay names its recorded scenario.
         ScenarioSpec observed = FleetRunner::effectiveSpec(spec);
         auto [begin, end] = opt.shard.sessionRange(
             opt.fleet ? opt.fleet : observed.fleet);
         startObservability(opt, end - begin,
-                           "shard " + opt.shard.toString(),
-                           observed.journeySample);
+                           "shard " + opt.shard.toString());
         int rc = runShard(opt, SweepSpec{"", {std::move(spec)}});
         int obs = finishObservability(opt, observed.name,
-                                      observed.toString(),
-                                      observed.timelineIntervalMs,
-                                      observed.journeySample);
+                                      observed.toString());
         return rc ? rc : obs;
     }
     FleetRunner runner(std::move(spec));
     // For trace replays spec().fleet is the recorded fleet, so the
     // progress total is right in every mode.
     startObservability(opt, opt.fleet ? opt.fleet : runner.spec().fleet,
-                       runner.spec().name, runner.spec().journeySample);
+                       runner.spec().name);
     // Sessions are only worth retaining when a JSON report will
     // actually carry them; otherwise streaming keeps memory bounded.
     bool keep = opt.perSession && !opt.jsonPath.empty();
@@ -811,9 +801,7 @@ runScenario(const Options &opt)
         printSummary(statusStream(opt), result);
     int rc = emitJson(opt, result);
     int obs = finishObservability(opt, runner.spec().name,
-                                  runner.spec().toString(),
-                                  runner.spec().timelineIntervalMs,
-                                  runner.spec().journeySample);
+                                  runner.spec().toString());
     return rc ? rc : obs;
 }
 
@@ -832,11 +820,7 @@ runSweep(const Options &opt, const SweepSpec &sweep)
     }
     // Sweep session totals are not known up front (variants may carry
     // their own fleet sizes); heartbeats omit percentage and ETA.
-    // Variants may disagree on the sampling knobs, so the timeline
-    // header reports a mixed cadence (0) and journeys use the default
-    // stride.
-    startObservability(opt, 0, sweep.name,
-                       ScenarioSpec::defaultJourneySample);
+    startObservability(opt, 0, sweep.name);
     int rc = 0;
     if (opt.sharded) {
         rc = runShard(opt, sweep);
@@ -848,8 +832,7 @@ runSweep(const Options &opt, const SweepSpec &sweep)
             printSweepSummary(statusStream(opt), result);
         rc = emitJson(opt, result);
     }
-    int obs = finishObservability(opt, sweep.name, sweep.toString(), 0,
-                                  ScenarioSpec::defaultJourneySample);
+    int obs = finishObservability(opt, sweep.name, sweep.toString());
     return rc ? rc : obs;
 }
 
